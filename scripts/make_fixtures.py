@@ -1,8 +1,9 @@
 """Regenerate src/specalt/data/fixtures.csv from the family constructors.
 
 Every fixture is a non-split alternating diagram.  The signature column
-records the value computed at build time (it freezes the build and is
-re-checked on every load); the u and genus columns carry classical
+records the value computed at build time (it freezes the build and
+``tables.analyze`` fails any row whose computed sigma differs from it);
+the u and genus columns carry classical
 table values for the named knots/links and stay empty for synthetic
 fixtures.  Run from the repository root:
 

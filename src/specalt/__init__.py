@@ -19,11 +19,13 @@ from .invariants import (GoeritzLattice, ClassicalInvariants, goeritz,
                          euler_check, classical_invariants, DegenerateColoring)
 from .lattice import (LatticeEmbedding, CoordinatePairing, ObstructionVerdict,
                       ClaspSet, TargetTooSmall, MarkedRegionsNotAdjacent,
+                      SignatureRoutesDisagree,
                       enumerate_embeddings, condition_all_coords, find_pairing,
                       claim1_structure, obstruction, clasp_candidates,
                       canonical_matrix, signed_permutation_equivalent)
 from .unknotting import (SimplifyBudget, UnlinkCertificate, SearchOutcome,
                          UnlinkingVerdict, CombinedVerdict,
+                         WitnessContradictsObstruction,
                          reidemeister_simplify, certify_unlink,
                          exhaustive_search, decide_minimal_unlinking,
                          split_additivity, replay_moves)

@@ -73,7 +73,7 @@ def cmd_embed(args) -> int:
     try:
         rec = _resolve(args.knot)
         d = reduce_nugatory(parse_pd(rec.pd))
-        verdict = obstruction(d, enumerate_all=False)
+        verdict = obstruction(d)
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,11 @@ class TargetTooSmall(ValueError):
     """Target dimension below the rank of the form."""
 
 
+class SignatureRoutesDisagree(DiagramError):
+    """The Goeritz-route signature differs from the Seifert-route one; the
+    obstruction's target dimension and bound p would be wrong."""
+
+
 @dataclass(frozen=True)
 class LatticeEmbedding:
     """Integer images of the Goeritz generators, rows v_1..v_r."""
@@ -256,19 +261,27 @@ def claim1_structure(e: LatticeEmbedding) -> bool:
     return True
 
 
-def obstruction(d: LinkDiagram, enumerate_all: bool = False) -> ObstructionVerdict:
+def obstruction(d: LinkDiagram, *, sigma: int | None = None) -> ObstructionVerdict:
     """Decide whether the Goeritz lattice admits an embedding satisfying
-    conditions (i) and (ii); Obstructed certifies c4 > p."""
+    conditions (i) and (ii); Obstructed certifies c4 > p.
+
+    ``sigma`` is the signature of ``d`` as given; when omitted it is
+    computed with the Seifert oracle.  Either way the Goeritz route must
+    reproduce it, or ``SignatureRoutesDisagree`` is raised."""
     if not d.is_connected:
         raise SplitDiagram("obstruction needs a non-split diagram")
     if d.n and not d.is_alternating:
         raise NotAlternating("obstruction needs an alternating diagram")
-    sigma, eta = signature_nullity(d)
+    if sigma is None:
+        sigma, _ = signature_nullity(d)
     if sigma > 0:
         d = mirror(d)
         sigma = -sigma
     cb = checkerboard_negative(d)
-    assert gl_signature(d, cb) == sigma, "signature routes disagree"
+    gl_sigma = gl_signature(d, cb)
+    if gl_sigma != sigma:
+        raise SignatureRoutesDisagree(
+            f"Goeritz-route sigma {gl_sigma} != Seifert-route sigma {sigma}")
     k = d.component_count
     two_p = abs(sigma) + k - 1
     if two_p % 2 == 1:
@@ -278,21 +291,13 @@ def obstruction(d: LinkDiagram, enumerate_all: bool = False) -> ObstructionVerdi
     lat = goeritz(d, cb)
     n_target = lat.rank - sigma
     stats = _Stats()
-    best: ObstructionVerdict | None = None
     for emb in enumerate_embeddings(lat.gram, n_target, stats):
         if not condition_all_coords(emb):
             continue
         pairing = find_pairing(emb, p)
         if pairing is not None:
-            verdict = ObstructionVerdict(True, p, n_target, emb, pairing,
-                                         stats.nodes, stats.dedup, "witness")
-            if not enumerate_all:
-                return verdict
-            if best is None:
-                best = verdict
-    if best is not None:
-        return ObstructionVerdict(True, p, n_target, best.embedding, best.pairing,
-                                  stats.nodes, stats.dedup, "witness")
+            return ObstructionVerdict(True, p, n_target, emb, pairing,
+                                      stats.nodes, stats.dedup, "witness")
     return ObstructionVerdict(False, p, n_target, None, None,
                               stats.nodes, stats.dedup, "exhausted")
 

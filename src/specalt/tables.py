@@ -18,8 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from .diagram import (parse_pd, reduce_nugatory, DiagramError,
                       is_special_alternating)
 from .invariants import classical_invariants, unlinking_lower_bound
-from .unknotting import SimplifyBudget, decide_minimal_unlinking
-from .lattice import obstruction
+from .seifert import SeifertError
+from .unknotting import SimplifyBudget, bound_text, decide_minimal_unlinking
 
 
 class TableError(ValueError):
@@ -55,10 +55,10 @@ class ReportRow:
     seconds: float = 0.0
 
     def u_text(self) -> str:
-        return _bound_text(self.u_lower, self.u_upper)
+        return bound_text(self.u_lower, self.u_upper)
 
     def c4_text(self) -> str:
-        return _bound_text(self.c4_lower, self.c4_upper)
+        return bound_text(self.c4_lower, self.c4_upper)
 
     def genus_text(self) -> str:
         if self.genus is None:
@@ -77,16 +77,6 @@ class ReportRow:
                     list(self.witness) if self.witness else None,
                 "obstruction": self.obstruction,
                 "provenance": self.provenance, "seconds": round(self.seconds, 3)}
-
-
-def _bound_text(lo, hi) -> str:
-    if lo is None:
-        return "?"
-    if hi is None:
-        return f">={lo}"
-    if lo == hi:
-        return str(lo)
-    return "{" + ";".join(str(x) for x in range(lo, hi + 1)) + "}"
 
 
 def _parse_u_cell(cell: str) -> frozenset[int] | None:
@@ -168,7 +158,8 @@ def analyze(record: KnotRecord, config: AnalyzeConfig = AnalyzeConfig()) -> Repo
                              c4_lower=math.ceil(c4b), c4_upper=None,
                              provenance="not special alternating: classical bounds only",
                              seconds=time.monotonic() - start, **base)
-        verdict = decide_minimal_unlinking(d, config.budget, config.max_extra_searches)
+        verdict = decide_minimal_unlinking(d, config.budget, config.max_extra_searches,
+                                           sigma=inv.signature)
         return ReportRow(record.name, True,
                          u_lower=verdict.u_lower, u_upper=verdict.u_upper,
                          c4_lower=verdict.c4_lower, c4_upper=verdict.c4_upper,
@@ -178,7 +169,7 @@ def analyze(record: KnotRecord, config: AnalyzeConfig = AnalyzeConfig()) -> Repo
                                       else "obstructed"),
                          provenance=verdict.provenance,
                          seconds=time.monotonic() - start, **base)
-    except DiagramError as exc:
+    except (DiagramError, SeifertError) as exc:
         return ReportRow(record.name, False, provenance=f"error: {exc}",
                          seconds=time.monotonic() - start)
 

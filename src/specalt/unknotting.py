@@ -222,6 +222,22 @@ def exhaustive_search(d: LinkDiagram, m: int,
     return SearchOutcome("all_refuted", (), None, (), tried)
 
 
+def bound_text(lo, hi) -> str:
+    """Bounds lo..hi as ?, >=lo, a single value or a {lo;...;hi} set."""
+    if lo is None:
+        return "?"
+    if hi is None:
+        return f">={lo}"
+    if lo == hi:
+        return str(lo)
+    return "{" + ";".join(str(x) for x in range(lo, hi + 1)) + "}"
+
+
+class WitnessContradictsObstruction(DiagramError):
+    """A witness at p was found although the lattice obstruction certifies
+    c4 > p; one of the two certificates is wrong."""
+
+
 @dataclass(frozen=True)
 class UnlinkingVerdict:
     """Decision for u(L) against the classical lower bound p."""
@@ -240,10 +256,10 @@ class UnlinkingVerdict:
     provenance: str = ""
 
     def u_text(self) -> str:
-        return _bound_text(self.u_lower, self.u_upper)
+        return bound_text(self.u_lower, self.u_upper)
 
     def c4_text(self) -> str:
-        return _bound_text(self.c4_lower, self.c4_upper)
+        return bound_text(self.c4_lower, self.c4_upper)
 
     def to_json(self):
         out = {"p": str(self.p), "result": self.result,
@@ -260,28 +276,23 @@ class UnlinkingVerdict:
         return out
 
 
-def _bound_text(lo, hi) -> str:
-    if lo is None:
-        return "?"
-    if hi is None:
-        return f">={lo}"
-    if lo == hi:
-        return str(lo)
-    return "{" + ";".join(str(x) for x in range(lo, hi + 1)) + "}"
-
-
 def decide_minimal_unlinking(d: LinkDiagram,
                              budget: SimplifyBudget = SimplifyBudget(),
-                             max_extra_searches: int = 2) -> UnlinkingVerdict:
+                             max_extra_searches: int = 2, *,
+                             sigma: int | None = None) -> UnlinkingVerdict:
     """Theorem-driven decision: p attained exactly when p crossing changes
     in this alternating diagram unlink; AllRefuted at p certifies u >= p+1,
-    and witnesses at higher m give upper bounds."""
+    and witnesses at higher m give upper bounds.
+
+    ``sigma`` is the signature of ``d``; when omitted it is computed with
+    the Seifert oracle."""
     if not d.is_connected:
         raise SplitDiagram("decide needs a non-split diagram; decompose first")
     if not is_special_alternating(d):
         raise NotSpecialAlternating("decide needs a special alternating diagram")
     d = reduce_nugatory(d)
-    sigma, eta = signature_nullity(d)
+    if sigma is None:
+        sigma, _ = signature_nullity(d)
     if sigma > 0:
         d = mirror(d)
         sigma = -sigma
@@ -290,7 +301,7 @@ def decide_minimal_unlinking(d: LinkDiagram,
     if d.n == 0:
         return UnlinkingVerdict(p, "equal", (), 0, 0, 0, 0, None, (),
                                 provenance="crossing-free diagram")
-    ob = obstruction(d)
+    ob = obstruction(d, sigma=sigma)
     if p.denominator != 1:
         import math
         lo = math.ceil(p)
@@ -310,7 +321,10 @@ def decide_minimal_unlinking(d: LinkDiagram,
     out_p = exhaustive_search(d, p_int, budget, hints)
     searches.append((p_int, out_p.status))
     if out_p.status == "some":
-        assert ob.admissible, "Equal verdict contradicts an Obstructed lattice"
+        if not ob.admissible:
+            raise WitnessContradictsObstruction(
+                f"witness {list(out_p.witnesses[0])} at p={p_int} but the "
+                f"lattice is obstructed ({ob.reason})")
         return UnlinkingVerdict(p, "equal", out_p.witnesses[0],
                                 p_int, p_int, p_int, p_int, ob,
                                 tuple(searches), (), out_p.certificate,

@@ -6,6 +6,8 @@ from specalt.tables import (KnotRecord, load_table, analyze, analyze_all,
                             emit_tables, diff_tables, TableError, AnalyzeConfig,
                             bound_consistency_ok, natural_key)
 from specalt.cli import main as cli_main
+from specalt.diagram import (parse_pd, reduce_nugatory, canonical_key,
+                             is_special_alternating)
 
 from conftest import TREFOIL_PD
 
@@ -157,6 +159,86 @@ class TestJobsEnvVar:
         rows = tables_mod.analyze_all(subset)   # jobs=None reads the env var
         assert [r.name for r in rows] == ["3_1", "hopf"]
         assert all(r.ok for r in rows)
+
+
+class TestCertificateChecks:
+    """Cross-checks that guard a certificate raise named errors, which
+    ``python -O`` keeps, and fail only the row they belong to."""
+
+    def test_signature_routes_disagree_fails_row(self, monkeypatch):
+        from specalt import lattice
+        real = lattice.gl_signature
+        monkeypatch.setattr(lattice, "gl_signature",
+                            lambda d, cb: real(d, cb) + 2)
+        with pytest.raises(lattice.SignatureRoutesDisagree):
+            lattice.obstruction(parse_pd(TREFOIL_PD))
+        row = analyze(KnotRecord("3_1", TREFOIL_PD))
+        assert not row.ok
+        assert "Goeritz-route sigma" in row.provenance
+
+    def test_witness_contradicts_obstruction_fails_row(self, monkeypatch):
+        from specalt import unknotting
+        from specalt.lattice import ObstructionVerdict
+        monkeypatch.setattr(
+            unknotting, "obstruction",
+            lambda d, *, sigma=None: ObstructionVerdict(False, 1, 2,
+                                                        reason="exhausted"))
+        with pytest.raises(unknotting.WitnessContradictsObstruction):
+            unknotting.decide_minimal_unlinking(parse_pd(TREFOIL_PD))
+        row = analyze(KnotRecord("3_1", TREFOIL_PD))
+        assert not row.ok
+        assert "lattice is obstructed" in row.provenance
+
+    def test_oracle_error_fails_only_its_row(self, bundled, monkeypatch):
+        from specalt import seifert
+        subset = [r for r in bundled if r.name in ("3_1", "hopf", "7_4", "5_2")]
+        before = analyze_all(subset, jobs=1)
+        bad = canonical_key(reduce_nugatory(
+            parse_pd(next(r.pd for r in subset if r.name == "7_4"))))
+        real = seifert.signature_nullity
+
+        def flaky(d):
+            if canonical_key(d) == bad:
+                raise seifert.SeifertError("injected oracle failure")
+            return real(d)
+
+        monkeypatch.setattr(seifert, "signature_nullity", flaky)
+        after = analyze_all(subset, jobs=1)
+        assert len(after) == len(subset)
+        for old, new in zip(before, after):
+            if new.name == "7_4":
+                assert not new.ok
+                assert "injected oracle failure" in new.provenance
+            else:
+                assert new.to_json() | {"seconds": 0} == \
+                    old.to_json() | {"seconds": 0}
+
+
+class TestOracleCalls:
+    def test_one_oracle_call_per_special_alternating_knot(self, bundled,
+                                                          monkeypatch):
+        """analyze computes sigma once and hands it down to the decision
+        and the obstruction."""
+        from specalt import seifert
+        real = seifert.signature_nullity
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(seifert, "signature_nullity", counting)
+        counts = {}
+        for rec in bundled:
+            d = reduce_nugatory(parse_pd(rec.pd))
+            if not (is_special_alternating(d) and d.is_connected):
+                continue
+            calls.clear()
+            row = analyze(rec)
+            assert row.ok, rec.name
+            counts[rec.name] = len(calls)
+        assert len(counts) >= 30
+        assert {name: c for name, c in counts.items() if c != 1} == {}
 
 
 class TestCLI:
