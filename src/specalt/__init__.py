@@ -14,9 +14,10 @@ from .diagram import (LinkDiagram, Checkerboard, TwistDecomposition,
                       is_twist_reduced, change_crossings, mirror,
                       split_components, planar_isomorphic, canonical_key)
 from .invariants import (GoeritzLattice, ClassicalInvariants, goeritz,
-                         gl_signature, seifert_matrix, signature_nullity,
+                         gl_signature, signature_nullity,
                          determinant, linking_matrix, unlinking_lower_bound,
                          euler_check, classical_invariants, DegenerateColoring)
+from .seifert import seifert_matrix
 from .lattice import (LatticeEmbedding, CoordinatePairing, ObstructionVerdict,
                       ClaspSet, TargetTooSmall, MarkedRegionsNotAdjacent,
                       SignatureRoutesDisagree,
@@ -30,8 +31,8 @@ from .unknotting import (SimplifyBudget, UnlinkCertificate, SearchOutcome,
                          exhaustive_search, decide_minimal_unlinking,
                          split_additivity, replay_moves)
 from .bracket import kauffman_bracket, normalized_bracket, unlink_normalized_bracket
-from .tables import (KnotRecord, ReportRow, AnalyzeConfig, load_table, analyze,
-                     analyze_all, emit_tables, diff_tables, TableError,
+from .tables import (KnotRecord, ReportRow, load_table, analyze,
+                     analyze_all, emit_tables, load_expected, diff_tables, TableError,
                      load_bundled_fixtures, bound_consistency_ok)
 from . import families
 

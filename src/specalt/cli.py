@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .diagram import parse_pd, reduce_nugatory, DiagramError
-from .tables import (AnalyzeConfig, KnotRecord, analyze, analyze_all, load_table,
+from .tables import (KnotRecord, analyze, analyze_all, load_table, load_expected,
                      emit_tables, diff_tables, load_bundled_fixtures, TableError,
                      bound_consistency_ok)
 from .unknotting import SimplifyBudget, exhaustive_search
@@ -50,7 +49,7 @@ def cmd_analyze(args) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    row = analyze(rec, AnalyzeConfig(budget=_budget(args)))
+    row = analyze(rec, _budget(args))
     if args.json:
         print(json.dumps(row.to_json(), indent=2))
     else:
@@ -99,6 +98,10 @@ def cmd_search(args) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not 0 <= args.changes <= d.n:
+        print(f"error: --changes must be between 0 and {d.n}, the crossing count "
+              f"of the reduced diagram; got {args.changes}", file=sys.stderr)
+        return 2
     out = exhaustive_search(d, args.changes, _budget(args))
     if args.json:
         print(json.dumps(out.to_json(), indent=2))
@@ -115,6 +118,7 @@ def cmd_search(args) -> int:
 def cmd_tables(args) -> int:
     try:
         records, row_errors = load_table(args.csv)
+        expected = load_expected(args.diff) if args.diff else None
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -123,9 +127,11 @@ def cmd_tables(args) -> int:
     if not records:
         print("error: no valid rows in table", file=sys.stderr)
         return 2
-    config = AnalyzeConfig(budget=_budget(args))
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("SPECALT_JOBS", "1"))
-    rows = analyze_all(records, config, jobs=jobs)
+    try:
+        rows = analyze_all(records, _budget(args), jobs=args.jobs)
+    except TableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bad_bounds = [r.name for r in rows if not bound_consistency_ok(r)]
     if bad_bounds:
         print(f"bound consistency violated for: {bad_bounds}", file=sys.stderr)
@@ -135,8 +141,8 @@ def cmd_tables(args) -> int:
     else:
         print(emit_tables(rows, fmt=args.format), end="")
     rc = 0
-    if args.diff:
-        result = diff_tables(rows, args.diff)
+    if expected is not None:
+        result = diff_tables(rows, expected)
         for note in result.loose:
             print(f"note: {note}", file=sys.stderr)
         for bad in result.mismatches:

@@ -422,35 +422,26 @@ def _resolve_orientations(
         if s % 2 == 1:
             yield (c, (s + 2) % 4)            # over pass-through
 
-    frontier = list(inc)
-    while frontier:
-        cur = frontier.pop()
-        for nb in neighbors(cur):
-            want = not inc[cur]
-            if nb in inc:
-                if inc[nb] != want:
-                    raise DiagramError("inconsistent strand orientations in PD code")
-            else:
-                inc[nb] = want
-                frontier.append(nb)
+    def propagate(frontier: list[End]):
+        while frontier:
+            cur = frontier.pop()
+            for nb in neighbors(cur):
+                want = not inc[cur]
+                if nb in inc:
+                    if inc[nb] != want:
+                        raise DiagramError("inconsistent strand orientations in PD code")
+                else:
+                    inc[nb] = want
+                    frontier.append(nb)
 
+    propagate(list(inc))
     # Components never passing under are unconstrained: orient them so the
     # smallest edge label leaves its first-listed end.
     for e in sorted(ends):
         a, b = ends[e]
         if a not in inc:
             inc[a] = False
-            frontier = [a]
-            while frontier:
-                cur = frontier.pop()
-                for nb in neighbors(cur):
-                    want = not inc[cur]
-                    if nb in inc:
-                        if inc[nb] != want:
-                            raise DiagramError("inconsistent strand orientations in PD code")
-                    else:
-                        inc[nb] = want
-                        frontier.append(nb)
+            propagate([a])
 
     return tuple(tuple(inc[(c, s)] for s in range(4)) for c in range(len(quads)))
 
@@ -656,7 +647,6 @@ def split_components(d: LinkDiagram) -> list[LinkDiagram]:
     0-crossing diagram per free loop."""
     out = []
     for comp in d._crossing_components:
-        index = {c: i for i, c in enumerate(comp)}
         quads = tuple(d.quads[c] for c in comp)
         incs = tuple(d.incoming[c] for c in comp)
         # relabel edges locally to keep labels tidy
@@ -664,7 +654,6 @@ def split_components(d: LinkDiagram) -> list[LinkDiagram]:
         relab = {e: i + 1 for i, e in enumerate(labels)}
         quads = tuple(tuple(relab[e] for e in q) for q in quads)
         out.append(LinkDiagram(quads, incs, 0))
-        del index
     for _ in range(d.free_loops):
         out.append(LinkDiagram((), (), 1))
     return out
@@ -805,7 +794,6 @@ def twist_regions(d: LinkDiagram) -> TwistDecomposition:
 def is_twist_reduced(d: LinkDiagram) -> bool:
     """True iff for every pair of same-colored regions, all crossings
     between them lie in a single twist region."""
-    cb = checkerboard(d)
     tw = twist_regions(d)
     by_pair: dict[tuple[int, int], set[int]] = {}
     for c in range(d.n):
@@ -813,7 +801,6 @@ def is_twist_reduced(d: LinkDiagram) -> bool:
         for pair in ((f[0], f[2]), (f[1], f[3])):
             key = tuple(sorted(pair))
             by_pair.setdefault(key, set()).add(c)
-    del cb
     for crossings in by_pair.values():
         if len({tw.region_of(c) for c in crossings}) > 1:
             return False

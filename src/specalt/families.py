@@ -319,8 +319,3 @@ def rational_link(coeffs: list[int]) -> LinkDiagram:
     if not d.is_connected:
         raise DiagramError("rational construction produced a split diagram")
     return d
-
-
-def twist_knot(n: int) -> LinkDiagram:
-    """The alternating twist knot/link C(n, 2): 4_1 is twist_knot(2)."""
-    return rational_link([2, n])

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import (LinkDiagram, Checkerboard, checkerboard, checkerboard_negative,
+from .diagram import (LinkDiagram, Checkerboard, checkerboard, is_special_alternating,
                       SplitDiagram, DiagramError)
-from .linalg import symmetric_signature_nullity, det_bareiss, is_positive_definite
+from .linalg import symmetric_signature_nullity, det_bareiss
 from . import seifert as _seifert
 
 
@@ -40,9 +40,28 @@ class GoeritzLattice:
     rank: int
     gram: tuple[tuple[int, ...], ...]
     unquotiented: tuple[tuple[int, ...], ...]
-    region_index: dict[int, int | None]   # face index -> generator index; v_0 -> None
     white_order: tuple[int, ...]          # face indices v_0, v_1, ..., v_r
-    n_diagram: int
+
+
+def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list[int], list[list[int]]]:
+    """White faces in index order and the unquotiented Goeritz form with
+    incidence signs: a crossing between distinct white regions a, b adds
+    mu to g[a][b] and g[b][a] and subtracts it from g[a][a] and g[b][b]; a
+    crossing with both white corners in one region contributes nothing."""
+    whites = c.white_faces()
+    pos = {f: i for i, f in enumerate(whites)}
+    g = [[0] * len(whites) for _ in whites]
+    for cr in range(d.n):
+        fa, fb = c.white_corner_pair(cr)
+        ia, ib = pos[fa], pos[fb]
+        if ia == ib:
+            continue
+        mu = c.incidence[cr]
+        g[ia][ib] += mu
+        g[ib][ia] += mu
+        g[ia][ia] -= mu
+        g[ib][ib] -= mu
+    return whites, g
 
 
 def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
@@ -52,31 +71,15 @@ def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
         raise SplitDiagram("goeritz needs a non-split diagram")
     if any(mu != -1 for mu in c.incidence):
         raise DegenerateColoring("coloring must have incidence -1 at every crossing")
-    whites = sorted(c.white_faces())
-    pos = {f: i for i, f in enumerate(whites)}
-    m = len(whites)
-    g = [[0] * m for _ in range(m)]
-    for cr in range(d.n):
-        fa, fb = c.white_corner_pair(cr)
-        ia, ib = pos[fa], pos[fb]
-        if ia == ib:
-            raise DiagramError("crossing with both white corners in one region; "
-                               "diagram is not reduced")
-        g[ia][ib] -= 1
-        g[ib][ia] -= 1
-        g[ia][ia] += 1
-        g[ib][ib] += 1
-    gram = tuple(tuple(g[i][j] for j in range(1, m)) for i in range(1, m))
-    region_index: dict[int, int | None] = {whites[0]: None}
-    for i, f in enumerate(whites[1:]):
-        region_index[f] = i
+    if any(fa == fb for fa, fb in map(c.white_corner_pair, range(d.n))):
+        raise DiagramError("crossing with both white corners in one region; "
+                           "diagram is not reduced")
+    whites, g = _goeritz_form(d, c)
     return GoeritzLattice(
-        rank=m - 1,
-        gram=gram,
+        rank=len(whites) - 1,
+        gram=tuple(tuple(row[1:]) for row in g[1:]),
         unquotiented=tuple(tuple(row) for row in g),
-        region_index=region_index,
         white_order=tuple(whites),
-        n_diagram=d.n,
     )
 
 
@@ -98,11 +101,6 @@ class ClassicalInvariants:
     seifert_genus_report: Fraction | None   # (n - r)/2 on special alternating knots
 
 
-def seifert_matrix(d: LinkDiagram):
-    """Seifert matrix from Seifert's algorithm (oracle route)."""
-    return _seifert.seifert_matrix(d)
-
-
 def signature_nullity(d: LinkDiagram) -> tuple[int, int]:
     """(sigma, eta) of the symmetrized Seifert form, additively over split
     parts (nullity gains one per extra split component)."""
@@ -116,23 +114,8 @@ def determinant(d: LinkDiagram) -> int:
         return 1 if d.component_count == 1 else 0
     if not d.is_connected:
         return 0
-    c = checkerboard(d)
-    whites = sorted(c.white_faces())
-    pos = {f: i for i, f in enumerate(whites)}
-    m = len(whites)
-    g = [[0] * m for _ in range(m)]
-    for cr in range(d.n):
-        fa, fb = c.white_corner_pair(cr)
-        ia, ib = pos[fa], pos[fb]
-        mu = c.incidence[cr]
-        if ia == ib:
-            continue  # incidences of a region with itself cancel in the form
-        g[ia][ib] -= mu
-        g[ib][ia] -= mu
-        g[ia][ia] += mu
-        g[ib][ib] += mu
-    minor = [row[1:] for row in g[1:]]
-    return abs(det_bareiss(minor))
+    _, g = _goeritz_form(d, checkerboard(d))
+    return abs(det_bareiss([row[1:] for row in g[1:]]))
 
 
 def linking_matrix(d: LinkDiagram) -> dict[tuple[int, int], Fraction]:
@@ -164,7 +147,6 @@ class PreconditionViolated(DiagramError):
 def euler_check(d: LinkDiagram, c: Checkerboard) -> bool:
     """chi(S_-) = 1 + sigma = k - 2p for a positive special alternating
     reduced non-split diagram, with chi computed from the white surface."""
-    from .diagram import is_special_alternating
     if not (is_special_alternating(d) and all(s == 1 for s in d.signs)):
         raise PreconditionViolated("need a positive special alternating diagram")
     lat = goeritz(d, c)
@@ -176,7 +158,6 @@ def euler_check(d: LinkDiagram, c: Checkerboard) -> bool:
 
 
 def classical_invariants(d: LinkDiagram) -> ClassicalInvariants:
-    from .diagram import is_special_alternating
     sigma, eta = signature_nullity(d)
     det = determinant(d)
     genus = None
@@ -186,7 +167,3 @@ def classical_invariants(d: LinkDiagram) -> ClassicalInvariants:
         # its mirror, i.e. |sigma|/2 in both cases
         genus = Fraction(abs(sigma), 2)
     return ClassicalInvariants(sigma, eta, det, d.component_count, genus)
-
-
-def gram_is_positive_definite(lat: GoeritzLattice) -> bool:
-    return is_positive_definite(lat.gram)

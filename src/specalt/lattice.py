@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .diagram import (LinkDiagram, checkerboard_negative, mirror,
+from .diagram import (LinkDiagram, checkerboard_negative, mirror, twist_regions,
+                      is_twist_reduced, is_special_alternating, _bigon_pairs,
                       NotAlternating, SplitDiagram, DiagramError)
 from .invariants import goeritz, gl_signature, signature_nullity, GoeritzLattice
 from .linalg import is_positive_definite
@@ -88,21 +89,20 @@ class ObstructionVerdict:
         return out
 
 
+def _sign_normal(col: tuple[int, ...]) -> tuple[int, ...]:
+    """The column flipped so that its first nonzero entry is positive."""
+    for x in col:
+        if x != 0:
+            return col if x > 0 else tuple(-y for y in col)
+    return col
+
+
 def canonical_matrix(rows) -> tuple[tuple[int, ...], ...]:
     """Canonical form under signed column permutations: flip each column so
     its first nonzero entry is positive, then sort columns descending."""
     if not rows:
         return ()
-    cols = list(zip(*rows))
-    normed = []
-    for col in cols:
-        flip = 1
-        for x in col:
-            if x != 0:
-                flip = 1 if x > 0 else -1
-                break
-        normed.append(tuple(flip * x for x in col))
-    normed.sort(reverse=True)
+    normed = sorted(map(_sign_normal, zip(*rows)), reverse=True)
     return tuple(zip(*normed)) if normed else ()
 
 
@@ -234,12 +234,7 @@ def find_pairing(e: LatticeEmbedding, p: int) -> CoordinatePairing | None:
         [tuple()] * e.target_dim
     groups: dict[tuple, list[int]] = {}
     for j, col in enumerate(cols):
-        flip = 1
-        for x in col:
-            if x != 0:
-                flip = 1 if x > 0 else -1
-                break
-        groups.setdefault(tuple(flip * x for x in col), []).append(j)
+        groups.setdefault(_sign_normal(col), []).append(j)
     pairs = []
     for key in sorted(groups):
         members = groups[key]
@@ -322,7 +317,6 @@ def clasp_candidates(d: LinkDiagram, lat: GoeritzLattice, e: LatticeEmbedding,
     """Extract one crossing per disjoint clasp from an admissible witness:
     each paired coordinate marks a white-region pair, and the crossings
     between a marked pair lie in one twist region (d twist-reduced)."""
-    from .diagram import twist_regions, is_twist_reduced, is_special_alternating, checkerboard_negative
     if not is_special_alternating(d):
         raise DiagramError("clasp extraction needs a special alternating diagram")
     if not is_twist_reduced(d):
@@ -342,6 +336,7 @@ def clasp_candidates(d: LinkDiagram, lat: GoeritzLattice, e: LatticeEmbedding,
         key = (min(pair), max(pair))
         marked[key] = marked.get(key, 0) + 1
     tw = twist_regions(d)
+    bigons = {tuple(sorted(pair)) for pair in _bigon_pairs(d)}
     chosen: list[int] = []
     clasps: list[tuple[int, int]] = []
     face_pairs: list[tuple[int, int]] = []
@@ -357,11 +352,9 @@ def clasp_candidates(d: LinkDiagram, lat: GoeritzLattice, e: LatticeEmbedding,
             raise MarkedRegionsNotAdjacent(
                 "marked crossings span several twist regions")
         chain = [c for c in tw.regions[regions.pop()] if c in between]
-        bigon_pairs = {tuple(sorted((f[0][0], f[1][0])))
-                       for f in d.faces if len(f) == 2}
         for t in range(count):
             c1, c2 = chain[2 * t], chain[2 * t + 1]
-            if tuple(sorted((c1, c2))) not in bigon_pairs:
+            if tuple(sorted((c1, c2))) not in bigons:
                 raise MarkedRegionsNotAdjacent(
                     f"selected crossings {c1},{c2} are not clasped")
             clasps.append((c1, c2))

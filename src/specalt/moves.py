@@ -88,16 +88,6 @@ def apply_r2(d: LinkDiagram, site: tuple) -> LinkDiagram:
     return b.to_diagram()
 
 
-def _left_face(d: LinkDiagram, edge_label: int) -> int:
-    a, b = d.edge_ends[edge_label]
-    head = a if d.incoming[a[0]][a[1]] else b
-    return d.face_index[head]
-
-
-def _face_boundary_edges(d: LinkDiagram, face: tuple[End, ...]) -> list[int]:
-    return [d.quads[c][(s + 1) % 4] for (c, s) in face]
-
-
 def r3_sites(d: LinkDiagram) -> list[tuple]:
     """Triangle faces with an over-over edge (and hence an under-under one),
     on three distinct crossings; site = the sorted corner triple."""

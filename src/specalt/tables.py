@@ -8,6 +8,7 @@ values or certified bounds, never guesses.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 import time
@@ -129,14 +130,7 @@ def load_table(path) -> tuple[list[KnotRecord], list[str]]:
     return records, errors
 
 
-@dataclass(frozen=True)
-class AnalyzeConfig:
-    budget: SimplifyBudget = SimplifyBudget()
-    decide: bool = True
-    max_extra_searches: int = 2
-
-
-def analyze(record: KnotRecord, config: AnalyzeConfig = AnalyzeConfig()) -> ReportRow:
+def analyze(record: KnotRecord, budget: SimplifyBudget = SimplifyBudget()) -> ReportRow:
     """parse -> reduce -> invariants -> obstruction -> decide."""
     start = time.monotonic()
     try:
@@ -151,15 +145,13 @@ def analyze(record: KnotRecord, config: AnalyzeConfig = AnalyzeConfig()) -> Repo
         p, c4b = unlinking_lower_bound(inv.signature, inv.nullity, inv.component_count)
         base = dict(sigma=inv.signature, nullity=inv.nullity, det=inv.determinant,
                     components=inv.component_count, p=p, genus=inv.seifert_genus_report)
-        if not (config.decide and is_special_alternating(d) and d.is_connected):
-            import math
+        if not (is_special_alternating(d) and d.is_connected):
             return ReportRow(record.name, True,
                              u_lower=math.ceil(p), u_upper=None,
                              c4_lower=math.ceil(c4b), c4_upper=None,
                              provenance="not special alternating: classical bounds only",
                              seconds=time.monotonic() - start, **base)
-        verdict = decide_minimal_unlinking(d, config.budget, config.max_extra_searches,
-                                           sigma=inv.signature)
+        verdict = decide_minimal_unlinking(d, budget, sigma=inv.signature)
         return ReportRow(record.name, True,
                          u_lower=verdict.u_lower, u_upper=verdict.u_upper,
                          c4_lower=verdict.c4_lower, c4_upper=verdict.c4_upper,
@@ -174,19 +166,20 @@ def analyze(record: KnotRecord, config: AnalyzeConfig = AnalyzeConfig()) -> Repo
                          seconds=time.monotonic() - start)
 
 
-def _analyze_star(args):
-    return analyze(*args)
-
-
-def analyze_all(records, config: AnalyzeConfig = AnalyzeConfig(),
+def analyze_all(records, budget: SimplifyBudget = SimplifyBudget(),
                 jobs: int | None = None) -> list[ReportRow]:
-    """Deterministic parallel map; results in input order."""
+    """Deterministic parallel map; results in input order.  ``jobs``
+    defaults to ``$SPECALT_JOBS`` or 1."""
     if jobs is None:
-        jobs = int(os.environ.get("SPECALT_JOBS", "1"))
+        env = os.environ.get("SPECALT_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise TableError(f"SPECALT_JOBS must be an integer, got {env!r}") from None
     if jobs <= 1 or len(records) <= 1:
-        return [analyze(r, config) for r in records]
+        return [analyze(r, budget) for r in records]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_analyze_star, [(r, config) for r in records]))
+        return list(pool.map(analyze, records, [budget] * len(records)))
 
 
 def natural_key(name: str):
@@ -233,19 +226,31 @@ class DiffResult:
         return not self.mismatches
 
 
-def diff_tables(rows, expected_csv_path) -> DiffResult:
-    """Compare computed rows against an expected table (columns
-    name,u,c4,sigma,genus).  A cell is consistent when one value set
-    contains the other; equal cells are silent, consistent-but-unequal
-    cells are listed as loose notes, the rest are mismatches."""
+def load_expected(path) -> dict[str, dict[str, str]]:
+    """Read an expected table into {name: row}; accepts both the fixture
+    header (name/genus) and the emitted report header (K/g)."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise TableError(f"cannot read expected table {path}: {exc.strerror}") from None
     expected: dict[str, dict[str, str]] = {}
-    with open(expected_csv_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            # accept both the fixture header (name/genus) and the emitted
-            # report header (K/g)
+    with fh:
+        reader = csv.DictReader(fh, restval="")
+        if not {"name", "K"} & set(reader.fieldnames or ()):
+            raise TableError(f"expected table {path} has no name or K column")
+        for rec in reader:
             rec = {("name" if k == "K" else "genus" if k == "g" else k): v
                    for k, v in rec.items()}
             expected[rec["name"].strip()] = rec
+    return expected
+
+
+def diff_tables(rows, expected: dict[str, dict[str, str]]) -> DiffResult:
+    """Compare computed rows against an expected table (columns
+    name,u,c4,sigma,genus) as ``load_expected`` reads it.  A cell is
+    consistent when one value set contains the other; equal cells are
+    silent, consistent-but-unequal cells are listed as loose notes, the
+    rest are mismatches."""
     by_name = {r.name: r for r in rows}
     mismatches: list[str] = []
     loose: list[str] = []

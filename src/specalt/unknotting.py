@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,10 @@ from . import moves as _moves
 from .moves import Move
 from .bracket import normalized_bracket, unlink_normalized_bracket
 from .invariants import determinant, linking_matrix, signature_nullity, goeritz
-from .lattice import obstruction, clasp_candidates, ObstructionVerdict, MarkedRegionsNotAdjacent
+from .lattice import obstruction, clasp_candidates, ObstructionVerdict
+
+# Searches above p that look for an upper bound once p is ruled out.
+EXTRA_SEARCHES = 2
 
 
 @dataclass(frozen=True)
@@ -183,11 +187,11 @@ class SearchOutcome:
 
 def exhaustive_search(d: LinkDiagram, m: int,
                       budget: SimplifyBudget = SimplifyBudget(),
-                      first_subsets: tuple[tuple[int, ...], ...] = (),
-                      escalate: bool = True) -> SearchOutcome:
+                      first_subsets: tuple[tuple[int, ...], ...] = ()) -> SearchOutcome:
     """Try all C(n, m) crossing-change subsets; Some on the first subset
     whose change certifies as an unlink, AllRefuted when every subset is
-    refuted, Inconclusive otherwise."""
+    refuted, Inconclusive otherwise.  Subsets left unknown are retried
+    once with the escalated budget."""
     ordered: list[tuple[int, ...]] = []
     seen = set()
     for s in first_subsets:
@@ -207,7 +211,7 @@ def exhaustive_search(d: LinkDiagram, m: int,
             return SearchOutcome("some", (subset,), cert, (), tried)
         if cert.status == "unknown":
             unknown.append(subset)
-    if unknown and escalate:
+    if unknown:
         still: list[tuple[int, ...]] = []
         esc = budget.escalated()
         for subset in unknown:
@@ -277,8 +281,7 @@ class UnlinkingVerdict:
 
 
 def decide_minimal_unlinking(d: LinkDiagram,
-                             budget: SimplifyBudget = SimplifyBudget(),
-                             max_extra_searches: int = 2, *,
+                             budget: SimplifyBudget = SimplifyBudget(), *,
                              sigma: int | None = None) -> UnlinkingVerdict:
     """Theorem-driven decision: p attained exactly when p crossing changes
     in this alternating diagram unlink; AllRefuted at p certifies u >= p+1,
@@ -303,7 +306,6 @@ def decide_minimal_unlinking(d: LinkDiagram,
                                 provenance="crossing-free diagram")
     ob = obstruction(d, sigma=sigma)
     if p.denominator != 1:
-        import math
         lo = math.ceil(p)
         return UnlinkingVerdict(p, "parity", None, lo, None, lo, None, ob,
                                 provenance="bound not attainable: parity")
@@ -315,7 +317,7 @@ def decide_minimal_unlinking(d: LinkDiagram,
             lat = goeritz(d, cb)
             clasp = clasp_candidates(d, lat, ob.embedding, ob.pairing)
             hints = (clasp.crossings,)
-        except (MarkedRegionsNotAdjacent, DiagramError):
+        except DiagramError:
             hints = ()
     searches: list[tuple[int, str]] = []
     out_p = exhaustive_search(d, p_int, budget, hints)
@@ -340,7 +342,7 @@ def decide_minimal_unlinking(d: LinkDiagram,
     why = ("all refuted at p" if out_p.status == "all_refuted"
            else "obstructed lattice (search at p inconclusive)")
     lo = p_int + 1
-    for m in range(p_int + 1, p_int + 1 + max_extra_searches):
+    for m in range(p_int + 1, p_int + 1 + EXTRA_SEARCHES):
         out_m = exhaustive_search(d, m, budget)
         searches.append((m, out_m.status))
         if out_m.status == "some":

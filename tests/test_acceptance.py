@@ -30,7 +30,7 @@ from specalt.unknotting import (certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, replay_moves)
 from specalt.moves import apply_move
 from specalt.tables import (load_bundled_fixtures, load_table, analyze_all,
-                            AnalyzeConfig, bound_consistency_ok, data_path)
+                            bound_consistency_ok, data_path)
 from specalt import families
 
 MISSING_NAMED_MSG = (
@@ -127,7 +127,7 @@ def _check_table_rows(names, expected_path):
     if missing:
         pytest.fail(MISSING_NAMED_MSG + f"  Missing: {', '.join(missing)}")
     records = [by_name[n] for n in names]
-    rows = analyze_all(records, AnalyzeConfig())
+    rows = analyze_all(records)
     import csv
     with open(expected_path, newline="") as fh:
         expected = {r["name"]: r for r in csv.DictReader(fh)}
@@ -188,7 +188,7 @@ def test_criterion_5_table2_spot_suite():
     by_name, missing = _named_records(spot)
     if missing:
         pytest.fail(MISSING_NAMED_MSG + f"  Missing: {', '.join(missing)}")
-    rows = analyze_all([by_name[n] for n in spot], AnalyzeConfig())
+    rows = analyze_all([by_name[n] for n in spot])
     for row in rows:
         u, c4, sigma, g = expected_cells[row.name]
         assert row.ok and row.sigma == sigma
@@ -355,7 +355,7 @@ def test_criterion_4_protocol_dry_run():
 
 
 def test_criterion_8_bound_consistency(bundled):
-    rows = analyze_all(bundled, AnalyzeConfig())
+    rows = analyze_all(bundled)
     for row in rows:
         assert row.ok, (row.name, row.provenance)
         assert bound_consistency_ok(row), row.name

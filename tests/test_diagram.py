@@ -43,6 +43,19 @@ class TestParsePD:
         d = parse_pd("")
         assert d.n == 0 and d.free_loops == 0
 
+    def test_component_never_passing_under(self):
+        # component 1 (edges 3, 4) is over at both crossings, so no under
+        # pass fixes its direction: its smallest edge label leaves its
+        # first-listed end
+        from specalt.invariants import linking_matrix, determinant
+        d = parse_pd("X[1,3,2,4] X[2,3,1,4]")
+        assert d.incoming == ((True, False, False, True),
+                              (True, True, False, False))
+        assert d.component_count == 2
+        assert d.signs == (-1, 1)
+        assert list(linking_matrix(d).values()) == [0]
+        assert determinant(d) == 0
+
 
 class TestParseDT:
     def test_trefoil_roundtrip(self, trefoil):

@@ -7,9 +7,8 @@ from specalt.diagram import (parse_pd, checkerboard, checkerboard_negative,
 from specalt.invariants import (goeritz, gl_signature, signature_nullity,
                                 determinant, linking_matrix, euler_check,
                                 unlinking_lower_bound, classical_invariants,
-                                DegenerateColoring, PreconditionViolated,
-                                gram_is_positive_definite)
-from specalt.linalg import det_bareiss
+                                DegenerateColoring, PreconditionViolated)
+from specalt.linalg import det_bareiss, is_positive_definite
 from specalt import families
 
 from conftest import TREFOIL_PD, connected_sum_pd
@@ -55,7 +54,7 @@ class TestGoeritz:
         for rec in bundled:
             d = parse_pd(rec.pd)
             lat = goeritz(d, checkerboard_negative(d))
-            assert gram_is_positive_definite(lat), rec.name
+            assert is_positive_definite(lat.gram), rec.name
 
     def test_unquotiented_rows_sum_zero(self, knot_9_35):
         lat = goeritz(knot_9_35, checkerboard_negative(knot_9_35))
@@ -114,7 +113,7 @@ class TestDeterminant:
             determinant(change_crossings(trefoil, {1, 2}))
 
     def test_matches_seifert_route(self, bundled):
-        from specalt.invariants import seifert_matrix
+        from specalt.seifert import seifert_matrix
         for rec in bundled[:12]:
             d = parse_pd(rec.pd)
             v = seifert_matrix(d)

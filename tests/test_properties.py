@@ -7,7 +7,8 @@ from specalt.diagram import (parse_pd, change_crossings, checkerboard_negative,
                              is_special_alternating)
 from specalt.families import medial_special_alternating
 from specalt.invariants import (gl_signature, signature_nullity, determinant,
-                                goeritz, euler_check, seifert_matrix)
+                                goeritz, euler_check)
+from specalt.seifert import seifert_matrix
 from specalt.linalg import det_bareiss
 from specalt.bracket import normalized_bracket, unlink_normalized_bracket
 from specalt.unknotting import certify_unlink, replay_moves
@@ -179,12 +180,12 @@ class TestKnownUnlinkingNumbers:
     def test_determined_values_match_tables(self, bundled):
         """Where the pipeline pins u exactly, it must equal the classical
         table value recorded in the fixtures CSV."""
-        from specalt.tables import analyze, AnalyzeConfig
+        from specalt.tables import analyze
         determined = 0
         for rec in bundled:
             if rec.known_u is None or len(rec.known_u) != 1:
                 continue
-            row = analyze(rec, AnalyzeConfig())
+            row = analyze(rec)
             assert row.ok, rec.name
             (known,) = rec.known_u
             if row.u_lower == row.u_upper and row.u_upper is not None:
@@ -195,9 +196,9 @@ class TestKnownUnlinkingNumbers:
         assert determined >= 10
 
     def test_9_35_bounds_contain_table_value(self, bundled):
-        from specalt.tables import analyze, AnalyzeConfig
+        from specalt.tables import analyze
         rec = next(r for r in bundled if r.name == "9_35")
-        row = analyze(rec, AnalyzeConfig())
+        row = analyze(rec)
         assert (row.u_lower, row.u_upper) == (2, 3)
         assert rec.known_u == frozenset({3})
 

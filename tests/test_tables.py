@@ -3,7 +3,7 @@ import json
 import pytest
 
 from specalt.tables import (KnotRecord, load_table, analyze, analyze_all,
-                            emit_tables, diff_tables, TableError, AnalyzeConfig,
+                            emit_tables, load_expected, diff_tables, TableError,
                             bound_consistency_ok, natural_key)
 from specalt.cli import main as cli_main
 from specalt.diagram import (parse_pd, reduce_nugatory, canonical_key,
@@ -94,19 +94,19 @@ class TestEmitAndDiff:
         # emitted tables are themselves valid diff targets
         p = tmp_path / "emitted.csv"
         p.write_text(text)
-        result = diff_tables(rows, str(p))
+        result = diff_tables(rows, load_expected(p))
         assert result.clean and not result.loose
 
     def test_diff_clean(self, tmp_path):
         p = tmp_path / "expected.csv"
         p.write_text("name,u,c4,sigma,genus\n3_1,1,1,-2,1\n")
-        result = diff_tables(self.rows(), str(p))
+        result = diff_tables(self.rows(), load_expected(p))
         assert result.clean and not result.loose
 
     def test_diff_mismatch(self, tmp_path):
         p = tmp_path / "expected.csv"
         p.write_text("name,u,c4,sigma,genus\n3_1,2,1,-2,1\n")
-        result = diff_tables(self.rows(), str(p))
+        result = diff_tables(self.rows(), load_expected(p))
         assert not result.clean
 
     def test_diff_containment_is_loose(self, tmp_path):
@@ -115,7 +115,7 @@ class TestEmitAndDiff:
         recs = [KnotRecord("9_35", families.knot_9_35().to_pd_text())]
         p = tmp_path / "expected.csv"
         p.write_text("name,u,c4,sigma,genus\n9_35,3,2,-2,1\n")
-        result = diff_tables(analyze_all(recs), str(p))
+        result = diff_tables(analyze_all(recs), load_expected(p))
         assert result.clean          # {2;3} contains 3 and 2: consistent
         assert len(result.loose) == 2
 
@@ -131,8 +131,7 @@ class TestEmitAndDiff:
         assert set(ordered) == set(names)
 
     def test_emit_mixed_names(self, bundled):
-        rows = analyze_all([r for r in bundled if r.name in ("3_1", "hopf")],
-                           AnalyzeConfig(decide=False))
+        rows = analyze_all([r for r in bundled if r.name in ("3_1", "hopf")])
         text = emit_tables(rows)
         assert "3_1" in text and "hopf" in text
 
@@ -145,8 +144,8 @@ class TestEmitAndDiff:
         """Full run against the frozen expected table: byte-level regression
         guard for the entire pipeline."""
         from specalt.tables import data_path
-        rows = analyze_all(bundled, AnalyzeConfig())
-        result = diff_tables(rows, data_path("fixtures_expected.csv"))
+        rows = analyze_all(bundled)
+        result = diff_tables(rows, load_expected(data_path("fixtures_expected.csv")))
         assert result.clean, result.mismatches
         assert not result.loose, result.loose
 
@@ -296,6 +295,60 @@ class TestCLI:
     def test_tables_input_error_exit_2(self, capsys):
         rc = cli_main(["tables", "/nonexistent.csv"])
         assert rc == 2
+
+    @pytest.mark.parametrize("m", ["5", "-1"])
+    def test_search_changes_out_of_range_exit_2(self, m, capsys):
+        # the reduced trefoil has 3 crossings: m = 5 has no subsets and
+        # m = -1 is no subset size
+        rc = cli_main(["search", "3_1", "--changes", m])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert cap.out == "" and "between 0 and 3" in cap.err
+
+    def test_search_all_crossings_allowed(self, capsys):
+        rc = cli_main(["search", "3_1", "--changes", "3"])
+        assert rc == 0 and "subsets tried: 1" in capsys.readouterr().out
+
+
+class TestTablesInputErrors:
+    """Bad ``tables`` input is a TableError, found before any analysis
+    runs, and the CLI exits 2."""
+
+    @pytest.fixture
+    def small_csv(self, tmp_path, monkeypatch):
+        import specalt.tables as tables_mod
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analysis ran on bad input")
+
+        monkeypatch.setattr(tables_mod, "analyze", no_analysis)
+        path = tmp_path / "small.csv"
+        path.write_text("name,pd,signature,u,genus\n"
+                        f'3_1,"{TREFOIL_PD}",-2,1,1\n')
+        return path
+
+    def test_missing_diff_file(self, small_csv, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(TableError):
+            load_expected(missing)
+        rc = cli_main(["tables", str(small_csv), "--diff", str(missing)])
+        assert rc == 2 and "missing.csv" in capsys.readouterr().err
+
+    def test_diff_without_name_column(self, small_csv, tmp_path, capsys):
+        exp = tmp_path / "expected.csv"
+        exp.write_text("knot,u,c4,sigma,genus\n3_1,1,1,-2,1\n")
+        with pytest.raises(TableError):
+            load_expected(exp)
+        rc = cli_main(["tables", str(small_csv), "--diff", str(exp)])
+        assert rc == 2 and "no name or K column" in capsys.readouterr().err
+
+    def test_bad_jobs_env_var(self, small_csv, monkeypatch, capsys):
+        monkeypatch.setenv("SPECALT_JOBS", "abc")
+        records, _ = load_table(small_csv)
+        with pytest.raises(TableError):
+            analyze_all(records)
+        rc = cli_main(["tables", str(small_csv)])
+        assert rc == 2 and "SPECALT_JOBS" in capsys.readouterr().err
 
 
 def _named_code_generator():
