@@ -22,6 +22,10 @@ tables (see tests/test_diagram.py for the anchor checks):
   lies on the LEFT of the edge.
 
 Diagrams are immutable; every mutating operation returns a new value.
+``validate`` checks a code where its incidences are new (parsing and
+``_Builder`` surgery); crossing changes, mirrors, component splits and
+orientation reversals only rotate or select quadruples of a valid diagram,
+so they build without it.
 """
 
 from __future__ import annotations
@@ -64,35 +68,6 @@ class LinkDiagram:
     quads: tuple[tuple[int, int, int, int], ...]
     incoming: tuple[tuple[bool, bool, bool, bool], ...]
     free_loops: int = 0
-
-    def __post_init__(self):
-        if len(self.quads) != len(self.incoming):
-            raise DiagramError("quads and incoming lengths differ")
-        if self.free_loops < 0:
-            raise DiagramError("negative free loop count")
-        counts: dict[int, int] = {}
-        for quad in self.quads:
-            if len(quad) != 4:
-                raise DiagramError(f"crossing {quad} does not have 4 edges")
-            for label in quad:
-                counts[label] = counts.get(label, 0) + 1
-        bad = [e for e, k in counts.items() if k != 2]
-        if bad:
-            raise DiagramError(f"edge labels not occurring exactly twice: {sorted(bad)}")
-        for c, inc in enumerate(self.incoming):
-            if not (inc[0] and not inc[2]):
-                raise DiagramError(f"crossing {c}: slot 0 must be under-in, slot 2 under-out")
-            if inc[1] == inc[3]:
-                raise DiagramError(f"crossing {c}: over strand must pass through")
-        for e, (a, b) in self.edge_ends.items():
-            if self.incoming[a[0]][a[1]] == self.incoming[b[0]][b[1]]:
-                raise DiagramError(f"edge {e} has inconsistent direction")
-        # Planarity per connected component: faces close up with Euler count
-        # n_i + 2 on the sphere.
-        for comp in self._crossing_components:
-            n_faces = len({self.face_index[(c, s)] for c in comp for s in range(4)})
-            if n_faces != len(comp) + 2:
-                raise DiagramError("face count violates Euler formula; non-planar code")
 
     # -- basic derived structure ------------------------------------------
 
@@ -235,6 +210,39 @@ class LinkDiagram:
         return f"<diagram {self.n} crossings, {self.component_count} component(s){loops}>"
 
 
+def validate(d: LinkDiagram) -> LinkDiagram:
+    """Return ``d``, or raise DiagramError if its labels, directions or face
+    count (Euler's formula) do not make a planar code."""
+    if len(d.quads) != len(d.incoming):
+        raise DiagramError("quads and incoming lengths differ")
+    if d.free_loops < 0:
+        raise DiagramError("negative free loop count")
+    counts: dict[int, int] = {}
+    for quad in d.quads:
+        if len(quad) != 4:
+            raise DiagramError(f"crossing {quad} does not have 4 edges")
+        for label in quad:
+            counts[label] = counts.get(label, 0) + 1
+    bad = [e for e, k in counts.items() if k != 2]
+    if bad:
+        raise DiagramError(f"edge labels not occurring exactly twice: {sorted(bad)}")
+    for c, inc in enumerate(d.incoming):
+        if not (inc[0] and not inc[2]):
+            raise DiagramError(f"crossing {c}: slot 0 must be under-in, slot 2 under-out")
+        if inc[1] == inc[3]:
+            raise DiagramError(f"crossing {c}: over strand must pass through")
+    for e, (a, b) in d.edge_ends.items():
+        if d.incoming[a[0]][a[1]] == d.incoming[b[0]][b[1]]:
+            raise DiagramError(f"edge {e} has inconsistent direction")
+    # Planarity per connected component: faces close up with Euler count
+    # n_i + 2 on the sphere.
+    for comp in d._crossing_components:
+        n_faces = len({d.face_index[(c, s)] for c in comp for s in range(4)})
+        if n_faces != len(comp) + 2:
+            raise DiagramError("face count violates Euler formula; non-planar code")
+    return d
+
+
 @dataclass(frozen=True)
 class Checkerboard:
     """A checkerboard face coloring with per-crossing incidence numbers."""
@@ -373,7 +381,7 @@ def parse_pd(text: str, reverse_components: tuple[int, ...] = ()) -> LinkDiagram
     if re.sub(r"[\s,]", "", leftovers):
         raise DiagramError(f"unparseable PD fragments: {leftovers.strip()!r}")
     incoming = _resolve_orientations(tuple(quads))
-    d = LinkDiagram(tuple(quads), incoming, 0)
+    d = validate(LinkDiagram(tuple(quads), incoming, 0))
     if reverse_components:
         d = _reverse_strands(d, reverse_components)
     return d
@@ -452,8 +460,9 @@ def _resolve_orientations(
 class _Builder:
     """Mutable mate/direction structure used by all diagram surgeries.
 
-    Crossings are held in a dict keyed by arbitrary ids; slots keep the
-    invariant (0, 2) = under strand with 0 incoming, (1, 3) = over strand.
+    Crossings are held in a dict keyed by arbitrary ids; slots (0, 2) hold
+    the under strand and (1, 3) the over strand.  ``to_diagram`` rotates
+    each crossing so that slot 0 is the incoming under end.
     """
 
     def __init__(self):
@@ -481,14 +490,6 @@ class _Builder:
         self.cids.append(cid)
         return cid
 
-    def check(self):
-        for end, m in self.mates.items():
-            assert self.mates[m] == end, (end, m)
-            assert self.inc[end] != self.inc[m], (end, m)
-        for c in self.cids:
-            assert self.inc[(c, 0)] and not self.inc[(c, 2)], c
-            assert self.inc[(c, 1)] != self.inc[(c, 3)], c
-
     def splice(self, a: End, b: End):
         self.mates[a] = b
         self.mates[b] = a
@@ -504,8 +505,9 @@ class _Builder:
         Pure wire cycles become free loops.
         """
         removed_slots = {(c, s) for c in removed for s in range(4)}
-        assert set(wires) | cuts == removed_slots
-        assert all(wires[wires[x]] == x for x in wires)
+        if (set(wires) | cuts != removed_slots
+                or any(wires.get(wires[x]) != x for x in wires)):
+            raise DiagramError("wires and cuts do not pair up the removed slots")
 
         def chase(start_mate: End):
             cur = start_mate
@@ -613,7 +615,7 @@ class _Builder:
         for c in order:
             quads.append(tuple(labels[frozenset(((c, s), mates[(c, s)]))] for s in range(4)))
             incs.append(tuple(inc[(c, s)] for s in range(4)))
-        return LinkDiagram(tuple(quads), tuple(incs), self.free_loops)
+        return validate(LinkDiagram(tuple(quads), tuple(incs), self.free_loops))
 
 
 # -- diagram operations ------------------------------------------------------
@@ -709,7 +711,6 @@ def reduce_nugatory(d: LinkDiagram) -> LinkDiagram:
         b.delete_with_wiring({site}, b.passage_wires(site), set())
         if tangle:
             _flip_tangle(b, tangle)
-        b.check()
         cur = b.to_diagram()
 
 
@@ -737,7 +738,6 @@ class TwistDecomposition:
 
     diagram: LinkDiagram
     regions: tuple[tuple[int, ...], ...]   # each region: crossings in chain order
-    is_cycle: tuple[bool, ...]             # region closes up into a cycle
 
     def region_of(self, c: int) -> int:
         for i, reg in enumerate(self.regions):
@@ -762,7 +762,7 @@ def twist_regions(d: LinkDiagram) -> TwistDecomposition:
         adj[a].append(b)
         adj[b].append(a)
     seen: set[int] = set()
-    regions, cycles = [], []
+    regions = []
     for c0 in range(d.n):
         if c0 in seen:
             continue
@@ -776,7 +776,6 @@ def twist_regions(d: LinkDiagram) -> TwistDecomposition:
                     stack.append(nb)
         seen |= comp
         endpoints = [c for c in comp if len(set(adj[c]) & comp) <= 1]
-        cycle = not endpoints and len(comp) > 1
         start = min(endpoints) if endpoints else min(comp)
         chain = [start]
         prev = None
@@ -787,8 +786,7 @@ def twist_regions(d: LinkDiagram) -> TwistDecomposition:
             prev = chain[-1]
             chain.append(min(nxts))
         regions.append(tuple(chain))
-        cycles.append(cycle)
-    return TwistDecomposition(d, tuple(regions), tuple(cycles))
+    return TwistDecomposition(d, tuple(regions))
 
 
 def is_twist_reduced(d: LinkDiagram) -> bool:
@@ -940,8 +938,8 @@ def parse_dt(text: str) -> LinkDiagram:
                 quads[i] = [uin + 1, oout + 1, uout + 1, oin + 1]
                 incs[i] = [True, False, False, True]
         try:
-            return LinkDiagram(tuple(tuple(q) for q in quads),
-                               tuple(tuple(x) for x in incs), 0)
+            return validate(LinkDiagram(tuple(tuple(q) for q in quads),
+                                        tuple(tuple(x) for x in incs), 0))
         except DiagramError:
             return None
 

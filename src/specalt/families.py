@@ -99,11 +99,10 @@ def medial_special_alternating(rotations: Rotations) -> LinkDiagram:
 
     # one crossing per edge; slots: 0 = east-out, 1 = west-in, 2 = west-out,
     # 3 = east-in (under strand on 0-2, over on 1-3, all crossings positive)
-    index = {d: i for i, d in enumerate(sorted(edges, key=repr))}
     b = _Builder()
-    for d in index:
-        c = b.new_crossing()
-        assert c == index[d]
+    index = {}
+    for d in sorted(edges, key=repr):
+        c = index[d] = b.new_crossing()
         b.inc[(c, 0)] = True
         b.inc[(c, 1)] = True
         b.inc[(c, 2)] = False
@@ -120,11 +119,11 @@ def medial_special_alternating(rotations: Rotations) -> LinkDiagram:
         for pos, d in enumerate(darts):
             nd = darts[(pos + 1) % k]
             b.splice((index[d], out_slot(d, v)), (index[nd], in_slot(nd, v)))
-    b.check()
     d = b.to_diagram()
     if not d.is_connected:
         raise PlaneGraphError("graph is not connected")
-    assert all(s == 1 for s in d.signs)
+    if any(s != 1 for s in d.signs):
+        raise PlaneGraphError("medial diagram has a negative crossing")
     return d
 
 
@@ -232,20 +231,12 @@ def _diagram_from_unoriented(mates: dict, n_crossings: int) -> LinkDiagram:
             nxt = mates[cur]
             inc[nxt] = True
             cur = (nxt[0], (nxt[1] + 2) % 4)
-    # rotate so slot 0 is the incoming under end (rotation by 2 keeps the
-    # under strand on the even slots)
-    rot = {c: (0 if inc[(c, 0)] else 2) for c in range(n_crossings)}
-
-    def remap(end):
-        c, s = end
-        return (c, (s - rot[c]) % 4)
-
+    # to_diagram rotates each crossing so slot 0 is the incoming under end
     b = _Builder()
     b.cids = list(range(n_crossings))
     b._next = n_crossings
-    b.mates = {remap(e): remap(m) for e, m in mates.items()}
-    b.inc = {remap(e): v for e, v in inc.items()}
-    b.check()
+    b.mates = mates
+    b.inc = inc
     return b.to_diagram()
 
 

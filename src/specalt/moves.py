@@ -53,7 +53,6 @@ def apply_r1(d: LinkDiagram, site: tuple) -> LinkDiagram:
         raise DiagramError(f"no kink at crossing {c}")
     b = _Builder.from_diagram(d)
     b.delete_with_wiring({c}, b.passage_wires(c), set())
-    b.check()
     return b.to_diagram()
 
 
@@ -84,7 +83,6 @@ def apply_r2(d: LinkDiagram, site: tuple) -> LinkDiagram:
     b = _Builder.from_diagram(d)
     wires = b.passage_wires(c) | b.passage_wires(e)
     b.delete_with_wiring({c, e}, wires, set())
-    b.check()
     return b.to_diagram()
 
 
@@ -194,7 +192,6 @@ def apply_r3(d: LinkDiagram, site: tuple) -> LinkDiagram:
     else:
         b.splice(t_q, open_in)
         b.splice(open_out, t_p)
-    b.check()
     return b.to_diagram()
 
 
@@ -259,7 +256,6 @@ def apply_r2plus(d: LinkDiagram, site: tuple) -> LinkDiagram:
         b.splice(a_tail, in2)
         b.splice(out2, in1)
         b.splice(out1, a_head)
-    b.check()
     return b.to_diagram()
 
 

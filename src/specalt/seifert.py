@@ -131,11 +131,15 @@ def _vogel_site(d: LinkDiagram, circles, regions, circle_of):
     return None
 
 
-def isotope_to_braid_form(d: LinkDiagram, max_moves: int = 400) -> LinkDiagram:
+# Cap on reverse-R2 moves before the Vogel iteration is declared stuck.
+MAX_VOGEL_MOVES = 400
+
+
+def isotope_to_braid_form(d: LinkDiagram) -> LinkDiagram:
     """Apply reverse-R2 moves until the Seifert circles are coherently
     nested (region tree is a directed chain)."""
     cur = d
-    for _ in range(max_moves):
+    for _ in range(MAX_VOGEL_MOVES):
         circles = seifert_circles(cur)
         regions = _regions(cur)
         sides = _circle_sides(cur, circles, regions)
@@ -147,12 +151,6 @@ def isotope_to_braid_form(d: LinkDiagram, max_moves: int = 400) -> LinkDiagram:
             raise SeifertError("no Vogel move available but circles not nested")
         cur = _moves.apply_r2plus(cur, site)
     raise SeifertError("Vogel iteration did not stabilize")
-
-
-# Band code per crossing: 0 when the lower-numbered strand passes under.
-# Collins' rules below are calibrated so the positive trefoil gets sigma=-2;
-# flip here if the chain orientation convention is ever changed.
-_FLIP_CODE = False
 
 
 def _braid_arrows(d: LinkDiagram):
@@ -212,9 +210,9 @@ def _braid_arrows(d: LinkDiagram):
                 if nxt[0] == end[0]:
                     c = end[0]
                     under_strand, _ = crossing_strands(c)
+                    # 0 when the lower-numbered strand passes under; Collins'
+                    # rules are calibrated so the positive trefoil gets -2
                     code = 0 if under_strand == i else 1
-                    if _FLIP_CODE:
-                        code = 1 - code
                     arrows.append([n_pos, m_pos, i, code])
                     break
 

@@ -145,7 +145,7 @@ def analyze(record: KnotRecord, budget: SimplifyBudget = SimplifyBudget()) -> Re
         p, c4b = unlinking_lower_bound(inv.signature, inv.nullity, inv.component_count)
         base = dict(sigma=inv.signature, nullity=inv.nullity, det=inv.determinant,
                     components=inv.component_count, p=p, genus=inv.seifert_genus_report)
-        if not (is_special_alternating(d) and d.is_connected):
+        if not is_special_alternating(d):
             return ReportRow(record.name, True,
                              u_lower=math.ceil(p), u_upper=None,
                              c4_lower=math.ceil(c4b), c4_upper=None,

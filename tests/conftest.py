@@ -54,5 +54,4 @@ def connected_sum_pd(pd1: str, pd2: str) -> LinkDiagram:
     b_tail = b_ends[1] if b_head == b_ends[0] else b_ends[0]
     b.splice(a_tail, b_head)
     b.splice(b_tail, a_head)
-    b.check()
     return b.to_diagram()

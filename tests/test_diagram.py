@@ -6,10 +6,18 @@ from specalt.diagram import (parse_pd, parse_dt, DiagramError, NotAlternating,
                              crossing_signs, is_special_alternating,
                              reduce_nugatory, twist_regions, is_twist_reduced,
                              change_crossings, mirror, split_components,
-                             planar_isomorphic, canonical_key, LinkDiagram)
+                             planar_isomorphic, canonical_key, LinkDiagram,
+                             validate)
 from specalt import families
 
 from conftest import TREFOIL_PD
+
+# Codes whose nugatory untwisting flips a tangle, which leaves slot 0 of
+# some crossings outgoing until ``to_diagram`` normalises the rotations.
+NUG_A = ("X[14,5,1,6] X[4,13,5,4] X[12,3,13,14] X[6,11,7,12] X[10,7,11,8] "
+         "X[2,9,3,10] X[8,1,9,2]")
+NUG_B = ("X[16,3,1,4] X[4,15,5,16] X[6,5,15,6] X[14,13,7,14] X[12,7,13,8] "
+         "X[8,11,9,12] X[2,10,3,9] X[10,2,11,1]")
 
 
 class TestParsePD:
@@ -197,6 +205,19 @@ class TestReduceNugatory:
         assert red.n == 6
         assert signature_nullity(red) == (sigma0, 0)
         assert determinant(red) == determinant(conn) == 9
+
+    @pytest.mark.parametrize("pd", [NUG_A, NUG_B], ids=["nug_a", "nug_b"])
+    def test_tangle_flip_keeps_invariants(self, pd):
+        from specalt.invariants import signature_nullity, determinant, linking_matrix
+        from specalt.bracket import normalized_bracket
+        d = parse_pd(pd)
+        red = validate(reduce_nugatory(d))
+        assert red.n < d.n
+        assert signature_nullity(red) == signature_nullity(d)
+        assert determinant(red) == determinant(d)
+        assert red.component_count == d.component_count
+        assert linking_matrix(red) == linking_matrix(d)
+        assert normalized_bracket(red) == normalized_bracket(d)
 
 
 class TestTwistRegions:

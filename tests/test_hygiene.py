@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level private function has a caller."""
+"""Source hygiene: every module-level private function has a caller, and
+no check is an ``assert`` (``python -O`` strips those)."""
 
 import ast
 from collections import Counter
@@ -34,3 +35,11 @@ def test_every_private_function_is_referenced():
             if used[name] - _references(node)[name] <= 0:
                 unused.append(f"{module}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_no_assert_statements():
+    asserts = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

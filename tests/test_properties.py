@@ -4,7 +4,8 @@ import json
 import random
 
 from specalt.diagram import (parse_pd, change_crossings, checkerboard_negative,
-                             is_special_alternating)
+                             is_special_alternating, mirror, split_components,
+                             validate)
 from specalt.families import medial_special_alternating
 from specalt.invariants import (gl_signature, signature_nullity, determinant,
                                 goeritz, euler_check)
@@ -89,14 +90,29 @@ class TestRandomMedialPipeline:
             assert determinant(d) == abs(det_bareiss(lat.gram))
 
     def test_determinant_routes_agree_after_changes(self):
+        """Also: crossing changes, mirrors, component splits and orientation
+        reversals skip validation, so each result must still pass it."""
         rnd = random.Random(31337)
         pool = [families.knot_8_15(), families.knot_9_35(),
                 families.rational_link([3, 2]), families.torus_2q(5),
                 families.ladder(3)]
+        trefoil = families.trefoil()
         for base in pool:
+            pd = base.to_pd_text()
+            validate(mirror(base))
+            for k in range(base.component_count):
+                validate(parse_pd(pd, reverse_components=(k,)))
+            validate(parse_pd(pd, reverse_components=tuple(range(base.component_count))))
+            shifted = " ".join("X[%d,%d,%d,%d]" % tuple(e + 2 * base.n for e in q)
+                               for q in trefoil.quads)
+            parts = split_components(parse_pd(pd + " " + shifted))
+            assert [p.n for p in parts] == [base.n, 3]
+            for part in parts:
+                validate(part)
             for _ in range(3):
                 subset = rnd.sample(range(base.n), rnd.randint(1, base.n))
                 d = change_crossings(base, subset)
+                validate(d)
                 v = seifert_matrix(d)
                 n = len(v)
                 sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]

@@ -292,6 +292,17 @@ class TestCLI:
         rc = cli_main(["tables", str(csv_path), "--diff", str(exp)])
         assert rc == 1
 
+    def test_tables_nugatory_tangle_flips(self, tmp_path, capsys):
+        from test_diagram import NUG_A, NUG_B
+        csv_path = tmp_path / "nug.csv"
+        csv_path.write_text("name,pd,signature,u,genus\n"
+                            f'nug_a,"{NUG_A}",,,\n'
+                            f'nug_b,"{NUG_B}",,,\n')
+        rc = cli_main(["tables", str(csv_path), "--format", "csv"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "nug_a,2,2,-3," in out and "nug_b,1,1,1," in out
+
     def test_tables_input_error_exit_2(self, capsys):
         rc = cli_main(["tables", "/nonexistent.csv"])
         assert rc == 2
