@@ -736,7 +736,6 @@ def _reachable_without(d: LinkDiagram, start: int, blocked: int) -> set[int]:
 class TwistDecomposition:
     """Partition of crossings into maximal bigon-connected chains."""
 
-    diagram: LinkDiagram
     regions: tuple[tuple[int, ...], ...]   # each region: crossings in chain order
 
     def region_of(self, c: int) -> int:
@@ -786,7 +785,7 @@ def twist_regions(d: LinkDiagram) -> TwistDecomposition:
             prev = chain[-1]
             chain.append(min(nxts))
         regions.append(tuple(chain))
-    return TwistDecomposition(d, tuple(regions))
+    return TwistDecomposition(tuple(regions))
 
 
 def is_twist_reduced(d: LinkDiagram) -> bool:
@@ -810,45 +809,37 @@ def is_twist_reduced(d: LinkDiagram) -> bool:
 
 def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
     """Canonical encoding up to rotation-preserving relabeling (and optional
-    reflection), used for isomorphism tests and search dedup."""
+    reflection), used for isomorphism tests and search dedup.
+
+    An isomorphism of oriented diagrams maps slot s to slot s, because slot
+    0 is the one incoming under-strand and the cyclic order is kept (a
+    reflection fixes slot 0 and reads the others as 0,3,2,1), so one walk
+    per root crossing suffices."""
     n = d.n
     if n == 0:
         return ("loops", d.free_loops)
     if not d.is_connected:
         parts = sorted(_canonical_code(p, reflect) for p in split_components(d))
         return ("split", tuple(parts))
-    step = -1 if reflect else 1
-    best = None
+    order = (0, 3, 2, 1) if reflect else (0, 1, 2, 3)
+    mates = [[d.mate((c, s)) for s in order] for c in range(n)]
+    codes = []
     for c0 in range(n):
-        for s0 in range(4):
-            # BFS assigning canonical ids in traversal order
-            ids = {c0: 0}
-            slot0 = {c0: s0}
-            queue = [c0]
-            code: list[tuple] = []
-            qi = 0
-            while qi < len(queue):
-                c = queue[qi]
-                qi += 1
-                row = []
-                base = slot0[c]
-                for k in range(4):
-                    s = (base + step * k) % 4
-                    mc, ms = d.mate((c, s))
-                    if mc not in ids:
-                        ids[mc] = len(ids)
-                        slot0[mc] = ms
-                        queue.append(mc)
-                    rel = ((ms - slot0[mc]) * step) % 4
-                    under = 1 if s % 2 == 0 else 0
-                    inc = d.incoming[c][s]
-                    row.append((ids[mc], rel, under, inc))
-                code.append(tuple(row))
-            if len(ids) == n:
-                t = tuple(code)
-                if best is None or t < best:
-                    best = t
-    return ("diag", d.free_loops, best)
+        # BFS assigning canonical ids in traversal order
+        ids = {c0: 0}
+        queue = [c0]
+        code: list[tuple] = []
+        for c in queue:
+            row: list = [d.incoming[c][order[1]]]
+            for mc, ms in mates[c]:
+                if mc not in ids:
+                    ids[mc] = len(ids)
+                    queue.append(mc)
+                # order is its own inverse, so order[ms] is the position of ms
+                row += (ids[mc], order[ms])
+            code.append(tuple(row))
+        codes.append(tuple(code))
+    return ("diag", d.free_loops, min(codes))
 
 
 def canonical_key(d: LinkDiagram) -> tuple:

@@ -113,9 +113,12 @@ def load_table(path) -> tuple[list[KnotRecord], list[str]]:
                 continue
             name, pd_text, sig, u_cell, genus = [c.strip() for c in row]
             try:
-                parse_pd(pd_text)
+                d = parse_pd(pd_text)
             except DiagramError as exc:
                 errors.append(f"line {lineno}: {name}: unparseable PD: {exc}")
+                continue
+            if d.n == 0:
+                errors.append(f"line {lineno}: {name}: PD has no crossings")
                 continue
             try:
                 records.append(KnotRecord(
@@ -156,8 +159,8 @@ def analyze(record: KnotRecord, budget: SimplifyBudget = SimplifyBudget()) -> Re
                          u_lower=verdict.u_lower, u_upper=verdict.u_upper,
                          c4_lower=verdict.c4_lower, c4_upper=verdict.c4_upper,
                          witness=verdict.witness,
-                         obstruction=("admissible" if verdict.obstruction_verdict
-                                      and verdict.obstruction_verdict.admissible
+                         obstruction=("admissible"
+                                      if verdict.obstruction_verdict.admissible
                                       else "obstructed"),
                          provenance=verdict.provenance,
                          seconds=time.monotonic() - start, **base)

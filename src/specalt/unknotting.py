@@ -259,12 +259,6 @@ class UnlinkingVerdict:
     certificate: UnlinkCertificate | None = None
     provenance: str = ""
 
-    def u_text(self) -> str:
-        return bound_text(self.u_lower, self.u_upper)
-
-    def c4_text(self) -> str:
-        return bound_text(self.c4_lower, self.c4_upper)
-
     def to_json(self):
         out = {"p": str(self.p), "result": self.result,
                "u_lower": self.u_lower, "u_upper": self.u_upper,
@@ -301,10 +295,10 @@ def decide_minimal_unlinking(d: LinkDiagram,
         sigma = -sigma
     k = d.component_count
     p = Fraction(abs(sigma) + k - 1, 2)
-    if d.n == 0:
-        return UnlinkingVerdict(p, "equal", (), 0, 0, 0, 0, None, (),
-                                provenance="crossing-free diagram")
     ob = obstruction(d, sigma=sigma)
+    if d.n == 0:
+        return UnlinkingVerdict(p, "equal", (), 0, 0, 0, 0, ob, (),
+                                provenance="crossing-free diagram")
     if p.denominator != 1:
         lo = math.ceil(p)
         return UnlinkingVerdict(p, "parity", None, lo, None, lo, None, ob,

@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +10,9 @@ from specalt.diagram import (parse_pd, parse_dt, DiagramError, NotAlternating,
                              reduce_nugatory, twist_regions, is_twist_reduced,
                              change_crossings, mirror, split_components,
                              planar_isomorphic, canonical_key, LinkDiagram,
-                             validate)
+                             validate, _canonical_code)
 from specalt import families
+from specalt.tables import load_table
 
 from conftest import TREFOIL_PD
 
@@ -283,11 +287,46 @@ class TestChangeMirrorSplit:
         assert change_crossings(change_crossings(d, subset), subset) == d
 
 
+def _relabel(d: LinkDiagram, rnd: random.Random) -> LinkDiagram:
+    """``d`` with its crossings permuted and its edges renamed at random."""
+    perm = rnd.sample(range(d.n), d.n)
+    labels = sorted(d.edge_ends)
+    rename = dict(zip(labels, rnd.sample(labels, len(labels))))
+    quads: list = [None] * d.n
+    incoming: list = [None] * d.n
+    for c in range(d.n):
+        quads[perm[c]] = tuple(rename[e] for e in d.quads[c])
+        incoming[perm[c]] = d.incoming[c]
+    return LinkDiagram(tuple(quads), tuple(incoming), d.free_loops)
+
+
+def _reflect(d: LinkDiagram) -> LinkDiagram:
+    """The planar reflection of ``d``: slots 1 and 3 swap at every crossing."""
+    return LinkDiagram(tuple((a, b3, c, b1) for a, b1, c, b3 in d.quads),
+                       tuple((a, b3, c, b1) for a, b1, c, b3 in d.incoming),
+                       d.free_loops)
+
+
 class TestIsomorphism:
     def test_relabeled_trefoil(self, trefoil):
         d = parse_pd("X[3,6,4,1] X[5,2,6,3] X[1,4,2,5]")
         assert planar_isomorphic(d, trefoil)
         assert canonical_key(d) == canonical_key(trefoil)
+
+    def test_key_on_every_input(self, bundled):
+        paper13 = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
+        records, errors = load_table(paper13)
+        assert not errors and len(records) == 24
+        rnd = random.Random(5)
+        for rec in bundled + records:
+            d = parse_pd(rec.pd)
+            key = canonical_key(d)
+            assert canonical_key(_relabel(d, rnd)) == key, rec.name
+            r = validate(_reflect(d))
+            assert planar_isomorphic(r, d, allow_reflection=True), rec.name
+            assert canonical_key(r) == _canonical_code(d, True), rec.name
+            for c in range(d.n):
+                assert canonical_key(change_crossings(d, [c])) != key, (rec.name, c)
 
     def test_mirror_not_isomorphic(self, trefoil):
         assert not planar_isomorphic(mirror(trefoil), trefoil)

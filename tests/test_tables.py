@@ -303,6 +303,11 @@ class TestCLI:
         assert rc == 0
         assert "nug_a,2,2,-3," in out and "nug_b,1,1,1," in out
 
+    def test_analyze_kinked_unknot_admissible(self, capsys):
+        rc = cli_main(["analyze", "X[1,1,2,2]", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["obstruction"] == "admissible"
+
     def test_tables_input_error_exit_2(self, capsys):
         rc = cli_main(["tables", "/nonexistent.csv"])
         assert rc == 2
@@ -352,6 +357,15 @@ class TestTablesInputErrors:
             load_expected(exp)
         rc = cli_main(["tables", str(small_csv), "--diff", str(exp)])
         assert rc == 2 and "no name or K column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["blank,,,,", 'blank,"  ",,,', "blank,PD[],,,"])
+    def test_crossing_free_pd(self, row, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text(f"name,pd,signature,u,genus\n{row}\n")
+        records, errors = load_table(path)
+        assert records == [] and errors == ["line 2: blank: PD has no crossings"]
+        rc = cli_main(["tables", str(path)])
+        assert rc == 2 and "PD has no crossings" in capsys.readouterr().err
 
     def test_bad_jobs_env_var(self, small_csv, monkeypatch, capsys):
         monkeypatch.setenv("SPECALT_JOBS", "abc")
