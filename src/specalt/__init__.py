@@ -20,20 +20,17 @@ from .invariants import (GoeritzLattice, ClassicalInvariants, goeritz,
 from .seifert import seifert_matrix
 from .lattice import (LatticeEmbedding, CoordinatePairing, ObstructionVerdict,
                       ClaspSet, TargetTooSmall, MarkedRegionsNotAdjacent,
-                      SignatureRoutesDisagree,
                       enumerate_embeddings, condition_all_coords, find_pairing,
                       claim1_structure, obstruction, clasp_candidates,
                       canonical_matrix, signed_permutation_equivalent)
 from .unknotting import (SimplifyBudget, UnlinkCertificate, SearchOutcome,
-                         UnlinkingVerdict, CombinedVerdict,
-                         WitnessContradictsObstruction,
+                         UnlinkingVerdict, WitnessContradictsObstruction,
                          reidemeister_simplify, certify_unlink,
-                         exhaustive_search, decide_minimal_unlinking,
-                         split_additivity, replay_moves)
+                         exhaustive_search, decide_minimal_unlinking, replay_moves)
 from .bracket import kauffman_bracket, normalized_bracket, unlink_normalized_bracket
-from .tables import (KnotRecord, ReportRow, load_table, analyze,
-                     analyze_all, emit_tables, load_expected, diff_tables, TableError,
-                     load_bundled_fixtures, bound_consistency_ok)
+from .tables import (KnotRecord, ReportRow, SignatureRoutesDisagree, load_table,
+                     analyze, analyze_all, emit_tables, load_expected, diff_tables,
+                     TableError, load_bundled_fixtures, bound_consistency_ok)
 from . import families
 
 __version__ = "0.1.0"

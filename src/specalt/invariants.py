@@ -1,16 +1,17 @@
 """Classical invariants from checkerboard data; two independent signature
 routes.
 
-The production signature route goes through the positive-definite Goeritz
+The decision's signature route goes through the positive-definite Goeritz
 form of the all-(-1) checkerboard coloring: for a reduced non-split
 alternating diagram,
 
-    sigma(L) = sig(gram) - n_plus(D),
+    sigma(L) = sig(gram) - n_plus(D) = rank(gram) - n_plus(D),
 
 where n_plus is the number of positive crossings.  The correction term's
 crossing-type convention is calibrated against the Seifert-matrix oracle
 (module ``seifert``); the two routes must agree exactly on every
-alternating fixture, and the test suite enforces this.
+alternating fixture, and ``tables.analyze`` checks them against each other
+on every special alternating row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .diagram import (LinkDiagram, Checkerboard, checkerboard, is_special_alternating,
                       SplitDiagram, DiagramError)
-from .linalg import symmetric_signature_nullity, det_bareiss
+from .linalg import det_bareiss
 from . import seifert as _seifert
 
 
@@ -35,12 +36,16 @@ class GoeritzLattice:
     ``gram`` is the pairing on the white regions v_1..v_r after deleting
     v_0 (the white face with the smallest face index); ``unquotiented`` is
     the full (r+1)x(r+1) degenerate pairing whose rows sum to zero.
+    ``sigma`` is the signature of the diagram's link, rank - n_plus, and
+    ``coloring`` the checkerboard the form was read from.
     """
 
     rank: int
     gram: tuple[tuple[int, ...], ...]
     unquotiented: tuple[tuple[int, ...], ...]
     white_order: tuple[int, ...]          # face indices v_0, v_1, ..., v_r
+    sigma: int
+    coloring: Checkerboard
 
 
 def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list[int], list[list[int]]]:
@@ -66,7 +71,11 @@ def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list[int], list[list
 
 def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
     """Goeritz pairing: v_i . v_j = -(crossings between v_i and v_j) off the
-    diagonal, diagonal = crossings around v_i."""
+    diagonal, diagonal = crossings around v_i.
+
+    The gram is the reduced Laplacian of the connected, loopless white Tait
+    graph, so it is positive definite and its signature is its rank; the
+    link signature is that rank minus the number of positive crossings."""
     if not d.is_connected:
         raise SplitDiagram("goeritz needs a non-split diagram")
     if any(mu != -1 for mu in c.incidence):
@@ -80,16 +89,15 @@ def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
         gram=tuple(tuple(row[1:]) for row in g[1:]),
         unquotiented=tuple(tuple(row) for row in g),
         white_order=tuple(whites),
+        sigma=len(whites) - 1 - sum(1 for s in d.signs if s == 1),
+        coloring=c,
     )
 
 
 def gl_signature(d: LinkDiagram, c: Checkerboard) -> int:
     """Signature via the Goeritz form with the calibrated correction
     (number of positive crossings under the all-(-1) coloring)."""
-    lat = goeritz(d, c)
-    sig, _ = symmetric_signature_nullity(lat.gram)
-    n_plus = sum(1 for s in d.signs if s == 1)
-    return sig - n_plus
+    return goeritz(d, c).sigma
 
 
 @dataclass(frozen=True)
@@ -151,10 +159,9 @@ def euler_check(d: LinkDiagram, c: Checkerboard) -> bool:
         raise PreconditionViolated("need a positive special alternating diagram")
     lat = goeritz(d, c)
     chi = 1 - (d.n - lat.rank)
-    sigma = gl_signature(d, c)
     k = d.component_count
-    p = unlinking_lower_bound(sigma, 0, k)[0]
-    return chi == 1 + sigma and Fraction(chi) == k - 2 * p
+    p = unlinking_lower_bound(lat.sigma, 0, k)[0]
+    return chi == 1 + lat.sigma and Fraction(chi) == k - 2 * p
 
 
 def classical_invariants(d: LinkDiagram) -> ClassicalInvariants:

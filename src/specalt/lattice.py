@@ -16,17 +16,12 @@ from math import isqrt
 from .diagram import (LinkDiagram, checkerboard_negative, mirror, twist_regions,
                       is_twist_reduced, is_special_alternating, _bigon_pairs,
                       NotAlternating, SplitDiagram, DiagramError)
-from .invariants import goeritz, gl_signature, signature_nullity, GoeritzLattice
+from .invariants import goeritz, GoeritzLattice
 from .linalg import is_positive_definite
 
 
 class TargetTooSmall(ValueError):
     """Target dimension below the rank of the form."""
-
-
-class SignatureRoutesDisagree(DiagramError):
-    """The Goeritz-route signature differs from the Seifert-route one; the
-    obstruction's target dimension and bound p would be wrong."""
 
 
 @dataclass(frozen=True)
@@ -69,9 +64,13 @@ class CoordinatePairing:
 
 @dataclass(frozen=True)
 class ObstructionVerdict:
+    """The verdict on ``lattice``, the Goeritz lattice of the diagram decided
+    on, whose signature ``lattice.sigma`` fixes p and the target dimension."""
+
     admissible: bool
     p: int
     target_dim: int
+    lattice: GoeritzLattice
     embedding: LatticeEmbedding | None = None
     pairing: CoordinatePairing | None = None
     nodes: int = 0
@@ -256,34 +255,27 @@ def claim1_structure(e: LatticeEmbedding) -> bool:
     return True
 
 
-def obstruction(d: LinkDiagram, *, sigma: int | None = None) -> ObstructionVerdict:
+def obstruction(d: LinkDiagram) -> ObstructionVerdict:
     """Decide whether the Goeritz lattice admits an embedding satisfying
     conditions (i) and (ii); Obstructed certifies c4 > p.
 
-    ``sigma`` is the signature of ``d`` as given; when omitted it is
-    computed with the Seifert oracle.  Either way the Goeritz route must
-    reproduce it, or ``SignatureRoutesDisagree`` is raised."""
+    The signature comes from the same lattice; a diagram of positive
+    signature is replaced by its mirror."""
     if not d.is_connected:
         raise SplitDiagram("obstruction needs a non-split diagram")
     if d.n and not d.is_alternating:
         raise NotAlternating("obstruction needs an alternating diagram")
-    if sigma is None:
-        sigma, _ = signature_nullity(d)
-    if sigma > 0:
+    lat = goeritz(d, checkerboard_negative(d))
+    if lat.sigma > 0:
         d = mirror(d)
-        sigma = -sigma
-    cb = checkerboard_negative(d)
-    gl_sigma = gl_signature(d, cb)
-    if gl_sigma != sigma:
-        raise SignatureRoutesDisagree(
-            f"Goeritz-route sigma {gl_sigma} != Seifert-route sigma {sigma}")
+        lat = goeritz(d, checkerboard_negative(d))
+    sigma = lat.sigma
     k = d.component_count
     two_p = abs(sigma) + k - 1
     if two_p % 2 == 1:
-        return ObstructionVerdict(False, two_p // 2 + 1, 0,
+        return ObstructionVerdict(False, two_p // 2 + 1, 0, lat,
                                   reason="obstructed-by-parity")
     p = two_p // 2
-    lat = goeritz(d, cb)
     n_target = lat.rank - sigma
     stats = _Stats()
     for emb in enumerate_embeddings(lat.gram, n_target, stats):
@@ -291,9 +283,9 @@ def obstruction(d: LinkDiagram, *, sigma: int | None = None) -> ObstructionVerdi
             continue
         pairing = find_pairing(emb, p)
         if pairing is not None:
-            return ObstructionVerdict(True, p, n_target, emb, pairing,
+            return ObstructionVerdict(True, p, n_target, lat, emb, pairing,
                                       stats.nodes, stats.dedup, "witness")
-    return ObstructionVerdict(False, p, n_target, None, None,
+    return ObstructionVerdict(False, p, n_target, lat, None, None,
                               stats.nodes, stats.dedup, "exhausted")
 
 
@@ -321,7 +313,7 @@ def clasp_candidates(d: LinkDiagram, lat: GoeritzLattice, e: LatticeEmbedding,
         raise DiagramError("clasp extraction needs a special alternating diagram")
     if not is_twist_reduced(d):
         raise DiagramError("clasp extraction needs a twist-reduced diagram")
-    cb = checkerboard_negative(d)
+    cb = lat.coloring
     full = e.full_matrix
     # face of each full-matrix row
     faces_of_rows = lat.white_order

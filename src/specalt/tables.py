@@ -14,9 +14,10 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from concurrent.futures import ProcessPoolExecutor
 
-from .diagram import (parse_pd, reduce_nugatory, DiagramError,
+from .diagram import (LinkDiagram, parse_pd, reduce_nugatory, DiagramError,
                       is_special_alternating)
 from .invariants import classical_invariants, unlinking_lower_bound
 from .seifert import SeifertError
@@ -27,6 +28,11 @@ class TableError(ValueError):
     pass
 
 
+class SignatureRoutesDisagree(DiagramError):
+    """The Goeritz-route signature of the decision differs from the
+    Seifert-route one of the report; the bound p would be wrong."""
+
+
 @dataclass(frozen=True)
 class KnotRecord:
     name: str
@@ -34,6 +40,11 @@ class KnotRecord:
     known_signature: int | None = None
     known_u: frozenset[int] | None = None
     known_genus: int | None = None
+
+    @cached_property
+    def diagram(self) -> LinkDiagram:
+        """The parsed PD, parsed once per record."""
+        return parse_pd(self.pd)
 
 
 @dataclass(frozen=True)
@@ -113,23 +124,24 @@ def load_table(path) -> tuple[list[KnotRecord], list[str]]:
                 continue
             name, pd_text, sig, u_cell, genus = [c.strip() for c in row]
             try:
-                d = parse_pd(pd_text)
+                rec = KnotRecord(name, pd_text,
+                                 known_signature=int(sig) if sig else None,
+                                 known_u=_parse_u_cell(u_cell),
+                                 known_genus=int(genus) if genus else None)
+                bad_cell = None
+            except ValueError as exc:
+                rec, bad_cell = KnotRecord(name, pd_text), exc
+            try:
+                crossing_free = rec.diagram.n == 0
             except DiagramError as exc:
                 errors.append(f"line {lineno}: {name}: unparseable PD: {exc}")
                 continue
-            if d.n == 0:
+            if crossing_free:
                 errors.append(f"line {lineno}: {name}: PD has no crossings")
-                continue
-            try:
-                records.append(KnotRecord(
-                    name=name,
-                    pd=pd_text,
-                    known_signature=int(sig) if sig else None,
-                    known_u=_parse_u_cell(u_cell),
-                    known_genus=int(genus) if genus else None,
-                ))
-            except ValueError as exc:
-                errors.append(f"line {lineno}: {name}: bad cell: {exc}")
+            elif bad_cell is not None:
+                errors.append(f"line {lineno}: {name}: bad cell: {bad_cell}")
+            else:
+                records.append(rec)
     return records, errors
 
 
@@ -137,8 +149,7 @@ def analyze(record: KnotRecord, budget: SimplifyBudget = SimplifyBudget()) -> Re
     """parse -> reduce -> invariants -> obstruction -> decide."""
     start = time.monotonic()
     try:
-        d = parse_pd(record.pd)
-        d = reduce_nugatory(d)
+        d = reduce_nugatory(record.diagram)
         inv = classical_invariants(d)
         if record.known_signature is not None and inv.signature != record.known_signature:
             return ReportRow(record.name, False, sigma=inv.signature,
@@ -154,7 +165,11 @@ def analyze(record: KnotRecord, budget: SimplifyBudget = SimplifyBudget()) -> Re
                              c4_lower=math.ceil(c4b), c4_upper=None,
                              provenance="not special alternating: classical bounds only",
                              seconds=time.monotonic() - start, **base)
-        verdict = decide_minimal_unlinking(d, budget, sigma=inv.signature)
+        verdict = decide_minimal_unlinking(d, budget)
+        if verdict.sigma != inv.signature:
+            raise SignatureRoutesDisagree(
+                f"Goeritz-route sigma {verdict.sigma} != "
+                f"Seifert-route sigma {inv.signature}")
         return ReportRow(record.name, True,
                          u_lower=verdict.u_lower, u_upper=verdict.u_upper,
                          c4_lower=verdict.c4_lower, c4_upper=verdict.c4_upper,
@@ -209,14 +224,17 @@ def emit_tables(rows, fmt: str = "markdown") -> str:
     raise TableError(f"unknown format {fmt}")
 
 
-def _cell_set(text: str) -> frozenset[int] | None:
+def _cell_interval(text: str) -> tuple[int, float] | None:
+    """A cell as the integer interval (lo, hi) it allows, hi infinite for
+    an open-ended ``>=lo``; None for an empty or unknown cell."""
     text = text.strip()
     if not text or text == "?":
         return None
     m = re.match(r">=(\d+)$", text)
     if m:
-        return None  # open-ended bounds compare as consistent-only
-    return frozenset(int(p) for p in re.split(r"[;,]", text.strip("{} ")) if p.strip())
+        return int(m.group(1)), math.inf
+    vals = [int(p) for p in re.split(r"[;,]", text.strip("{} ")) if p.strip()]
+    return (min(vals), max(vals)) if vals else None
 
 
 @dataclass(frozen=True)
@@ -250,8 +268,9 @@ def load_expected(path) -> dict[str, dict[str, str]]:
 
 def diff_tables(rows, expected: dict[str, dict[str, str]]) -> DiffResult:
     """Compare computed rows against an expected table (columns
-    name,u,c4,sigma,genus) as ``load_expected`` reads it.  A cell is
-    consistent when one value set contains the other; equal cells are
+    name,u,c4,sigma,genus) as ``load_expected`` reads it.  Cells compare
+    as integer intervals, ``>=lo`` meaning [lo, infinity), and a cell is
+    consistent when one interval contains the other; equal cells are
     silent, consistent-but-unequal cells are listed as loose notes, the
     rest are mismatches."""
     by_name = {r.name: r for r in rows}
@@ -272,8 +291,9 @@ def diff_tables(rows, expected: dict[str, dict[str, str]]) -> DiffResult:
                 continue
             if got == want:
                 continue
-            sg, sw = _cell_set(got), _cell_set(want)
-            if sg is not None and sw is not None and (sg <= sw or sw <= sg):
+            ig, iw = _cell_interval(got), _cell_interval(want)
+            if ig and iw and (iw[0] <= ig[0] <= ig[1] <= iw[1]
+                              or ig[0] <= iw[0] <= iw[1] <= ig[1]):
                 loose.append(f"{name}.{col}: computed {got} vs expected {want} (consistent)")
             else:
                 mismatches.append(f"{name}.{col}: computed {got} vs expected {want}")

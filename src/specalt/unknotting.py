@@ -12,15 +12,16 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 
 from .diagram import (LinkDiagram, DiagramError, NotSpecialAlternating, SplitDiagram,
                       canonical_key, change_crossings, mirror, reduce_nugatory,
-                      is_special_alternating, is_twist_reduced, checkerboard_negative)
+                      is_special_alternating, is_twist_reduced)
 from . import moves as _moves
 from .moves import Move
 from .bracket import normalized_bracket, unlink_normalized_bracket
-from .invariants import determinant, linking_matrix, signature_nullity, goeritz
+from .invariants import determinant, linking_matrix
 from .lattice import obstruction, clasp_candidates, ObstructionVerdict
 
 # Searches above p that look for an upper bound once p is ruled out.
@@ -244,75 +245,71 @@ class WitnessContradictsObstruction(DiagramError):
 
 @dataclass(frozen=True)
 class UnlinkingVerdict:
-    """Decision for u(L) against the classical lower bound p."""
+    """Decision for u(L) against the classical lower bound p; ``sigma`` is
+    the signature of the diagram as given."""
 
     p: Fraction
+    sigma: int
+    obstruction_verdict: ObstructionVerdict
     result: str                        # "equal" | "greater" | "inconclusive" | "parity"
     witness: tuple[int, ...] | None = None
     u_lower: int | None = None
     u_upper: int | None = None
     c4_lower: int | None = None
     c4_upper: int | None = None
-    obstruction_verdict: ObstructionVerdict | None = None
     searches: tuple[tuple[int, str], ...] = ()      # (m, outcome status)
     unknown: tuple[tuple[int, ...], ...] = ()
     certificate: UnlinkCertificate | None = None
     provenance: str = ""
 
     def to_json(self):
-        out = {"p": str(self.p), "result": self.result,
+        out = {"p": str(self.p), "sigma": self.sigma, "result": self.result,
                "u_lower": self.u_lower, "u_upper": self.u_upper,
                "c4_lower": self.c4_lower, "c4_upper": self.c4_upper,
                "witness": list(self.witness) if self.witness is not None else None,
                "searches": [list(s) for s in self.searches],
                "unknown": [list(u) for u in self.unknown],
-               "provenance": self.provenance}
-        if self.obstruction_verdict is not None:
-            out["obstruction"] = self.obstruction_verdict.to_json()
+               "provenance": self.provenance,
+               "obstruction": self.obstruction_verdict.to_json()}
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
         return out
 
 
 def decide_minimal_unlinking(d: LinkDiagram,
-                             budget: SimplifyBudget = SimplifyBudget(), *,
-                             sigma: int | None = None) -> UnlinkingVerdict:
+                             budget: SimplifyBudget = SimplifyBudget()
+                             ) -> UnlinkingVerdict:
     """Theorem-driven decision: p attained exactly when p crossing changes
     in this alternating diagram unlink; AllRefuted at p certifies u >= p+1,
     and witnesses at higher m give upper bounds.
 
-    ``sigma`` is the signature of ``d``; when omitted it is computed with
-    the Seifert oracle."""
+    sigma and p come from the Goeritz lattice of the obstruction.  A reduced
+    special alternating diagram with crossings has sigma > 0 exactly when
+    its crossings are negative; such a diagram is decided as its mirror."""
     if not d.is_connected:
         raise SplitDiagram("decide needs a non-split diagram; decompose first")
     if not is_special_alternating(d):
         raise NotSpecialAlternating("decide needs a special alternating diagram")
     d = reduce_nugatory(d)
-    if sigma is None:
-        sigma, _ = signature_nullity(d)
-    if sigma > 0:
+    mirrored = d.n > 0 and d.signs[0] == -1
+    if mirrored:
         d = mirror(d)
-        sigma = -sigma
-    k = d.component_count
-    p = Fraction(abs(sigma) + k - 1, 2)
-    ob = obstruction(d, sigma=sigma)
+    ob = obstruction(d)
+    sigma = ob.lattice.sigma
+    p = Fraction(abs(sigma) + d.component_count - 1, 2)
+    verdict = partial(UnlinkingVerdict, p, -sigma if mirrored else sigma, ob)
     if d.n == 0:
-        return UnlinkingVerdict(p, "equal", (), 0, 0, 0, 0, ob, (),
-                                provenance="crossing-free diagram")
+        return verdict("equal", (), 0, 0, 0, 0,
+                       provenance="crossing-free diagram")
     if p.denominator != 1:
         lo = math.ceil(p)
-        return UnlinkingVerdict(p, "parity", None, lo, None, lo, None, ob,
-                                provenance="bound not attainable: parity")
+        return verdict("parity", None, lo, None, lo, None,
+                       provenance="bound not attainable: parity")
     p_int = int(p)
     hints: tuple[tuple[int, ...], ...] = ()
     if ob.admissible and is_twist_reduced(d):
-        try:
-            cb = checkerboard_negative(d)
-            lat = goeritz(d, cb)
-            clasp = clasp_candidates(d, lat, ob.embedding, ob.pairing)
-            hints = (clasp.crossings,)
-        except DiagramError:
-            hints = ()
+        hints = (clasp_candidates(d, ob.lattice, ob.embedding,
+                                  ob.pairing).crossings,)
     searches: list[tuple[int, str]] = []
     out_p = exhaustive_search(d, p_int, budget, hints)
     searches.append((p_int, out_p.status))
@@ -321,14 +318,13 @@ def decide_minimal_unlinking(d: LinkDiagram,
             raise WitnessContradictsObstruction(
                 f"witness {list(out_p.witnesses[0])} at p={p_int} but the "
                 f"lattice is obstructed ({ob.reason})")
-        return UnlinkingVerdict(p, "equal", out_p.witnesses[0],
-                                p_int, p_int, p_int, p_int, ob,
-                                tuple(searches), (), out_p.certificate,
-                                provenance="witness at p")
+        return verdict("equal", out_p.witnesses[0], p_int, p_int, p_int, p_int,
+                       tuple(searches), (), out_p.certificate,
+                       provenance="witness at p")
     if out_p.status == "inconclusive" and ob.admissible:
-        return UnlinkingVerdict(p, "inconclusive", None, p_int, None, p_int, None,
-                                ob, tuple(searches), out_p.unknown,
-                                provenance="unknown subsets at p")
+        return verdict("inconclusive", None, p_int, None, p_int, None,
+                       tuple(searches), out_p.unknown,
+                       provenance="unknown subsets at p")
     # The bound is certifiably not attained: either every p-subset was
     # refuted (the main theorem then rules out p in every diagram) or the
     # lattice obstruction already certifies c4 > p.  Search upward for an
@@ -340,50 +336,12 @@ def decide_minimal_unlinking(d: LinkDiagram,
         out_m = exhaustive_search(d, m, budget)
         searches.append((m, out_m.status))
         if out_m.status == "some":
-            return UnlinkingVerdict(p, "greater", out_m.witnesses[0],
-                                    lo, m, lo, m, ob, tuple(searches), (),
-                                    out_m.certificate,
-                                    provenance=f"{why}; witness at {m}")
+            return verdict("greater", out_m.witnesses[0], lo, m, lo, m,
+                           tuple(searches), (), out_m.certificate,
+                           provenance=f"{why}; witness at {m}")
         if out_m.status == "inconclusive":
-            return UnlinkingVerdict(p, "greater", None, lo, None, lo, None, ob,
-                                    tuple(searches), out_m.unknown,
-                                    provenance=f"{why}; unknown at {m}")
-    return UnlinkingVerdict(p, "greater", None, lo, None, lo, None, ob,
-                            tuple(searches), (),
-                            provenance=f"{why}; no witness in searched range")
-
-
-@dataclass(frozen=True)
-class CombinedVerdict:
-    m: Fraction
-    result: str
-    u_lower: int | None
-    u_upper: int | None
-    c4_lower: int | None
-    c4_upper: int | None
-
-
-def split_additivity(verdicts) -> CombinedVerdict:
-    """Combine component verdicts under split union: bounds and p add;
-    Equal exactly when every component is Equal."""
-    verdicts = list(verdicts)
-    if not verdicts:
-        return CombinedVerdict(Fraction(0), "equal", 0, 0, 0, 0)
-    m = sum((v.p for v in verdicts), Fraction(0))
-
-    def add(vals):
-        out = 0
-        for v in vals:
-            if v is None:
-                return None
-            out += v
-        return out
-
-    result = "equal" if all(v.result == "equal" for v in verdicts) else (
-        "inconclusive" if any(v.result == "inconclusive" for v in verdicts)
-        else "greater")
-    return CombinedVerdict(m, result,
-                           add(v.u_lower for v in verdicts),
-                           add(v.u_upper for v in verdicts),
-                           add(v.c4_lower for v in verdicts),
-                           add(v.c4_upper for v in verdicts))
+            return verdict("greater", None, lo, None, lo, None,
+                           tuple(searches), out_m.unknown,
+                           provenance=f"{why}; unknown at {m}")
+    return verdict("greater", None, lo, None, lo, None, tuple(searches),
+                   provenance=f"{why}; no witness in searched range")

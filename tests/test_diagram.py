@@ -328,6 +328,17 @@ class TestIsomorphism:
             for c in range(d.n):
                 assert canonical_key(change_crossings(d, [c])) != key, (rec.name, c)
 
+    def test_reversed_component_changes_key(self):
+        """Reversing one component of this two-component diagram keeps
+        every quad and flips every sign; the two are not isomorphic even
+        with reflection, and only the strand directions tell them apart."""
+        pd = "X[8,1,5,4] X[5,1,6,2] X[6,3,7,2] X[7,3,8,4]"
+        d, rev = parse_pd(pd), parse_pd(pd, reverse_components=(0,))
+        assert rev.quads == d.quads
+        assert rev.signs == tuple(-s for s in d.signs)
+        assert not planar_isomorphic(d, rev, allow_reflection=True)
+        assert canonical_key(d) != canonical_key(rev)
+
     def test_mirror_not_isomorphic(self, trefoil):
         assert not planar_isomorphic(mirror(trefoil), trefoil)
         assert planar_isomorphic(mirror(trefoil), trefoil, allow_reflection=True)

@@ -119,6 +119,26 @@ class TestEmitAndDiff:
         assert result.clean          # {2;3} contains 3 and 2: consistent
         assert len(result.loose) == 2
 
+    @pytest.mark.parametrize("got,want,verdict", [
+        ((2, None), "2", "loose"),
+        ((2, None), "{2;3}", "loose"),
+        ((2, 3), ">=2", "loose"),
+        ((2, None), ">=1", "loose"),
+        ((2, None), "1", "mismatch"),
+        ((2, 3), ">=4", "mismatch"),
+    ])
+    def test_diff_open_ended_bounds(self, got, want, verdict, tmp_path):
+        """A >=lo cell is the interval [lo, infinity): containment either
+        way is consistent, anything else a mismatch."""
+        from specalt.tables import ReportRow
+        row = ReportRow("k", True, sigma=-2, components=1,
+                        u_lower=got[0], u_upper=got[1])
+        p = tmp_path / "expected.csv"
+        p.write_text(f"name,u,c4,sigma,genus\nk,{want},,,\n")
+        result = diff_tables([row], load_expected(p))
+        assert (result.clean, len(result.loose)) == \
+            ((True, 1) if verdict == "loose" else (False, 0))
+
     def test_natural_sort(self):
         names = ["12a1035", "12a144", "12a97", "11a362"]
         assert sorted(names, key=natural_key) == \
@@ -165,12 +185,14 @@ class TestCertificateChecks:
     ``python -O`` keeps, and fail only the row they belong to."""
 
     def test_signature_routes_disagree_fails_row(self, monkeypatch):
-        from specalt import lattice
-        real = lattice.gl_signature
-        monkeypatch.setattr(lattice, "gl_signature",
-                            lambda d, cb: real(d, cb) + 2)
-        with pytest.raises(lattice.SignatureRoutesDisagree):
-            lattice.obstruction(parse_pd(TREFOIL_PD))
+        from specalt import seifert
+        real = seifert.signature_nullity
+
+        def shifted(d):
+            sigma, eta = real(d)
+            return sigma + 2, eta
+
+        monkeypatch.setattr(seifert, "signature_nullity", shifted)
         row = analyze(KnotRecord("3_1", TREFOIL_PD))
         assert not row.ok
         assert "Goeritz-route sigma" in row.provenance
@@ -178,10 +200,14 @@ class TestCertificateChecks:
     def test_witness_contradicts_obstruction_fails_row(self, monkeypatch):
         from specalt import unknotting
         from specalt.lattice import ObstructionVerdict
+        from specalt.invariants import goeritz
+        from specalt.diagram import checkerboard_negative
+        # an obstructed verdict on the trefoil's own lattice (sigma -2)
         monkeypatch.setattr(
             unknotting, "obstruction",
-            lambda d, *, sigma=None: ObstructionVerdict(False, 1, 2,
-                                                        reason="exhausted"))
+            lambda d: ObstructionVerdict(False, 1, 2,
+                                         goeritz(d, checkerboard_negative(d)),
+                                         reason="exhausted"))
         with pytest.raises(unknotting.WitnessContradictsObstruction):
             unknotting.decide_minimal_unlinking(parse_pd(TREFOIL_PD))
         row = analyze(KnotRecord("3_1", TREFOIL_PD))
@@ -214,10 +240,8 @@ class TestCertificateChecks:
 
 
 class TestOracleCalls:
-    def test_one_oracle_call_per_special_alternating_knot(self, bundled,
-                                                          monkeypatch):
-        """analyze computes sigma once and hands it down to the decision
-        and the obstruction."""
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
         from specalt import seifert
         real = seifert.signature_nullity
         calls = []
@@ -227,17 +251,37 @@ class TestOracleCalls:
             return real(d)
 
         monkeypatch.setattr(seifert, "signature_nullity", counting)
-        counts = {}
+        return calls
+
+    @staticmethod
+    def special_alternating(bundled):
+        out = []
         for rec in bundled:
             d = reduce_nugatory(parse_pd(rec.pd))
-            if not (is_special_alternating(d) and d.is_connected):
-                continue
-            calls.clear()
+            if is_special_alternating(d) and d.is_connected:
+                out.append((rec, d))
+        assert len(out) >= 30
+        return out
+
+    def test_one_oracle_call_per_special_alternating_knot(self, bundled,
+                                                          oracle_calls):
+        """analyze runs the oracle once, for the reported sigma; the
+        decision reads its own sigma from the Goeritz lattice."""
+        counts = {}
+        for rec, _ in self.special_alternating(bundled):
+            oracle_calls.clear()
             row = analyze(rec)
             assert row.ok, rec.name
-            counts[rec.name] = len(calls)
-        assert len(counts) >= 30
+            counts[rec.name] = len(oracle_calls)
         assert {name: c for name, c in counts.items() if c != 1} == {}
+
+    def test_decision_is_oracle_free(self, bundled, oracle_calls):
+        from specalt.lattice import obstruction
+        from specalt.unknotting import decide_minimal_unlinking
+        for rec, d in self.special_alternating(bundled):
+            obstruction(d)
+            decide_minimal_unlinking(d)
+            assert oracle_calls == [], rec.name
 
 
 class TestCLI:

@@ -3,8 +3,8 @@ import pytest
 from specalt.diagram import (parse_pd, change_crossings, mirror, LinkDiagram,
                              NotSpecialAlternating, SplitDiagram)
 from specalt.unknotting import (SimplifyBudget, certify_unlink, exhaustive_search,
-                                decide_minimal_unlinking, split_additivity,
-                                reidemeister_simplify, replay_moves)
+                                decide_minimal_unlinking, reidemeister_simplify,
+                                replay_moves)
 from specalt.invariants import determinant
 from specalt import families
 
@@ -148,23 +148,3 @@ class TestDecide:
         assert cert.status == "certified"
         assert len(v.witness) == v.p
 
-
-class TestSplitAdditivity:
-    def test_two_trefoils(self, trefoil):
-        v = decide_minimal_unlinking(trefoil)
-        combined = split_additivity([v, v])
-        assert combined.result == "equal"
-        assert combined.m == 2
-        assert combined.u_upper == 2
-
-    def test_mixed(self, trefoil, knot_9_35):
-        v1 = decide_minimal_unlinking(trefoil)
-        v2 = decide_minimal_unlinking(knot_9_35)
-        combined = split_additivity([v1, v2])
-        assert combined.result == "greater"
-        assert combined.u_lower == 1 + 2
-        assert combined.u_upper == 1 + 3
-
-    def test_empty(self):
-        combined = split_additivity([])
-        assert combined.result == "equal" and combined.m == 0
