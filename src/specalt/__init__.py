@@ -8,7 +8,7 @@ whether the bound is attained, and certify or bound the unlinking number.
 
 from .diagram import (LinkDiagram, Checkerboard, TwistDecomposition,
                       DiagramError, NotAlternating, NotSpecialAlternating,
-                      SplitDiagram, parse_pd, parse_dt, faces, checkerboard,
+                      SplitDiagram, parse_pd, faces, checkerboard,
                       checkerboard_negative, crossing_signs,
                       is_special_alternating, reduce_nugatory, twist_regions,
                       is_twist_reduced, change_crossings, mirror,

@@ -15,32 +15,24 @@ import argparse
 import json
 import sys
 
-from .diagram import parse_pd, reduce_nugatory, DiagramError
+from .diagram import reduce_nugatory, DiagramError
 from .tables import (KnotRecord, analyze, analyze_all, load_table, load_expected,
                      emit_tables, diff_tables, load_bundled_fixtures, TableError,
                      bound_consistency_ok)
-from .unknotting import SimplifyBudget, exhaustive_search
+from .unknotting import exhaustive_search
 from .lattice import obstruction
 
 
 def _resolve(text: str) -> KnotRecord:
-    """A knot name from the bundled fixtures, a PD code, or a knot DT code."""
+    """A knot name from the bundled fixtures, or a PD code."""
     if "X" in text or "x" in text:
         return KnotRecord(name="input", pd=text)
-    parts = text.replace(",", " ").split()
-    if len(parts) > 1 and all(p.lstrip("-").isdigit() for p in parts):
-        from .diagram import parse_dt
-        return KnotRecord(name="input", pd=parse_dt(text).to_pd_text())
     records, _ = load_bundled_fixtures()
     for rec in records:
         if rec.name == text:
             return rec
     raise DiagramError(f"unknown knot name {text!r} (not in bundled fixtures) "
-                       "and not a PD or DT code")
-
-
-def _budget(args) -> SimplifyBudget:
-    return SimplifyBudget(extra=args.budget_extra, nodes=args.budget_nodes)
+                       "and not a PD code")
 
 
 def cmd_analyze(args) -> int:
@@ -49,7 +41,7 @@ def cmd_analyze(args) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    row = analyze(rec, _budget(args))
+    row = analyze(rec)
     if args.json:
         print(json.dumps(row.to_json(), indent=2))
     else:
@@ -71,7 +63,7 @@ def cmd_analyze(args) -> int:
 def cmd_embed(args) -> int:
     try:
         rec = _resolve(args.knot)
-        d = reduce_nugatory(parse_pd(rec.pd))
+        d = reduce_nugatory(rec.diagram)
         verdict = obstruction(d)
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -94,7 +86,7 @@ def cmd_embed(args) -> int:
 def cmd_search(args) -> int:
     try:
         rec = _resolve(args.knot)
-        d = reduce_nugatory(parse_pd(rec.pd))
+        d = reduce_nugatory(rec.diagram)
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -102,7 +94,7 @@ def cmd_search(args) -> int:
         print(f"error: --changes must be between 0 and {d.n}, the crossing count "
               f"of the reduced diagram; got {args.changes}", file=sys.stderr)
         return 2
-    out = exhaustive_search(d, args.changes, _budget(args))
+    out = exhaustive_search(d, args.changes)
     if args.json:
         print(json.dumps(out.to_json(), indent=2))
     else:
@@ -127,11 +119,7 @@ def cmd_tables(args) -> int:
     if not records:
         print("error: no valid rows in table", file=sys.stderr)
         return 2
-    try:
-        rows = analyze_all(records, _budget(args), jobs=args.jobs)
-    except TableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = analyze_all(records, jobs=args.jobs)
     bad_bounds = [r.name for r in rows if not bound_consistency_ok(r)]
     if bad_bounds:
         print(f"bound consistency violated for: {bad_bounds}", file=sys.stderr)
@@ -159,24 +147,15 @@ def cmd_tables(args) -> int:
 
 
 def main(argv=None) -> int:
-    def add_common(parser, suppress):
-        kw = {"default": argparse.SUPPRESS} if suppress else {}
-        parser.add_argument("--budget-extra", type=int,
-                            **(kw or {"default": 2}),
-                            help="extra crossings the simplifier may add (default 2)")
-        parser.add_argument("--budget-nodes", type=int,
-                            **(kw or {"default": 1_000_000}),
-                            help="diagram states per subset (default 1e6)")
-        parser.add_argument("--json", action="store_true",
-                            **(kw or {"default": False}), help="JSON output")
-
+    # --json is accepted before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    add_common(common, suppress=True)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="JSON output")
 
     ap = argparse.ArgumentParser(prog="specalt",
                                  description="unlinking-number certification "
                                              "for special alternating links")
-    add_common(ap, suppress=False)
+    ap.add_argument("--json", action="store_true", help="JSON output")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -199,8 +178,8 @@ def main(argv=None) -> int:
                        help="analyze a CSV of knots")
     p.add_argument("csv")
     p.add_argument("--diff", help="expected-values CSV to compare against")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default $SPECALT_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers (default 1)")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     p.set_defaults(fn=cmd_tables)
 

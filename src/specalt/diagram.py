@@ -263,9 +263,9 @@ class Checkerboard:
         return f[1], f[3]
 
 
-def _two_coloring(d: LinkDiagram, white_first: bool) -> tuple[str, ...]:
+def _two_coloring(d: LinkDiagram) -> tuple[str, ...]:
     """2-color faces so adjacent faces differ; the face at corner q_0 of the
-    first crossing of each component gets white (or black)."""
+    first crossing of each component gets white."""
     adj: dict[int, set[int]] = {i: set() for i in range(len(d.faces))}
     for a, b in d.edge_ends.values():
         fa, fb = d.face_index[a], d.face_index[b]
@@ -276,7 +276,7 @@ def _two_coloring(d: LinkDiagram, white_first: bool) -> tuple[str, ...]:
         root = d.face_index[(comp[0], 0)]
         if colors[root] is not None:
             continue
-        colors[root] = WHITE if white_first else BLACK
+        colors[root] = WHITE
         stack = [root]
         while stack:
             f = stack.pop()
@@ -301,8 +301,8 @@ def _incidences(d: LinkDiagram, colors: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(mus)
 
 
-def checkerboard(d: LinkDiagram, white_first: bool = True) -> Checkerboard:
-    colors = _two_coloring(d, white_first)
+def checkerboard(d: LinkDiagram) -> Checkerboard:
+    colors = _two_coloring(d)
     return Checkerboard(d, colors, _incidences(d, colors))
 
 
@@ -310,18 +310,18 @@ def checkerboard_negative(d: LinkDiagram) -> Checkerboard:
     """The coloring with incidence -1 at every crossing.
 
     Exists exactly for alternating diagrams; raises NotAlternating otherwise.
+    In an alternating diagram every edge joins an even slot to an odd one,
+    so the corner walk keeps the parity of q_s around each face, and the
+    faces at odd corners (q_1, q_3) are the white ones.
     """
     if not d.is_connected:
         raise SplitDiagram("checkerboard_negative needs a connected diagram")
     if d.n == 0:
         return Checkerboard(d, tuple(WHITE if i == 0 else BLACK for i in range(len(d.faces))), ())
-    cb = checkerboard(d, white_first=True)
-    if all(mu == -1 for mu in cb.incidence):
-        return cb
-    cb2 = checkerboard(d, white_first=False)
-    if all(mu == -1 for mu in cb2.incidence):
-        return cb2
-    raise NotAlternating("no coloring has incidence -1 at every crossing")
+    if not d.is_alternating:
+        raise NotAlternating("no coloring has incidence -1 at every crossing")
+    colors = tuple(WHITE if face[0][1] % 2 else BLACK for face in d.faces)
+    return Checkerboard(d, colors, (-1,) * d.n)
 
 
 def is_special_alternating(d: LinkDiagram) -> bool:
@@ -854,89 +854,3 @@ def planar_isomorphic(d1: LinkDiagram, d2: LinkDiagram,
     if allow_reflection:
         return _canonical_code(d1, True) == _canonical_code(d2, False)
     return False
-
-
-# -- DT codes ----------------------------------------------------------------
-
-
-def parse_dt(text: str) -> LinkDiagram:
-    """Parse an (unsigned, alternating) knot DT code such as ``4 6 2``.
-
-    The planar embedding is reconstructed by searching crossing chirality
-    assignments until the face count matches Euler's formula; the mirror
-    choice is unspecified (DT codes do not carry chirality).
-    """
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise DiagramError("empty DT code")
-    try:
-        seq = [int(p) for p in parts]
-    except ValueError as exc:
-        raise DiagramError("DT code entries must be integers") from exc
-    n = len(seq)
-    if any(a % 2 for a in seq):
-        raise DiagramError("DT code entries must be even")
-    if sorted(abs(a) for a in seq) != list(range(2, 2 * n + 1, 2)):
-        raise DiagramError("DT code must pair odd numbers with 2..2n evenly")
-
-    # crossing i pairs odd label 2i+1 with |seq[i]|; negative entry means the
-    # even strand passes under.
-    partner = {}
-    under_first = {}
-    for i, a in enumerate(seq):
-        odd = 2 * i + 1
-        partner[odd] = abs(a)
-        partner[abs(a)] = odd
-        # unsigned (alternating) convention: odd positions under
-        under_first[i] = a > 0
-    pos_of = {}
-    for i in range(n):
-        pos_of[2 * i + 1] = i
-        pos_of[partner[2 * i + 1]] = i
-
-    # Gauss sequence of (crossing, is_under) along labels 1..2n
-    gauss = []
-    for lab in range(1, 2 * n + 1):
-        i = pos_of[lab]
-        under = (lab % 2 == 1) == under_first[i]
-        gauss.append((i, under))
-
-    # search one chirality bit per crossing; bit=0 -> second visit exits
-    # "left", realized as two candidate quad wirings per crossing.
-    visits: dict[int, list[int]] = {}
-    for t, (i, _) in enumerate(gauss):
-        visits.setdefault(i, []).append(t)
-
-    def build(bits) -> LinkDiagram | None:
-        # strand ends: entering crossing at visit t uses edge t (from label t
-        # to t+1, cyclically); each crossing: first visit along one strand
-        # axis, second along the other; bit chooses relative rotation.
-        quads = [[0, 0, 0, 0] for _ in range(n)]
-        incs = [[False] * 4 for _ in range(n)]
-        for i in range(n):
-            t1, t2 = visits[i]
-            e_in1, e_out1 = t1, (t1 + 1) % (2 * n)
-            e_in2, e_out2 = t2, (t2 + 1) % (2 * n)
-            under1 = gauss[t1][1]
-            if under1:
-                uin, uout, oin, oout = e_in1, e_out1, e_in2, e_out2
-            else:
-                uin, uout, oin, oout = e_in2, e_out2, e_in1, e_out1
-            if bits[i]:
-                quads[i] = [uin + 1, oin + 1, uout + 1, oout + 1]
-                incs[i] = [True, True, False, False]
-            else:
-                quads[i] = [uin + 1, oout + 1, uout + 1, oin + 1]
-                incs[i] = [True, False, False, True]
-        try:
-            return validate(LinkDiagram(tuple(tuple(q) for q in quads),
-                                        tuple(tuple(x) for x in incs), 0))
-        except DiagramError:
-            return None
-
-    from itertools import product
-    for bits in product((0, 1), repeat=n):
-        d = build(bits)
-        if d is not None and d.component_count == 1:
-            return d
-    raise DiagramError("DT code is not realizable as a planar knot diagram")

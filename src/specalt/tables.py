@@ -21,7 +21,7 @@ from .diagram import (LinkDiagram, parse_pd, reduce_nugatory, DiagramError,
                       is_special_alternating)
 from .invariants import classical_invariants, unlinking_lower_bound
 from .seifert import SeifertError
-from .unknotting import SimplifyBudget, bound_text, decide_minimal_unlinking
+from .unknotting import bound_text, decide_minimal_unlinking
 
 
 class TableError(ValueError):
@@ -71,6 +71,9 @@ class ReportRow:
 
     def c4_text(self) -> str:
         return bound_text(self.c4_lower, self.c4_upper)
+
+    def sigma_text(self) -> str:
+        return "?" if self.sigma is None else str(self.sigma)
 
     def genus_text(self) -> str:
         if self.genus is None:
@@ -145,7 +148,7 @@ def load_table(path) -> tuple[list[KnotRecord], list[str]]:
     return records, errors
 
 
-def analyze(record: KnotRecord, budget: SimplifyBudget = SimplifyBudget()) -> ReportRow:
+def analyze(record: KnotRecord) -> ReportRow:
     """parse -> reduce -> invariants -> obstruction -> decide."""
     start = time.monotonic()
     try:
@@ -165,7 +168,7 @@ def analyze(record: KnotRecord, budget: SimplifyBudget = SimplifyBudget()) -> Re
                              c4_lower=math.ceil(c4b), c4_upper=None,
                              provenance="not special alternating: classical bounds only",
                              seconds=time.monotonic() - start, **base)
-        verdict = decide_minimal_unlinking(d, budget)
+        verdict = decide_minimal_unlinking(d)
         if verdict.sigma != inv.signature:
             raise SignatureRoutesDisagree(
                 f"Goeritz-route sigma {verdict.sigma} != "
@@ -184,20 +187,13 @@ def analyze(record: KnotRecord, budget: SimplifyBudget = SimplifyBudget()) -> Re
                          seconds=time.monotonic() - start)
 
 
-def analyze_all(records, budget: SimplifyBudget = SimplifyBudget(),
-                jobs: int | None = None) -> list[ReportRow]:
-    """Deterministic parallel map; results in input order.  ``jobs``
-    defaults to ``$SPECALT_JOBS`` or 1."""
-    if jobs is None:
-        env = os.environ.get("SPECALT_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise TableError(f"SPECALT_JOBS must be an integer, got {env!r}") from None
+def analyze_all(records, jobs: int = 1) -> list[ReportRow]:
+    """Deterministic parallel map over ``jobs`` workers; results in input
+    order."""
     if jobs <= 1 or len(records) <= 1:
-        return [analyze(r, budget) for r in records]
+        return [analyze(r) for r in records]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(analyze, records, [budget] * len(records)))
+        return list(pool.map(analyze, records))
 
 
 def natural_key(name: str):
@@ -213,13 +209,14 @@ def emit_tables(rows, fmt: str = "markdown") -> str:
     if fmt == "csv":
         out = ["K,u,c4,sigma,g"]
         for r in rows:
-            out.append(f"{r.name},{r.u_text()},{r.c4_text()},{r.sigma},{r.genus_text()}")
+            out.append(f"{r.name},{r.u_text()},{r.c4_text()},{r.sigma_text()},"
+                       f"{r.genus_text()}")
         return "\n".join(out) + "\n"
     if fmt == "markdown":
         out = ["| K | u | c4 | sigma | g |", "|---|---|----|-------|---|"]
         for r in rows:
             out.append(f"| {r.name} | {r.u_text()} | {r.c4_text()} | "
-                       f"{r.sigma} | {r.genus_text()} |")
+                       f"{r.sigma_text()} | {r.genus_text()} |")
         return "\n".join(out) + "\n"
     raise TableError(f"unknown format {fmt}")
 
@@ -282,7 +279,7 @@ def diff_tables(rows, expected: dict[str, dict[str, str]]) -> DiffResult:
         if row is None or not row.ok:
             mismatches.append(f"{name}: missing or failed row")
             continue
-        checks = [("sigma", str(row.sigma), exp.get("sigma", "").strip()),
+        checks = [("sigma", row.sigma_text(), exp.get("sigma", "").strip()),
                   ("g", row.genus_text(), exp.get("genus", "").strip()),
                   ("u", row.u_text(), exp.get("u", "").strip()),
                   ("c4", row.c4_text(), exp.get("c4", "").strip())]

@@ -187,12 +187,12 @@ class SearchOutcome:
 
 
 def exhaustive_search(d: LinkDiagram, m: int,
-                      budget: SimplifyBudget = SimplifyBudget(),
                       first_subsets: tuple[tuple[int, ...], ...] = ()) -> SearchOutcome:
     """Try all C(n, m) crossing-change subsets; Some on the first subset
     whose change certifies as an unlink, AllRefuted when every subset is
     refuted, Inconclusive otherwise.  Subsets left unknown are retried
-    once with the escalated budget."""
+    once with the escalated budget; ``subsets_tried`` counts the first
+    round only."""
     ordered: list[tuple[int, ...]] = []
     seen = set()
     for s in first_subsets:
@@ -203,28 +203,19 @@ def exhaustive_search(d: LinkDiagram, m: int,
     for s in itertools.combinations(range(d.n), m):
         if s not in seen:
             ordered.append(s)
-    unknown: list[tuple[int, ...]] = []
-    tried = 0
-    for subset in ordered:
-        tried += 1
-        cert = certify_unlink(change_crossings(d, subset), budget)
-        if cert.status == "certified":
-            return SearchOutcome("some", (subset,), cert, (), tried)
-        if cert.status == "unknown":
-            unknown.append(subset)
-    if unknown:
-        still: list[tuple[int, ...]] = []
-        esc = budget.escalated()
-        for subset in unknown:
-            cert = certify_unlink(change_crossings(d, subset), esc)
+    unknown = ordered
+    for retry, budget in enumerate((SimplifyBudget(), SimplifyBudget().escalated())):
+        pending, unknown = unknown, []
+        for tried, subset in enumerate(pending, start=1):
+            cert = certify_unlink(change_crossings(d, subset), budget)
             if cert.status == "certified":
-                return SearchOutcome("some", (subset,), cert, (), tried)
+                return SearchOutcome("some", (subset,), cert, (),
+                                     len(ordered) if retry else tried)
             if cert.status == "unknown":
-                still.append(subset)
-        unknown = still
+                unknown.append(subset)
     if unknown:
-        return SearchOutcome("inconclusive", (), None, tuple(unknown), tried)
-    return SearchOutcome("all_refuted", (), None, (), tried)
+        return SearchOutcome("inconclusive", (), None, tuple(unknown), len(ordered))
+    return SearchOutcome("all_refuted", (), None, (), len(ordered))
 
 
 def bound_text(lo, hi) -> str:
@@ -276,9 +267,7 @@ class UnlinkingVerdict:
         return out
 
 
-def decide_minimal_unlinking(d: LinkDiagram,
-                             budget: SimplifyBudget = SimplifyBudget()
-                             ) -> UnlinkingVerdict:
+def decide_minimal_unlinking(d: LinkDiagram) -> UnlinkingVerdict:
     """Theorem-driven decision: p attained exactly when p crossing changes
     in this alternating diagram unlink; AllRefuted at p certifies u >= p+1,
     and witnesses at higher m give upper bounds.
@@ -311,7 +300,7 @@ def decide_minimal_unlinking(d: LinkDiagram,
         hints = (clasp_candidates(d, ob.lattice, ob.embedding,
                                   ob.pairing).crossings,)
     searches: list[tuple[int, str]] = []
-    out_p = exhaustive_search(d, p_int, budget, hints)
+    out_p = exhaustive_search(d, p_int, hints)
     searches.append((p_int, out_p.status))
     if out_p.status == "some":
         if not ob.admissible:
@@ -333,7 +322,7 @@ def decide_minimal_unlinking(d: LinkDiagram,
            else "obstructed lattice (search at p inconclusive)")
     lo = p_int + 1
     for m in range(p_int + 1, p_int + 1 + EXTRA_SEARCHES):
-        out_m = exhaustive_search(d, m, budget)
+        out_m = exhaustive_search(d, m)
         searches.append((m, out_m.status))
         if out_m.status == "some":
             return verdict("greater", out_m.witnesses[0], lo, m, lo, m,

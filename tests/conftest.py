@@ -1,6 +1,6 @@
 import pytest
 
-from specalt.diagram import parse_pd, parse_dt, LinkDiagram
+from specalt.diagram import parse_pd, LinkDiagram
 from specalt import families
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -13,7 +13,7 @@ def trefoil():
 
 @pytest.fixture(scope="session")
 def figure_eight():
-    return parse_dt("4 6 8 2")
+    return parse_pd("X[8,3,1,4] X[4,7,5,8] X[2,6,3,5] X[6,2,7,1]")
 
 
 @pytest.fixture(scope="session")

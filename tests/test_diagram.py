@@ -1,16 +1,17 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specalt.diagram import (parse_pd, parse_dt, DiagramError, NotAlternating,
+from specalt.diagram import (parse_pd, DiagramError, NotAlternating,
                              faces, checkerboard, checkerboard_negative,
                              crossing_signs, is_special_alternating,
                              reduce_nugatory, twist_regions, is_twist_reduced,
                              change_crossings, mirror, split_components,
                              planar_isomorphic, canonical_key, LinkDiagram,
-                             validate, _canonical_code)
+                             validate, _canonical_code, _resolve_orientations)
 from specalt import families
 from specalt.tables import load_table
 
@@ -69,24 +70,11 @@ class TestParsePD:
         assert determinant(d) == 0
 
 
-class TestParseDT:
-    def test_trefoil_roundtrip(self, trefoil):
-        d = parse_dt("4 6 2")
-        assert d.n == 3
-        assert planar_isomorphic(d, trefoil, allow_reflection=True)
-
+class TestFigureEight:
     def test_figure_eight(self, figure_eight):
         assert figure_eight.n == 4
         assert figure_eight.is_alternating
         assert sorted(figure_eight.signs) == [-1, -1, 1, 1]
-
-    def test_odd_entries(self):
-        with pytest.raises(DiagramError):
-            parse_dt("3 5")
-
-    def test_unrealizable(self):
-        with pytest.raises(DiagramError):
-            parse_dt("4 6 8 10 2")
 
 
 class TestFaces:
@@ -110,8 +98,8 @@ class TestCheckerboard:
         assert len(cb.white_faces()) == 2
 
     def test_complementary_coloring_flips(self, trefoil):
-        cb = checkerboard(trefoil, white_first=True)
-        cb2 = checkerboard(trefoil, white_first=False)
+        cb = checkerboard(trefoil)
+        cb2 = checkerboard_negative(trefoil)
         assert all(a == -b for a, b in zip(cb.incidence, cb2.incidence))
 
     def test_8_15_five_whites(self, knot_8_15):
@@ -307,6 +295,48 @@ def _reflect(d: LinkDiagram) -> LinkDiagram:
                        d.free_loops)
 
 
+def _matchings(slots: list) -> list:
+    """Every perfect matching of ``slots`` as a list of pairs."""
+    if not slots:
+        return [[]]
+    first, rest = slots[0], slots[1:]
+    return [[(first, other)] + tail
+            for i, other in enumerate(rest)
+            for tail in _matchings(rest[:i] + rest[i + 1:])]
+
+
+def _small_codes(max_n: int) -> list[LinkDiagram]:
+    """Every connected oriented PD code with 1..max_n crossings: each way
+    of pairing the 4n slots into edges that orients and embeds."""
+    out = []
+    for n in range(1, max_n + 1):
+        for pairs in _matchings([(c, s) for c in range(n) for s in range(4)]):
+            quads = [[0] * 4 for _ in range(n)]
+            for label, ends in enumerate(pairs, start=1):
+                for c, s in ends:
+                    quads[c][s] = label
+            quads = tuple(tuple(q) for q in quads)
+            try:
+                d = validate(LinkDiagram(quads, _resolve_orientations(quads), 0))
+            except DiagramError:
+                continue
+            if d.is_connected:
+                out.append(d)
+    return out
+
+
+def _brute_key(d: LinkDiagram) -> tuple:
+    """The least (directions, (mate crossing, mate slot) per slot) over all
+    relabelings of the crossings: equal exactly for isomorphic diagrams."""
+    forms = []
+    for perm in itertools.permutations(range(d.n)):
+        back = sorted(range(d.n), key=perm.__getitem__)
+        forms.append((tuple(d.incoming[c][1] for c in back),
+                      tuple((perm[mc], ms) for c in back
+                            for mc, ms in (d.mate((c, s)) for s in range(4)))))
+    return min(forms)
+
+
 class TestIsomorphism:
     def test_relabeled_trefoil(self, trefoil):
         d = parse_pd("X[3,6,4,1] X[5,2,6,3] X[1,4,2,5]")
@@ -327,6 +357,18 @@ class TestIsomorphism:
             assert canonical_key(r) == _canonical_code(d, True), rec.name
             for c in range(d.n):
                 assert canonical_key(change_crossings(d, [c])) != key, (rec.name, c)
+
+    def test_key_partitions_small_codes_exactly(self):
+        """canonical_key groups the 525 connected codes with at most three
+        crossings exactly as the brute-force key does; a key without the
+        direction bit merges four classes at n = 3."""
+        codes = _small_codes(3)
+        assert len(codes) == 525
+        classes: dict = {}
+        for d in codes:
+            classes.setdefault(canonical_key(d), set()).add(_brute_key(d))
+        assert all(len(brute) == 1 for brute in classes.values())
+        assert len({_brute_key(d) for d in codes}) == len(classes) == 107
 
     def test_reversed_component_changes_key(self):
         """Reversing one component of this two-component diagram keeps

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level private function has a caller, and
-no check is an ``assert`` (``python -O`` strips those)."""
+"""Source hygiene: every module-level private function has a caller, no
+check is an ``assert`` (``python -O`` strips those) and nothing reads the
+environment."""
 
 import ast
 from collections import Counter
@@ -43,3 +44,13 @@ def test_no_assert_statements():
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_no_environment_reads():
+    """Settings come from arguments only; no module reads the environment."""
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+             or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))]
+    assert reads == []

@@ -38,8 +38,7 @@ class TestGoeritz:
 
     def test_degenerate_coloring_rejected(self, trefoil):
         cb = checkerboard(trefoil)
-        if all(mu == -1 for mu in cb.incidence):
-            cb = checkerboard(trefoil, white_first=False)
+        assert all(mu == 1 for mu in cb.incidence)
         with pytest.raises(DegenerateColoring):
             goeritz(trefoil, cb)
 

@@ -170,16 +170,6 @@ class TestEmitAndDiff:
         assert not result.loose, result.loose
 
 
-class TestJobsEnvVar:
-    def test_spec_jobs_env_default(self, bundled, monkeypatch):
-        import specalt.tables as tables_mod
-        monkeypatch.setenv("SPECALT_JOBS", "2")
-        subset = [r for r in bundled if r.name in ("3_1", "hopf")]
-        rows = tables_mod.analyze_all(subset)   # jobs=None reads the env var
-        assert [r.name for r in rows] == ["3_1", "hopf"]
-        assert all(r.ok for r in rows)
-
-
 class TestCertificateChecks:
     """Cross-checks that guard a certificate raise named errors, which
     ``python -O`` keeps, and fail only the row they belong to."""
@@ -237,6 +227,8 @@ class TestCertificateChecks:
             else:
                 assert new.to_json() | {"seconds": 0} == \
                     old.to_json() | {"seconds": 0}
+        assert "7_4,?,?,?,\n" in emit_tables(after, "csv")
+        assert "| 7_4 | ? | ? | ? |  |" in emit_tables(after, "markdown")
 
 
 class TestOracleCalls:
@@ -299,14 +291,10 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["u"] == "1"
 
-    def test_analyze_dt_code(self, capsys):
-        rc = cli_main(["analyze", "4 6 2", "--json"])
-        out = json.loads(capsys.readouterr().out)
-        assert rc == 0 and out["determinant"] == 3 and out["genus"] == "1"
-
-    def test_analyze_unknown_name(self, capsys):
-        rc = cli_main(["analyze", "99a999"])
-        assert rc == 2
+    @pytest.mark.parametrize("text", ["99a999", "4 6 2"], ids=["name", "dt_code"])
+    def test_analyze_unknown_name(self, text, capsys):
+        rc = cli_main(["analyze", text])
+        assert rc == 2 and "unknown knot name" in capsys.readouterr().err
 
     def test_embed_json(self, capsys):
         rc = cli_main(["--json", "embed", "3_1"])
@@ -410,14 +398,6 @@ class TestTablesInputErrors:
         assert records == [] and errors == ["line 2: blank: PD has no crossings"]
         rc = cli_main(["tables", str(path)])
         assert rc == 2 and "PD has no crossings" in capsys.readouterr().err
-
-    def test_bad_jobs_env_var(self, small_csv, monkeypatch, capsys):
-        monkeypatch.setenv("SPECALT_JOBS", "abc")
-        records, _ = load_table(small_csv)
-        with pytest.raises(TableError):
-            analyze_all(records)
-        rc = cli_main(["tables", str(small_csv)])
-        assert rc == 2 and "SPECALT_JOBS" in capsys.readouterr().err
 
 
 def _named_code_generator():

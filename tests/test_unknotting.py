@@ -88,6 +88,33 @@ class TestExhaustiveSearch:
         assert out.status == "some"
         assert out.subsets_tried == 1
 
+    @pytest.mark.parametrize("escalated_status", ["certified", "unknown"])
+    def test_unknown_subsets_retried_once_escalated(self, trefoil, monkeypatch,
+                                                    escalated_status):
+        """Every subset runs at the default budget first; the unknown ones
+        run once more at the escalated budget, in the same order, and
+        ``subsets_tried`` counts the first round only."""
+        from specalt import unknotting
+        real = unknotting.certify_unlink
+        calls = []
+
+        def first_round_unknown(d, budget):
+            calls.append(budget)
+            if budget == SimplifyBudget() or escalated_status == "unknown":
+                return unknotting.UnlinkCertificate("unknown")
+            return real(d, budget)
+
+        monkeypatch.setattr(unknotting, "certify_unlink", first_round_unknown)
+        out = exhaustive_search(trefoil, 1)
+        assert out.subsets_tried == 3
+        if escalated_status == "certified":
+            assert out.status == "some" and out.witnesses == ((0,),)
+            assert calls == [SimplifyBudget()] * 3 + [SimplifyBudget().escalated()]
+        else:
+            assert out.status == "inconclusive"
+            assert out.unknown == ((0,), (1,), (2,))
+            assert calls == [SimplifyBudget()] * 3 + [SimplifyBudget().escalated()] * 3
+
     def test_monotone_parity(self, knot_8_15):
         """Same-parity monotonicity instance: the 2-change witness for
         8_15 extends to a certifying 4-change subset."""
