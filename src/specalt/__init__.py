@@ -8,11 +8,11 @@ whether the bound is attained, and certify or bound the unlinking number.
 
 from .diagram import (LinkDiagram, Checkerboard, TwistDecomposition,
                       DiagramError, NotAlternating, NotSpecialAlternating,
-                      SplitDiagram, parse_pd, faces, checkerboard,
-                      checkerboard_negative, crossing_signs,
-                      is_special_alternating, reduce_nugatory, twist_regions,
-                      is_twist_reduced, change_crossings, mirror,
-                      split_components, planar_isomorphic, canonical_key)
+                      SplitDiagram, parse_pd, checkerboard,
+                      checkerboard_negative, is_special_alternating,
+                      reduce_nugatory, twist_regions, is_twist_reduced,
+                      change_crossings, mirror, split_components,
+                      planar_isomorphic, canonical_key)
 from .invariants import (GoeritzLattice, ClassicalInvariants, goeritz,
                          gl_signature, signature_nullity,
                          determinant, linking_matrix, unlinking_lower_bound,

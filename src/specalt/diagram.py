@@ -36,9 +36,6 @@ from functools import cached_property
 
 End = tuple[int, int]  # (crossing index, slot 0..3)
 
-WHITE = "white"
-BLACK = "black"
-
 
 class DiagramError(ValueError):
     """Malformed or inconsistent diagram data."""
@@ -245,83 +242,62 @@ def validate(d: LinkDiagram) -> LinkDiagram:
 
 @dataclass(frozen=True)
 class Checkerboard:
-    """A checkerboard face coloring with per-crossing incidence numbers."""
+    """A checkerboard face coloring, stored as its incidence numbers: mu(c)
+    is +1 exactly when corner q_0 of crossing c is white, and the colors of
+    the corners alternate around each crossing."""
 
     diagram: LinkDiagram
-    face_color: tuple[str, ...]       # indexed by face index
     incidence: tuple[int, ...]        # mu(c) per crossing
-
-    def white_faces(self) -> list[int]:
-        return [i for i, col in enumerate(self.face_color) if col == WHITE]
 
     def white_corner_pair(self, c: int) -> tuple[int, int]:
         """Face indices of the two white corners at crossing c (q-order)."""
+        s = 0 if self.incidence[c] == 1 else 1
+        return self.diagram.face_index[(c, s)], self.diagram.face_index[(c, s + 2)]
+
+    def white_faces(self) -> list[int]:
+        """White face indices in index order; a crossing-free diagram has
+        face 0 as its only white face."""
         d = self.diagram
-        f = [d.face_index[(c, s)] for s in range(4)]
-        if self.face_color[f[0]] == WHITE:
-            return f[0], f[2]
-        return f[1], f[3]
-
-
-def _two_coloring(d: LinkDiagram) -> tuple[str, ...]:
-    """2-color faces so adjacent faces differ; the face at corner q_0 of the
-    first crossing of each component gets white."""
-    adj: dict[int, set[int]] = {i: set() for i in range(len(d.faces))}
-    for a, b in d.edge_ends.values():
-        fa, fb = d.face_index[a], d.face_index[b]
-        adj[fa].add(fb)
-        adj[fb].add(fa)
-    colors: list[str | None] = [None] * len(d.faces)
-    for comp in d._crossing_components:
-        root = d.face_index[(comp[0], 0)]
-        if colors[root] is not None:
-            continue
-        colors[root] = WHITE
-        stack = [root]
-        while stack:
-            f = stack.pop()
-            opposite = BLACK if colors[f] == WHITE else WHITE
-            for g in adj[f]:
-                if colors[g] is None:
-                    colors[g] = opposite
-                    stack.append(g)
-                elif colors[g] != opposite:
-                    raise DiagramError("faces are not 2-colorable; invalid planar code")
-    return tuple(col if col is not None else WHITE for col in colors)
-
-
-def _incidences(d: LinkDiagram, colors: tuple[str, ...]) -> tuple[int, ...]:
-    """mu(c) = -1 iff the white corners at c are q_1 and q_3."""
-    mus = []
-    for c in range(d.n):
-        if colors[d.face_index[(c, 1)]] == WHITE:
-            mus.append(-1)
-        else:
-            mus.append(1)
-    return tuple(mus)
+        if not d.n:
+            return [0] if d.faces else []
+        return sorted({f for c in range(d.n) for f in self.white_corner_pair(c)})
 
 
 def checkerboard(d: LinkDiagram) -> Checkerboard:
-    colors = _two_coloring(d)
-    return Checkerboard(d, colors, _incidences(d, colors))
+    """The coloring with corner q_0 of the first crossing of each component
+    white.  Along an edge the corners on one side are q_{a-1} at one end
+    and q_b at the other, so mu keeps its value across an edge joining an
+    even slot to an odd one and flips across any other edge."""
+    mu = [0] * d.n
+    for root in range(d.n):
+        if mu[root]:
+            continue
+        mu[root] = 1
+        stack = [root]
+        while stack:
+            c = stack.pop()
+            for s in range(4):
+                c2, s2 = d.mate((c, s))
+                want = mu[c] if (s + s2) % 2 else -mu[c]
+                if not mu[c2]:
+                    mu[c2] = want
+                    stack.append(c2)
+                elif mu[c2] != want:
+                    raise DiagramError("faces are not 2-colorable; invalid planar code")
+    return Checkerboard(d, tuple(mu))
 
 
 def checkerboard_negative(d: LinkDiagram) -> Checkerboard:
     """The coloring with incidence -1 at every crossing.
 
-    Exists exactly for alternating diagrams; raises NotAlternating otherwise.
-    In an alternating diagram every edge joins an even slot to an odd one,
-    so the corner walk keeps the parity of q_s around each face, and the
-    faces at odd corners (q_1, q_3) are the white ones.
-    """
+    Exists exactly for alternating diagrams (every edge joins an even slot
+    to an odd one, so the constant -1 propagates); raises NotAlternating
+    otherwise."""
     if not d.is_connected:
         raise SplitDiagram("checkerboard_negative needs a connected diagram")
-    if d.n == 0:
-        return Checkerboard(d, tuple(WHITE if i == 0 else BLACK for i in range(len(d.faces))), ())
     if not d.is_alternating:
         raise NotAlternating("no coloring has incidence -1 at every crossing")
-    colors = tuple(WHITE if face[0][1] % 2 else BLACK for face in d.faces)
-    return Checkerboard(d, colors, (-1,) * d.n)
+    return Checkerboard(d, (-1,) * d.n)
 
 
 def is_special_alternating(d: LinkDiagram) -> bool:
@@ -331,14 +307,6 @@ def is_special_alternating(d: LinkDiagram) -> bool:
     if d.n == 0:
         return True
     return d.is_alternating and len(set(d.signs)) == 1
-
-
-def crossing_signs(d: LinkDiagram) -> tuple[int, ...]:
-    return d.signs
-
-
-def faces(d: LinkDiagram) -> tuple[tuple[End, ...], ...]:
-    return d.faces
 
 
 # -- parsing ---------------------------------------------------------------

@@ -142,9 +142,13 @@ def linking_matrix(d: LinkDiagram) -> dict[tuple[int, int], Fraction]:
 
 
 def unlinking_lower_bound(sigma: int, eta: int, k: int) -> tuple[Fraction, Fraction]:
-    """The two classical lower bounds: (|sigma|+k-1)/2 for the unlinking
-    number and (|sigma|-eta+k-1)/2 for the 4-ball crossing number."""
-    return (Fraction(abs(sigma) + k - 1, 2),
+    """The two classical lower bounds: (|sigma|+|k-1-eta|)/2 for the
+    unlinking number and (|sigma|-eta+k-1)/2 for the 4-ball crossing number.
+
+    A crossing change is a rank-one change of V+V^T, so it moves
+    |d sigma|+|d eta| by 0 or 2, and the k-component unlink has
+    (sigma, eta) = (0, k-1)."""
+    return (Fraction(abs(sigma) + abs(k - 1 - eta), 2),
             Fraction(abs(sigma) - eta + k - 1, 2))
 
 

@@ -16,7 +16,7 @@ from math import isqrt
 from .diagram import (LinkDiagram, checkerboard_negative, mirror, twist_regions,
                       is_twist_reduced, is_special_alternating, _bigon_pairs,
                       NotAlternating, SplitDiagram, DiagramError)
-from .invariants import goeritz, GoeritzLattice
+from .invariants import goeritz, unlinking_lower_bound, GoeritzLattice
 from .linalg import is_positive_definite
 
 
@@ -270,12 +270,12 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
         d = mirror(d)
         lat = goeritz(d, checkerboard_negative(d))
     sigma = lat.sigma
-    k = d.component_count
-    two_p = abs(sigma) + k - 1
-    if two_p % 2 == 1:
-        return ObstructionVerdict(False, two_p // 2 + 1, 0, lat,
-                                  reason="obstructed-by-parity")
-    p = two_p // 2
+    p = unlinking_lower_bound(sigma, 0, d.component_count)[0]
+    if p.denominator != 1:
+        # a connected alternating diagram has sigma = k-1 (mod 2)
+        raise DiagramError(f"Goeritz signature {sigma} with {d.component_count} "
+                           f"components gives p = {p}, not an integer")
+    p = int(p)
     n_target = lat.rank - sigma
     stats = _Stats()
     for emb in enumerate_embeddings(lat.gram, n_target, stats):

@@ -298,11 +298,11 @@ def diff_tables(rows, expected: dict[str, dict[str, str]]) -> DiffResult:
 
 
 def bound_consistency_ok(row: ReportRow) -> bool:
-    """Post-emission assertion: (|sigma|+k-1)/2 <= c4 <= u on every row."""
+    """Post-emission assertion: (|sigma|-eta+k-1)/2 <= c4 <= u on every row."""
     if not row.ok or row.sigma is None:
         return True
-    p = Fraction(abs(row.sigma) + (row.components or 1) - 1, 2)
-    if row.c4_lower is not None and row.c4_lower < p:
+    c4b = unlinking_lower_bound(row.sigma, row.nullity, row.components or 1)[1]
+    if row.c4_lower is not None and row.c4_lower < c4b:
         return False
     if row.u_lower is not None and row.c4_lower is not None and row.u_lower < row.c4_lower:
         return False

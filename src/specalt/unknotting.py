@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from functools import partial
-from fractions import Fraction
 
 from .diagram import (LinkDiagram, DiagramError, NotSpecialAlternating, SplitDiagram,
-                      canonical_key, change_crossings, mirror, reduce_nugatory,
+                      canonical_key, change_crossings, mirror, _nugatory_pattern,
                       is_special_alternating, is_twist_reduced)
 from . import moves as _moves
 from .moves import Move
@@ -239,10 +237,10 @@ class UnlinkingVerdict:
     """Decision for u(L) against the classical lower bound p; ``sigma`` is
     the signature of the diagram as given."""
 
-    p: Fraction
+    p: int
     sigma: int
     obstruction_verdict: ObstructionVerdict
-    result: str                        # "equal" | "greater" | "inconclusive" | "parity"
+    result: str                        # "equal" | "greater" | "inconclusive"
     witness: tuple[int, ...] | None = None
     u_lower: int | None = None
     u_upper: int | None = None
@@ -272,46 +270,44 @@ def decide_minimal_unlinking(d: LinkDiagram) -> UnlinkingVerdict:
     in this alternating diagram unlink; AllRefuted at p certifies u >= p+1,
     and witnesses at higher m give upper bounds.
 
-    sigma and p come from the Goeritz lattice of the obstruction.  A reduced
-    special alternating diagram with crossings has sigma > 0 exactly when
-    its crossings are negative; such a diagram is decided as its mirror."""
+    ``d`` must be nugatory-free, as ``reduce_nugatory`` leaves it; a
+    nugatory crossing raises DiagramError.  sigma and p come from the
+    Goeritz lattice of the obstruction.  A reduced special alternating
+    diagram with crossings has sigma > 0 exactly when its crossings are
+    negative; such a diagram is decided as its mirror."""
     if not d.is_connected:
         raise SplitDiagram("decide needs a non-split diagram; decompose first")
     if not is_special_alternating(d):
         raise NotSpecialAlternating("decide needs a special alternating diagram")
-    d = reduce_nugatory(d)
+    if any(_nugatory_pattern(d, c) is not None for c in range(d.n)):
+        raise DiagramError("decide needs a nugatory-free diagram; reduce it first")
     mirrored = d.n > 0 and d.signs[0] == -1
     if mirrored:
         d = mirror(d)
     ob = obstruction(d)
     sigma = ob.lattice.sigma
-    p = Fraction(abs(sigma) + d.component_count - 1, 2)
+    p = ob.p
     verdict = partial(UnlinkingVerdict, p, -sigma if mirrored else sigma, ob)
     if d.n == 0:
         return verdict("equal", (), 0, 0, 0, 0,
                        provenance="crossing-free diagram")
-    if p.denominator != 1:
-        lo = math.ceil(p)
-        return verdict("parity", None, lo, None, lo, None,
-                       provenance="bound not attainable: parity")
-    p_int = int(p)
     hints: tuple[tuple[int, ...], ...] = ()
     if ob.admissible and is_twist_reduced(d):
         hints = (clasp_candidates(d, ob.lattice, ob.embedding,
                                   ob.pairing).crossings,)
     searches: list[tuple[int, str]] = []
-    out_p = exhaustive_search(d, p_int, hints)
-    searches.append((p_int, out_p.status))
+    out_p = exhaustive_search(d, p, hints)
+    searches.append((p, out_p.status))
     if out_p.status == "some":
         if not ob.admissible:
             raise WitnessContradictsObstruction(
-                f"witness {list(out_p.witnesses[0])} at p={p_int} but the "
+                f"witness {list(out_p.witnesses[0])} at p={p} but the "
                 f"lattice is obstructed ({ob.reason})")
-        return verdict("equal", out_p.witnesses[0], p_int, p_int, p_int, p_int,
+        return verdict("equal", out_p.witnesses[0], p, p, p, p,
                        tuple(searches), (), out_p.certificate,
                        provenance="witness at p")
     if out_p.status == "inconclusive" and ob.admissible:
-        return verdict("inconclusive", None, p_int, None, p_int, None,
+        return verdict("inconclusive", None, p, None, p, None,
                        tuple(searches), out_p.unknown,
                        provenance="unknown subsets at p")
     # The bound is certifiably not attained: either every p-subset was
@@ -320,8 +316,8 @@ def decide_minimal_unlinking(d: LinkDiagram) -> UnlinkingVerdict:
     # upper bound.
     why = ("all refuted at p" if out_p.status == "all_refuted"
            else "obstructed lattice (search at p inconclusive)")
-    lo = p_int + 1
-    for m in range(p_int + 1, p_int + 1 + EXTRA_SEARCHES):
+    lo = p + 1
+    for m in range(p + 1, p + 1 + EXTRA_SEARCHES):
         out_m = exhaustive_search(d, m)
         searches.append((m, out_m.status))
         if out_m.status == "some":

@@ -4,6 +4,11 @@ from specalt.diagram import parse_pd, LinkDiagram
 from specalt import families
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+# Split links, each with (sigma, eta, k) = (-4, 1, 2), (-2, 1, 2), (0, 1, 2):
+# two trefoils, a trefoil and a one-crossing unknot, a trefoil and its mirror.
+SPLIT_TREFOILS_PD = TREFOIL_PD + " X[7,10,8,11] X[9,12,10,7] X[11,8,12,9]"
+TREFOIL_KINK_PD = TREFOIL_PD + " X[7,7,8,8]"
+TREFOIL_MIRROR_PD = TREFOIL_PD + " X[7,11,8,10] X[9,7,10,12] X[11,9,12,8]"
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from math import isqrt
 
 import pytest
 
-from specalt.diagram import (parse_pd, faces, checkerboard_negative,
+from specalt.diagram import (parse_pd, checkerboard_negative,
                              change_crossings, is_special_alternating,
                              reduce_nugatory)
 from specalt.invariants import (gl_signature, signature_nullity, goeritz,
@@ -282,7 +282,7 @@ def test_criterion_7_diagram_and_simplifier_properties(bundled):
     # F = n + 2 everywhere
     for rec in bundled:
         d = parse_pd(rec.pd)
-        assert len(faces(d)) == d.n + 2, rec.name
+        assert len(d.faces) == d.n + 2, rec.name
     # change_crossings involution
     rnd = random.Random(3)
     for rec in rnd.sample(bundled, 12):

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specalt.diagram import (parse_pd, DiagramError, NotAlternating,
-                             faces, checkerboard, checkerboard_negative,
-                             crossing_signs, is_special_alternating,
+                             checkerboard, checkerboard_negative,
+                             is_special_alternating,
                              reduce_nugatory, twist_regions, is_twist_reduced,
                              change_crossings, mirror, split_components,
                              planar_isomorphic, canonical_key, LinkDiagram,
                              validate, _canonical_code, _resolve_orientations)
 from specalt import families
-from specalt.tables import load_table
+from specalt.tables import load_table, data_path
 
 from conftest import TREFOIL_PD
+
+PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
 # Codes whose nugatory untwisting flips a tangle, which leaves slot 0 of
 # some crossings outgoing until ``to_diagram`` normalises the rotations.
@@ -34,7 +36,7 @@ class TestParsePD:
     def test_one_crossing_unknot(self):
         d = parse_pd("X[1,2,2,1]")
         assert d.n == 1
-        assert len(faces(d)) == 3
+        assert len(d.faces) == 3
 
     def test_wrapper_and_commas(self, trefoil):
         d = parse_pd("PD[X[1,4,2,5], X[3,6,4,1], X[5,2,6,3]]")
@@ -81,13 +83,13 @@ class TestFaces:
     def test_euler_formula_all_fixtures(self, bundled):
         for rec in bundled:
             d = parse_pd(rec.pd)
-            assert len(faces(d)) == d.n + 2, rec.name
+            assert len(d.faces) == d.n + 2, rec.name
 
     def test_8_15_face_count(self, knot_8_15):
-        assert len(faces(knot_8_15)) == 10
+        assert len(knot_8_15.faces) == 10
 
     def test_trefoil_bigons(self, trefoil):
-        sizes = sorted(len(f) for f in faces(trefoil))
+        sizes = sorted(len(f) for f in trefoil.faces)
         assert sizes == [2, 2, 2, 3, 3]
 
 
@@ -117,16 +119,48 @@ class TestCheckerboard:
             cb = checkerboard_negative(d)
             assert all(mu == -1 for mu in cb.incidence), rec.name
 
+    def test_colouring_properties(self, bundled):
+        """On every fixture, named and paper13 diagram, its mirror and six
+        random crossing changes of each, the faces beside an edge differ,
+        mu(c) = -1 exactly when q_1 is white, q_0 of each component's first
+        crossing is white, and the negative colouring of an alternating
+        diagram is the complement."""
+        named, errors = load_table(data_path("named_pd_codes.csv"))
+        assert not errors
+        paper13, errors = load_table(PAPER13_CSV)
+        assert not errors
+        rnd = random.Random(9)
+        diagrams = []
+        for rec in bundled + named + paper13:
+            for base in (rec.diagram, mirror(rec.diagram)):
+                diagrams.append(base)
+                diagrams += [change_crossings(base, rnd.sample(range(base.n),
+                                                               rnd.randint(1, base.n)))
+                             for _ in range(6)]
+        assert len(diagrams) == 133 * 14
+        for d in diagrams:
+            cb = checkerboard(d)
+            white = set(cb.white_faces())
+            corner = d.face_index
+            for c in range(d.n):
+                assert (cb.incidence[c] == -1) == (corner[(c, 1)] in white)
+                for a in range(4):
+                    assert (corner[(c, (a - 1) % 4)] in white) != (corner[(c, a)] in white)
+            assert all(corner[(comp[0], 0)] in white for comp in d._crossing_components)
+            if d.is_alternating:
+                neg = set(checkerboard_negative(d).white_faces())
+                assert neg == set(range(len(d.faces))) - white
+
 
 class TestSigns:
     def test_trefoil_positive(self, trefoil):
-        assert crossing_signs(trefoil) == (1, 1, 1)
+        assert trefoil.signs == (1, 1, 1)
 
     def test_figure_eight_balanced(self, figure_eight):
         assert figure_eight.writhe == 0
 
     def test_mirror_negates(self, trefoil):
-        assert crossing_signs(mirror(trefoil)) == (-1, -1, -1)
+        assert mirror(trefoil).signs == (-1, -1, -1)
 
 
 class TestSpecialAlternating:
@@ -344,8 +378,7 @@ class TestIsomorphism:
         assert canonical_key(d) == canonical_key(trefoil)
 
     def test_key_on_every_input(self, bundled):
-        paper13 = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
-        records, errors = load_table(paper13)
+        records, errors = load_table(PAPER13_CSV)
         assert not errors and len(records) == 24
         rnd = random.Random(5)
         for rec in bundled + records:
@@ -393,7 +426,7 @@ class TestZeroCrossing:
     def test_loops(self):
         d = LinkDiagram((), (), 2)
         assert d.component_count == 2
-        assert len(faces(d)) == 3  # k + 1
+        assert len(d.faces) == 3  # k + 1
 
 
 class TestOrientationOverride:

@@ -11,7 +11,8 @@ from specalt.invariants import (goeritz, gl_signature, signature_nullity,
 from specalt.linalg import det_bareiss, is_positive_definite
 from specalt import families
 
-from conftest import TREFOIL_PD, connected_sum_pd
+from conftest import (TREFOIL_PD, SPLIT_TREFOILS_PD, TREFOIL_KINK_PD,
+                      TREFOIL_MIRROR_PD, connected_sum_pd)
 
 
 class TestGoeritz:
@@ -139,7 +140,15 @@ class TestLinkingAndBounds:
         assert unlinking_lower_bound(-6, 0, 1) == (Fraction(3), Fraction(3))
         assert unlinking_lower_bound(-4, 0, 1) == (Fraction(2), Fraction(2))
         assert unlinking_lower_bound(-2, 0, 1) == (Fraction(1), Fraction(1))
-        assert unlinking_lower_bound(-3, 1, 2) == (Fraction(2), Fraction(3, 2))
+        # split links: the k-component unlink has eta = k - 1, so u >= 1 on
+        # the first, u >= 2 on the second (attained by two changes) and only
+        # u >= 0 on the last
+        for pd, u in ((TREFOIL_MIRROR_PD, 0), (TREFOIL_KINK_PD, 1),
+                      (SPLIT_TREFOILS_PD, 2)):
+            d = parse_pd(pd)
+            sigma, eta = signature_nullity(d)
+            assert (abs(sigma), eta, d.component_count) == (2 * u, 1, 2), pd
+            assert unlinking_lower_bound(sigma, eta, 2) == (Fraction(u), Fraction(u))
 
 
 class TestEulerCheck:

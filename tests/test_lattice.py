@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from specalt.diagram import parse_pd, mirror, checkerboard_negative
+from specalt.diagram import parse_pd, mirror, checkerboard_negative, DiagramError
 from specalt.invariants import goeritz
 from specalt.lattice import (LatticeEmbedding, enumerate_embeddings,
                              condition_all_coords, find_pairing,
@@ -241,6 +241,21 @@ class TestObstruction:
         assert not v.admissible
         assert v.reason == "exhausted"
         assert v.nodes > 0
+
+    def test_non_integer_p_raises(self, trefoil, monkeypatch):
+        """sigma = k - 1 (mod 2) on a connected alternating diagram, so an
+        odd |sigma| + k - 1 means a wrong signature, not a verdict."""
+        import dataclasses
+        from specalt import lattice
+        real = lattice.goeritz
+
+        def off_by_one(d, c):
+            lat = real(d, c)
+            return dataclasses.replace(lat, sigma=lat.sigma + 1)
+
+        monkeypatch.setattr(lattice, "goeritz", off_by_one)
+        with pytest.raises(DiagramError, match="not an integer"):
+            obstruction(trefoil)
 
     def test_mirrored_input_same_verdict(self, knot_9_35, knot_8_15):
         assert not obstruction(mirror(knot_9_35)).admissible

@@ -9,7 +9,7 @@ from specalt.cli import main as cli_main
 from specalt.diagram import (parse_pd, reduce_nugatory, canonical_key,
                              is_special_alternating)
 
-from conftest import TREFOIL_PD
+from conftest import TREFOIL_PD, SPLIT_TREFOILS_PD, TREFOIL_KINK_PD
 
 
 class TestLoadTable:
@@ -64,6 +64,15 @@ class TestAnalyze:
         assert row.ok
         assert row.u_upper is None
         assert "bounds only" in row.provenance
+
+    @pytest.mark.parametrize("pd, bound", [(SPLIT_TREFOILS_PD, ">=2"),
+                                           (TREFOIL_KINK_PD, ">=1")],
+                             ids=["two_trefoils", "trefoil_kink"])
+    def test_split_link_bounds_use_nullity(self, pd, bound):
+        row = analyze(KnotRecord("split", pd))
+        assert row.ok and (row.nullity, row.components) == (1, 2)
+        assert row.u_text() == bound and row.c4_text() == bound
+        assert bound_consistency_ok(row)
 
     def test_parse_failure_row(self):
         row = analyze(KnotRecord("junk", "X[1,2,3,4] X[1,2,3,4]"))
@@ -339,6 +348,18 @@ class TestCLI:
         rc = cli_main(["analyze", "X[1,1,2,2]", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["obstruction"] == "admissible"
+
+    def test_analyze_split_trefoils(self, capsys):
+        rc = cli_main(["analyze", SPLIT_TREFOILS_PD])
+        assert rc == 0 and "u=>=2 c4=>=2" in capsys.readouterr().out
+        rc = cli_main(["search", SPLIT_TREFOILS_PD, "--changes", "2"])
+        assert rc == 0 and "witness: [0, 3]" in capsys.readouterr().out
+
+    def test_tables_split_link(self, tmp_path, capsys):
+        csv_path = tmp_path / "split.csv"
+        csv_path.write_text(f'name,pd,signature,u,genus\nsplit,"{SPLIT_TREFOILS_PD}",,,\n')
+        rc = cli_main(["tables", str(csv_path), "--format", "csv"])
+        assert rc == 0 and "split,>=2,>=2,-4," in capsys.readouterr().out.splitlines()
 
     def test_tables_input_error_exit_2(self, capsys):
         rc = cli_main(["tables", "/nonexistent.csv"])

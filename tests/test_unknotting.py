@@ -1,7 +1,7 @@
 import pytest
 
 from specalt.diagram import (parse_pd, change_crossings, mirror, LinkDiagram,
-                             NotSpecialAlternating, SplitDiagram)
+                             DiagramError, NotSpecialAlternating, SplitDiagram)
 from specalt.unknotting import (SimplifyBudget, certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, reidemeister_simplify,
                                 replay_moves)
@@ -168,6 +168,11 @@ class TestDecide:
         d = parse_pd(TREFOIL_PD + " X[7,10,8,11] X[9,12,10,7] X[11,8,12,9]")
         with pytest.raises(SplitDiagram):
             decide_minimal_unlinking(d)
+
+    def test_rejects_nugatory(self):
+        """decide takes the reduced diagram; it does not untwist a kink."""
+        with pytest.raises(DiagramError, match="nugatory"):
+            decide_minimal_unlinking(parse_pd("X[1,1,2,2]"))
 
     def test_witness_replays(self, knot_8_15):
         v = decide_minimal_unlinking(knot_8_15)
