@@ -47,7 +47,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from specalt.diagram import (parse_pd, reduce_nugatory,  # noqa: E402
-                             checkerboard_negative)
+                             checkerboard_negative, cycles)
 from specalt.invariants import gl_signature  # noqa: E402
 from specalt.seifert import seifert_circles  # noqa: E402
 
@@ -78,17 +78,7 @@ def inverse(s):
 
 def orbits(perm):
     """Cycles of a permutation given as a sequence."""
-    seen = [False] * len(perm)
-    out = []
-    for d in range(len(perm)):
-        if not seen[d]:
-            cyc = []
-            while not seen[d]:
-                seen[d] = True
-                cyc.append(d)
-                d = perm[d]
-            out.append(cyc)
-    return out
+    return cycles(range(len(perm)), perm.__getitem__)
 
 
 def face_cycles(s):

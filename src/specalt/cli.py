@@ -36,11 +36,7 @@ def _resolve(text: str) -> KnotRecord:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        rec = _resolve(args.knot)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rec = _resolve(args.knot)
     row = analyze(rec)
     if args.json:
         print(json.dumps(row.to_json(), indent=2))
@@ -55,19 +51,12 @@ def cmd_analyze(args) -> int:
         print(f"  provenance: {row.provenance}")
     if not row.ok:
         return 2
-    if row.u_upper is None and "unknown" in row.provenance:
-        return 3
-    return 0
+    return 3 if row.inconclusive else 0
 
 
 def cmd_embed(args) -> int:
-    try:
-        rec = _resolve(args.knot)
-        d = reduce_nugatory(rec.diagram)
-        verdict = obstruction(d)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rec = _resolve(args.knot)
+    verdict = obstruction(reduce_nugatory(rec.diagram))
     if args.json:
         print(json.dumps(verdict.to_json(), indent=2))
         return 0
@@ -84,12 +73,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        rec = _resolve(args.knot)
-        d = reduce_nugatory(rec.diagram)
-    except DiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rec = _resolve(args.knot)
+    d = reduce_nugatory(rec.diagram)
     if not 0 <= args.changes <= d.n:
         print(f"error: --changes must be between 0 and {d.n}, the crossing count "
               f"of the reduced diagram; got {args.changes}", file=sys.stderr)
@@ -108,12 +93,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    try:
-        records, row_errors = load_table(args.csv)
-        expected = load_expected(args.diff) if args.diff else None
-    except TableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records, row_errors = load_table(args.csv)
+    expected = load_expected(args.diff) if args.diff else None
     for err in row_errors:
         print(f"row error: {err}", file=sys.stderr)
     if not records:
@@ -141,7 +122,7 @@ def cmd_tables(args) -> int:
             print("diff: clean", file=sys.stderr)
     if row_errors and rc == 0:
         rc = 2
-    if rc == 0 and any("unknown" in r.provenance for r in rows if r.ok):
+    if rc == 0 and any(r.inconclusive for r in rows):
         rc = 3
     return rc
 
@@ -184,7 +165,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_tables)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (DiagramError, TableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,10 @@ tables (see tests/test_diagram.py for the anchor checks):
   the white regions occupy corners ``q_1`` and ``q_3``; for a positive
   diagram that coloring makes the white surface the Seifert surface.
 * Faces are traced by the corner walk ``(c, s) -> other end of the edge in
-  slot s+1``; a connected diagram with n crossings has n + 2 faces.
+  slot s+1``; a connected diagram with n crossings has n + 2 faces.  Link
+  components are traced by the strand walk ``out-end -> mate -> slot + 2``.
+  Both are orbits read by ``cycles``, and every crossing set reached over
+  edges is read by ``flood``.
 * For a directed edge, the face containing the arrival corner at its head
   lies on the LEFT of the edge.
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 End = tuple[int, int]  # (crossing index, slot 0..3)
 
@@ -51,6 +55,37 @@ class NotSpecialAlternating(DiagramError):
 
 class SplitDiagram(DiagramError):
     """Raised when an operation needs a non-split (connected) diagram."""
+
+
+def cycles(starts, step) -> list[tuple]:
+    """The cycles of the permutation ``step`` that meet ``starts``, in the
+    order of ``starts``, each read from its first element there."""
+    seen = set()
+    out = []
+    for start in starts:
+        if start in seen:
+            continue
+        walk = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
+            cur = step(cur)
+        out.append(tuple(walk))
+    return out
+
+
+def flood(start, neighbours) -> set:
+    """The set reachable from ``start``; ``neighbours(x)`` lists the
+    elements one step from ``x``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb in neighbours(stack.pop()):
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -92,23 +127,11 @@ class LinkDiagram:
     def faces(self) -> tuple[tuple[End, ...], ...]:
         """Faces as cyclic tuples of corners; corner (c, s) is ``q_s``."""
         if not self.quads:
-            return tuple(() for _ in range(self.free_loops + 1)) if self.free_loops else ()
-        seen: set[End] = set()
-        out: list[tuple[End, ...]] = []
-        for c in range(len(self.quads)):
-            for s in range(4):
-                if (c, s) in seen:
-                    continue
-                walk: list[End] = []
-                cur = (c, s)
-                while cur not in seen:
-                    seen.add(cur)
-                    walk.append(cur)
-                    cur = self.mate((cur[0], (cur[1] + 1) % 4))
-                out.append(tuple(walk))
-        for _ in range(self.free_loops):
-            out.append(())
-        return tuple(out)
+            return ((),) * (self.free_loops + 1) if self.free_loops else ()
+        mate = self.mate
+        corners = [(c, s) for c in range(len(self.quads)) for s in range(4)]
+        walks = cycles(corners, lambda end: mate((end[0], (end[1] + 1) % 4)))
+        return tuple(walks) + ((),) * self.free_loops
 
     @cached_property
     def face_index(self) -> dict[End, int]:
@@ -121,22 +144,14 @@ class LinkDiagram:
     @cached_property
     def _strands(self) -> tuple[tuple[End, ...], ...]:
         """Link components as cyclic tuples of outgoing ends, in flow order."""
+        mate = self.mate
         outs = [(c, s) for c in range(len(self.quads)) for s in range(4)
                 if not self.incoming[c][s]]
-        seen: set[End] = set()
-        strands: list[tuple[End, ...]] = []
-        for start in outs:
-            if start in seen:
-                continue
-            walk: list[End] = []
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
-                walk.append(cur)
-                arr = self.mate(cur)
-                cur = (arr[0], (arr[1] + 2) % 4)
-            strands.append(tuple(walk))
-        return tuple(strands)
+
+        def along(end: End) -> End:
+            c, s = mate(end)
+            return c, (s + 2) % 4
+        return tuple(cycles(outs, along))
 
     @property
     def component_count(self) -> int:
@@ -153,23 +168,16 @@ class LinkDiagram:
     @cached_property
     def _crossing_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying 4-valent graph."""
-        n = len(self.quads)
-        seen = [False] * n
-        comps = []
-        for c0 in range(n):
-            if seen[c0]:
-                continue
-            stack, comp = [c0], []
-            seen[c0] = True
-            while stack:
-                c = stack.pop()
-                comp.append(c)
-                for s in range(4):
-                    d = self.mate((c, s))[0]
-                    if not seen[d]:
-                        seen[d] = True
-                        stack.append(d)
-            comps.append(tuple(sorted(comp)))
+        adj: list[list[int]] = [[] for _ in self.quads]
+        for (a, _), (b, _) in self.edge_ends.values():
+            adj[a].append(b)
+            adj[b].append(a)
+        comps, done = [], set()
+        for c in range(len(adj)):
+            if c not in done:
+                comp = flood(c, adj.__getitem__)
+                done |= comp
+                comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
     @property
@@ -565,24 +573,19 @@ class _Builder:
             return (c, (s - rot[c]) % 4)
         mates = {renum(e): renum(m) for e, m in self.mates.items()}
         inc = {renum(e): v for e, v in self.inc.items()}
-        # deterministic edge labeling along strands
+        # deterministic edge labeling along strands, each edge numbered
+        # at its outgoing end
         order = sorted(self.cids)
-        labels: dict[frozenset, int] = {}
-        nxt = 1
-        for c in order:
-            for s in (2, 1, 3):
-                if not inc[(c, s)] and frozenset(((c, s), mates[(c, s)])) not in labels:
-                    cur = (c, s)
-                    while frozenset((cur, mates[cur])) not in labels:
-                        labels[frozenset((cur, mates[cur]))] = nxt
-                        nxt += 1
-                        arr = mates[cur]
-                        cur = (arr[0], (arr[1] + 2) % 4)
-        quads = []
-        incs = []
-        for c in order:
-            quads.append(tuple(labels[frozenset(((c, s), mates[(c, s)]))] for s in range(4)))
-            incs.append(tuple(inc[(c, s)] for s in range(4)))
+        outs = [(c, s) for c in order for s in (2, 1, 3) if not inc[(c, s)]]
+
+        def along(end: End) -> End:
+            c, s = mates[end]
+            return c, (s + 2) % 4
+        label: dict[End, int] = {}
+        for k, end in enumerate(chain.from_iterable(cycles(outs, along)), 1):
+            label[end] = label[mates[end]] = k
+        quads = [tuple(label[(c, s)] for s in range(4)) for c in order]
+        incs = [tuple(inc[(c, s)] for s in range(4)) for c in order]
         return validate(LinkDiagram(tuple(quads), tuple(incs), self.free_loops))
 
 
@@ -673,28 +676,16 @@ def reduce_nugatory(d: LinkDiagram) -> LinkDiagram:
             return cur
         pat = _nugatory_pattern(cur, site)
         b = _Builder.from_diagram(cur)
-        # tangle side: q1 side for pattern 0, q2 side for pattern 1
+        # the tangle on the q1 side (pattern 0) or the q2 side (pattern 1):
+        # the crossings reached from there without passing the site
         probe = (site, 1) if pat == 0 else (site, 2)
-        tangle = _reachable_without(cur, b.mates[probe][0], site)
+        mate = cur.mate
+        tangle = flood(mate(probe)[0], lambda c: () if c == site else
+                       [mate((c, s))[0] for s in range(4)]) - {site}
         b.delete_with_wiring({site}, b.passage_wires(site), set())
         if tangle:
             _flip_tangle(b, tangle)
         cur = b.to_diagram()
-
-
-def _reachable_without(d: LinkDiagram, start: int, blocked: int) -> set[int]:
-    if start == blocked:
-        return set()
-    seen = {start}
-    stack = [start]
-    while stack:
-        c = stack.pop()
-        for s in range(4):
-            nb = d.mate((c, s))[0]
-            if nb != blocked and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen
 
 
 # -- twist regions -----------------------------------------------------------
@@ -733,14 +724,7 @@ def twist_regions(d: LinkDiagram) -> TwistDecomposition:
     for c0 in range(d.n):
         if c0 in seen:
             continue
-        comp = {c0}
-        stack = [c0]
-        while stack:
-            c = stack.pop()
-            for nb in adj[c]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
+        comp = flood(c0, adj.__getitem__)
         seen |= comp
         endpoints = [c for c in comp if len(set(adj[c]) & comp) <= 1]
         start = min(endpoints) if endpoints else min(comp)

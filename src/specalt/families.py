@@ -13,7 +13,7 @@ regions; they supply alternating but non-special fixtures.
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, _Builder, DiagramError
+from .diagram import LinkDiagram, _Builder, DiagramError, cycles
 
 Rotations = dict[object, list[object]]  # vertex -> cyclic dart list
 
@@ -47,17 +47,7 @@ def _graph_face_count(rotations: Rotations, edges) -> int:
         (va, pa), (vb, pb) = edges[nd]
         retk = 0 if (va, pa) == (v, (pos + 1) % len(darts)) else 1
         return (nd, 1 - retk)
-    seen = set()
-    count = 0
-    for s in sides:
-        if s in seen:
-            continue
-        count += 1
-        cur = s
-        while cur not in seen:
-            seen.add(cur)
-            cur = step(cur)
-    return count
+    return len(cycles(sides, step))
 
 
 def _bipartition(rotations: Rotations, edges) -> set:

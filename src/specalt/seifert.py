@@ -11,7 +11,7 @@ route: the two must agree exactly on every alternating fixture.
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, End, split_components
+from .diagram import LinkDiagram, End, cycles, split_components
 from .linalg import symmetric_signature_nullity
 from . import moves as _moves
 
@@ -33,18 +33,8 @@ def _smooth_out(d: LinkDiagram, end: End) -> End:
 
 def seifert_circles(d: LinkDiagram) -> list[tuple[End, ...]]:
     """Orientation-smoothing circles, each a cyclic tuple of in-ends."""
-    todo = {e for c in range(d.n) for e in _in_ends(d, c)}
-    circles = []
-    while todo:
-        start = min(todo)
-        walk = []
-        cur = start
-        while cur in todo:
-            todo.remove(cur)
-            walk.append(cur)
-            cur = d.mate(_smooth_out(d, cur))
-        circles.append(tuple(walk))
-    return circles
+    ins = sorted(e for c in range(d.n) for e in _in_ends(d, c))
+    return cycles(ins, lambda end: d.mate(_smooth_out(d, end)))
 
 
 def _circle_of_edge(d: LinkDiagram, circles) -> dict[int, int]:

@@ -66,6 +66,11 @@ class ReportRow:
     obstruction: str = ""
     seconds: float = 0.0
 
+    @property
+    def inconclusive(self) -> bool:
+        """A decided row whose search left subsets unknown (exit code 3)."""
+        return self.ok and "unknown" in self.provenance
+
     def u_text(self) -> str:
         return bound_text(self.u_lower, self.u_upper)
 

@@ -1,12 +1,13 @@
 """Source hygiene: every module-level private function has a caller, no
-check is an ``assert`` (``python -O`` strips those) and nothing reads the
-environment."""
+check is an ``assert`` (``python -O`` strips those) and nothing in the
+package, its tests or its scripts reads the environment."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "specalt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "specalt"
 
 
 def _references(node) -> Counter:
@@ -47,9 +48,12 @@ def test_no_assert_statements():
 
 
 def test_no_environment_reads():
-    """Settings come from arguments only; no module reads the environment."""
-    reads = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py"))
+    """Settings come from arguments only; no module, test or script reads
+    the environment."""
+    paths = [path for folder in (SRC, ROOT / "tests", ROOT / "scripts")
+             for path in sorted(folder.glob("*.py"))]
+    reads = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in paths
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
              or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))]
