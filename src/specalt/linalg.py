@@ -1,76 +1,63 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact dense linear algebra over the integers.
 
 Matrices here are small (at most a few dozen rows), so everything is done
-with Fractions / big ints; no floating point anywhere.
+with big ints, fraction-free in the style of Bareiss; no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def symmetric_signature_nullity(mat) -> tuple[int, int]:
-    """(signature, nullity) of a symmetric matrix, by exact congruence
-    reduction with symmetric pivoting.
+    """(signature, nullity) of a symmetric integer matrix, by fraction-free
+    symmetric elimination.
 
-    Zero-diagonal blocks are reduced with hyperbolic 2x2 pivots, which
-    contribute one +1 and one -1 eigenvalue each.
+    Each pivot is a nonzero diagonal entry ``d``. The remaining entries
+    become ``(d * a[j][k] - a[j][p] * a[p][k]) // prev``, the principal
+    minors of Bareiss elimination, so every division is exact, and the pivot
+    adds an eigenvalue of the sign of ``d / prev``. When every remaining
+    diagonal entry is zero but some ``a[i][j]`` is not, the congruence
+    row_i += row_j, col_i += col_j makes ``a[i][i] = 2 * a[i][j]``.
     """
     n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
+    a = [[int(mat[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
+            if a[i][j] != mat[i][j]:
+                raise ValueError("matrix entries must be integers")
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    active = list(range(n))
     pos = neg = 0
-    while active:
-        piv = None
-        for i in active:
-            if a[i][i] != 0 and (piv is None or abs(a[i][i]) > abs(a[piv][piv])):
-                piv = i
-        if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(piv)
-            for j in active:
-                if a[j][piv] == 0:
-                    continue
-                f = a[j][piv] / d
-                for k in active:
-                    a[j][k] -= f * a[piv][k]
-            for j in active:
-                a[j][piv] = a[piv][j] = Fraction(0)
-            continue
-        hyp = None
-        for i in active:
-            for j in active:
-                if i < j and a[i][j] != 0:
-                    hyp = (i, j)
-                    break
-            if hyp:
-                break
-        if hyp is None:
-            break  # remaining block is zero
-        i, j = hyp
-        b = a[i][j]
-        pos += 1
-        neg += 1
-        active.remove(i)
-        active.remove(j)
-        for k in active:
-            ci, cj = a[k][i], a[k][j]
-            if ci == 0 and cj == 0:
-                continue
-            for l in active:
-                a[k][l] -= (ci * a[j][l] + cj * a[i][l]) / b
-        for k in active:
-            a[k][i] = a[i][k] = a[k][j] = a[j][k] = Fraction(0)
-    nullity = n - pos - neg
-    return pos - neg, nullity
+    prev = 1
+    while a:
+        p = next((i for i, row in enumerate(a) if row[i]), None)
+        if p is None:
+            hyp = next(((i, j) for i, row in enumerate(a)
+                        for j, x in enumerate(row) if x), None)
+            if hyp is None:
+                break  # remaining block is zero
+            p, j = hyp
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] += row[j]
+        # Move the pivot last, then drop its row and column.
+        a[p], a[-1] = a[-1], a[p]
+        for row in a:
+            row[p], row[-1] = row[-1], row[p]
+        rp = a.pop()
+        d = rp.pop()
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i, row in enumerate(a):
+            f = row.pop()
+            if f:
+                a[i] = [(d * x - f * y) // prev for x, y in zip(row, rp)]
+            elif d != prev:  # most rows of a sparse form: a scaling only
+                a[i] = [d * x // prev for x in row]
+        prev = d
+    return pos - neg, n - pos - neg
 
 
 def det_bareiss(mat) -> int:

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from concurrent.futures import ProcessPoolExecutor
 
 from .diagram import (LinkDiagram, parse_pd, reduce_nugatory, DiagramError,
                       is_special_alternating)
@@ -197,6 +196,8 @@ def analyze_all(records, jobs: int = 1) -> list[ReportRow]:
     order."""
     if jobs <= 1 or len(records) <= 1:
         return [analyze(r) for r in records]
+    # Imported here so that a serial run never loads the process pool.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(analyze, records))
 

@@ -1,8 +1,11 @@
 """Source hygiene: every module-level private function has a caller, no
-check is an ``assert`` (``python -O`` strips those) and nothing in the
-package, its tests or its scripts reads the environment."""
+check is an ``assert`` (``python -O`` strips those), nothing in the
+package, its tests or its scripts reads the environment, and a serial
+table run loads no process pool."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -58,3 +61,21 @@ def test_no_environment_reads():
              if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
              or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))]
     assert reads == []
+
+
+def test_serial_table_run_loads_no_process_pool():
+    """``analyze_all(jobs=1)`` imports neither ``concurrent.futures`` nor
+    ``multiprocessing``: only ``jobs > 1`` pays for the pool."""
+    code = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+import specalt
+from specalt.tables import analyze_all, load_bundled_fixtures
+records, errors = load_bundled_fixtures()
+rows = analyze_all(records[:2], jobs=1)
+print(len(rows), all(row.ok for row in rows))
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split("\n")
+    assert out[:2] == ["2 True", "[]"]
