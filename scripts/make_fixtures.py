@@ -5,7 +5,10 @@ records the value computed at build time (it freezes the build and
 ``tables.analyze`` fails any row whose computed sigma differs from it);
 the u and genus columns carry classical
 table values for the named knots/links and stay empty for synthetic
-fixtures.  Run from the repository root:
+fixtures.  A fixture that fails a gate (duplicate name, split diagram,
+non-alternating diagram, nonzero nullity) is reported as a ``GATE FAILED``
+line and the script exits 1 without writing.  Run from the repository
+root:
 
     python scripts/make_fixtures.py
 """
@@ -76,23 +79,33 @@ def main():
     out_path = os.path.join(os.path.dirname(__file__), "..",
                             "src", "specalt", "data", "fixtures.csv")
     rows = []
+    failures = []
     seen = set()
     for name, d, u, g in ENTRIES:
-        assert name not in seen, f"duplicate fixture {name}"
+        if name in seen:
+            failures.append(f"duplicate fixture {name}")
         seen.add(name)
-        assert d.is_connected, name
-        assert d.is_alternating, name
+        if not d.is_connected:
+            failures.append(f"{name}: split diagram")
+        if not d.is_alternating:
+            failures.append(f"{name}: not alternating")
         sigma, eta = signature_nullity(d)
-        assert eta == 0, (name, eta)
+        if eta != 0:
+            failures.append(f"{name}: nullity {eta}")
         rows.append([name, d.to_pd_text(), str(sigma), u, g])
         print(f"{name}: n={d.n} k={d.component_count} sigma={sigma} "
               f"det={determinant(d)} special={is_special_alternating(d)}")
+    if failures:
+        for line in failures:
+            print("GATE FAILED:", line, file=sys.stderr)
+        return 1
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "pd", "signature", "u", "genus"])
         w.writerows(rows)
     print(f"\nwrote {len(rows)} fixtures to {out_path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -106,7 +106,7 @@ class ClassicalInvariants:
     nullity: int
     determinant: int
     component_count: int
-    seifert_genus_report: Fraction | None   # (n - r)/2 on special alternating knots
+    seifert_genus_report: int | None   # |sigma|/2 on special alternating knots
 
 
 def signature_nullity(d: LinkDiagram) -> tuple[int, int]:
@@ -141,15 +141,19 @@ def linking_matrix(d: LinkDiagram) -> dict[tuple[int, int], Fraction]:
     return out
 
 
-def unlinking_lower_bound(sigma: int, eta: int, k: int) -> tuple[Fraction, Fraction]:
+def unlinking_lower_bound(sigma: int, eta: int, k: int) -> tuple[int, int]:
     """The two classical lower bounds: (|sigma|+|k-1-eta|)/2 for the
     unlinking number and (|sigma|-eta+k-1)/2 for the 4-ball crossing number.
 
     A crossing change is a rank-one change of V+V^T, so it moves
     |d sigma|+|d eta| by 0 or 2, and the k-component unlink has
-    (sigma, eta) = (0, k-1)."""
-    return (Fraction(abs(sigma) + abs(k - 1 - eta), 2),
-            Fraction(abs(sigma) - eta + k - 1, 2))
+    (sigma, eta) = (0, k-1).  Both bounds are integers because
+    sigma + eta = k - 1 (mod 2) on every link; a pair that breaks this is
+    a wrong signature and raises DiagramError."""
+    if (sigma + eta + k - 1) % 2:
+        raise DiagramError(f"sigma {sigma}, nullity {eta}, k = {k}: sigma + eta "
+                           f"!= k - 1 (mod 2), so the bound is not an integer")
+    return (abs(sigma) + abs(k - 1 - eta)) // 2, (abs(sigma) - eta + k - 1) // 2
 
 
 class PreconditionViolated(DiagramError):
@@ -165,7 +169,7 @@ def euler_check(d: LinkDiagram, c: Checkerboard) -> bool:
     chi = 1 - (d.n - lat.rank)
     k = d.component_count
     p = unlinking_lower_bound(lat.sigma, 0, k)[0]
-    return chi == 1 + lat.sigma and Fraction(chi) == k - 2 * p
+    return chi == 1 + lat.sigma and chi == k - 2 * p
 
 
 def classical_invariants(d: LinkDiagram) -> ClassicalInvariants:
@@ -176,5 +180,5 @@ def classical_invariants(d: LinkDiagram) -> ClassicalInvariants:
         # first Betti number of the Seifert-side checkerboard surface over
         # two; equals (n - rank)/2 for a positive diagram and rank/2 for
         # its mirror, i.e. |sigma|/2 in both cases
-        genus = Fraction(abs(sigma), 2)
+        genus = abs(sigma) // 2
     return ClassicalInvariants(sigma, eta, det, d.component_count, genus)

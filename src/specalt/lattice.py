@@ -271,11 +271,6 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
         lat = goeritz(d, checkerboard_negative(d))
     sigma = lat.sigma
     p = unlinking_lower_bound(sigma, 0, d.component_count)[0]
-    if p.denominator != 1:
-        # a connected alternating diagram has sigma = k-1 (mod 2)
-        raise DiagramError(f"Goeritz signature {sigma} with {d.component_count} "
-                           f"components gives p = {p}, not an integer")
-    p = int(p)
     n_target = lat.rank - sigma
     stats = _Stats()
     for emb in enumerate_embeddings(lat.gram, n_target, stats):

@@ -20,6 +20,8 @@ def symmetric_signature_nullity(mat) -> tuple[int, int]:
     row_i += row_j, col_i += col_j makes ``a[i][i] = 2 * a[i][j]``.
     """
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
     a = [[int(mat[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -63,6 +65,8 @@ def symmetric_signature_nullity(mat) -> tuple[int, int]:
 def det_bareiss(mat) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
     if n == 0:
         return 1
     a = [[int(x) for x in row] for row in mat]

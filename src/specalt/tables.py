@@ -13,7 +13,6 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .diagram import (LinkDiagram, parse_pd, reduce_nugatory, DiagramError,
@@ -54,12 +53,12 @@ class ReportRow:
     nullity: int | None = None
     det: int | None = None
     components: int | None = None
-    p: Fraction | None = None
+    p: int | None = None
     u_lower: int | None = None
     u_upper: int | None = None
     c4_lower: int | None = None
     c4_upper: int | None = None
-    genus: Fraction | None = None
+    genus: int | None = None
     provenance: str = ""
     witness: tuple[int, ...] | None = None
     obstruction: str = ""
@@ -80,9 +79,7 @@ class ReportRow:
         return "?" if self.sigma is None else str(self.sigma)
 
     def genus_text(self) -> str:
-        if self.genus is None:
-            return ""
-        return str(int(self.genus)) if self.genus.denominator == 1 else str(self.genus)
+        return "" if self.genus is None else str(self.genus)
 
     def to_json(self):
         return {"name": self.name, "ok": self.ok, "sigma": self.sigma,
@@ -168,8 +165,7 @@ def analyze(record: KnotRecord) -> ReportRow:
                     components=inv.component_count, p=p, genus=inv.seifert_genus_report)
         if not is_special_alternating(d):
             return ReportRow(record.name, True,
-                             u_lower=math.ceil(p), u_upper=None,
-                             c4_lower=math.ceil(c4b), c4_upper=None,
+                             u_lower=p, c4_lower=c4b,
                              provenance="not special alternating: classical bounds only",
                              seconds=time.monotonic() - start, **base)
         verdict = decide_minimal_unlinking(d)

@@ -1,7 +1,7 @@
 """Source hygiene: every module-level private function has a caller, no
-check is an ``assert`` (``python -O`` strips those), nothing in the
-package, its tests or its scripts reads the environment, and a serial
-table run loads no process pool."""
+check in the package or its scripts is an ``assert`` (``python -O`` strips
+those), nothing in the package, its tests or its scripts reads the
+environment, and a serial table run loads no process pool."""
 
 import ast
 import subprocess
@@ -43,8 +43,11 @@ def test_every_private_function_is_referenced():
 
 
 def test_no_assert_statements():
-    asserts = [f"{path.name}:{node.lineno}"
-               for path in sorted(SRC.glob("*.py"))
+    """No check in the package or its scripts is an ``assert``."""
+    paths = [path for folder in (SRC, ROOT / "scripts")
+             for path in sorted(folder.glob("*.py"))]
+    asserts = [f"{path.relative_to(ROOT)}:{node.lineno}"
+               for path in paths
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []

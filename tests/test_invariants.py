@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from specalt.diagram import (parse_pd, checkerboard, checkerboard_negative,
-                             change_crossings, mirror)
+                             change_crossings, mirror, DiagramError)
 from specalt.invariants import (goeritz, gl_signature, signature_nullity,
                                 determinant, linking_matrix, euler_check,
                                 unlinking_lower_bound, classical_invariants,
@@ -149,6 +149,14 @@ class TestLinkingAndBounds:
             sigma, eta = signature_nullity(d)
             assert (abs(sigma), eta, d.component_count) == (2 * u, 1, 2), pd
             assert unlinking_lower_bound(sigma, eta, 2) == (Fraction(u), Fraction(u))
+
+    def test_half_integer_bound_raises(self):
+        """sigma + eta = k - 1 (mod 2) on every link, so a pair that breaks
+        it is a wrong signature, not a bound of 1/2."""
+        with pytest.raises(DiagramError, match="not an integer"):
+            unlinking_lower_bound(-1, 0, 1)
+        with pytest.raises(DiagramError, match="not an integer"):
+            unlinking_lower_bound(-2, 0, 2)
 
 
 class TestEulerCheck:

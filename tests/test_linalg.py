@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from specalt.linalg import symmetric_signature_nullity, det_bareiss, is_positive_definite
@@ -24,6 +25,18 @@ def test_det_bareiss():
     assert det_bareiss([[2, -1], [-1, 2]]) == 3
     assert det_bareiss([[1, 2], [2, 4]]) == 0
     assert det_bareiss([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+
+
+@pytest.mark.parametrize("mat", [[[1, 0, 5], [0, -1, 7]],   # rows longer than n
+                                 [[1, 0, 5], [0, 1, 7]],
+                                 [[1, 0], [0]],               # ragged
+                                 [[1], [0, 1]]],
+                         ids=["wide", "wide_unimodular", "ragged_short", "ragged_long"])
+def test_non_square_raises(mat):
+    with pytest.raises(ValueError, match="not square"):
+        symmetric_signature_nullity(mat)
+    with pytest.raises(ValueError, match="not square"):
+        det_bareiss(mat)
 
 
 def test_positive_definite():

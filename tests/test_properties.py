@@ -3,15 +3,17 @@
 import json
 import random
 
-from specalt.diagram import (parse_pd, change_crossings, checkerboard_negative,
-                             is_special_alternating, mirror, split_components,
-                             validate)
+from specalt.diagram import (LinkDiagram, parse_pd, change_crossings,
+                             checkerboard_negative, is_special_alternating, mirror,
+                             split_components, validate)
 from specalt.families import medial_special_alternating
 from specalt.invariants import (gl_signature, signature_nullity, determinant,
-                                goeritz, euler_check)
+                                goeritz, euler_check, linking_matrix,
+                                unlinking_lower_bound)
 from specalt.seifert import seifert_matrix
 from specalt.linalg import det_bareiss
 from specalt.bracket import normalized_bracket, unlink_normalized_bracket
+from specalt.tables import data_path, load_table
 from specalt.unknotting import certify_unlink, replay_moves
 from specalt.moves import (move_from_json, apply_move, r2plus_sites, r3_sites,
                            apply_r2plus, apply_r3)
@@ -117,6 +119,36 @@ class TestRandomMedialPipeline:
                 n = len(v)
                 sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
                 assert abs(det_bareiss(sym)) == determinant(d)
+
+
+def split_union(d1, d2):
+    """The split union of two diagrams, side by side in the plane."""
+    shift = max(e for q in d1.quads for e in q)
+    quads = tuple(tuple(e + shift for e in q) for q in d2.quads)
+    return validate(LinkDiagram(d1.quads + quads, d1.incoming + d2.incoming, 0))
+
+
+class TestParityLaw:
+    def test_sigma_plus_eta_is_k_minus_one_mod_two(self, bundled):
+        """sigma + eta = k - 1 (mod 2) and every linking number is an
+        integer, on every fixture and named row, on a random crossing change
+        of each and on a split union of each with another; so both bounds
+        of ``unlinking_lower_bound`` are integers."""
+        rnd = random.Random(1965)
+        named, _ = load_table(data_path("named_pd_codes.csv"))
+        bases = [parse_pd(rec.pd) for rec in bundled + named]
+        diagrams = []
+        for d in bases:
+            subset = rnd.sample(range(d.n), rnd.randint(1, d.n))
+            diagrams += [d, change_crossings(d, subset), split_union(d, rnd.choice(bases))]
+        for d in diagrams:
+            sigma, eta = signature_nullity(d)
+            k = d.component_count
+            assert (sigma + eta - (k - 1)) % 2 == 0, d.to_pd_text()
+            assert all(lk.denominator == 1 for lk in linking_matrix(d).values())
+            u, c4 = unlinking_lower_bound(sigma, eta, k)
+            assert type(u) is int and type(c4) is int and 0 <= c4 <= u
+        assert len(diagrams) == 3 * len(bases) > 300
 
 
 class TestScrambledUnknots:

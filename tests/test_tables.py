@@ -74,6 +74,29 @@ class TestAnalyze:
         assert row.u_text() == bound and row.c4_text() == bound
         assert bound_consistency_ok(row)
 
+    def test_parity_breaking_signature_fails_row(self, monkeypatch):
+        """A sigma that breaks sigma + eta = k - 1 (mod 2) fails its row,
+        even on the classical-bounds-only path, instead of being rounded."""
+        from specalt import seifert
+        from specalt.families import rational_link
+        real = seifert.signature_nullity
+
+        def shifted(d):
+            sigma, eta = real(d)
+            return sigma + 1, eta
+
+        monkeypatch.setattr(seifert, "signature_nullity", shifted)
+        row = analyze(KnotRecord("4_1", rational_link([2, 2]).to_pd_text()))
+        assert not row.ok
+        assert "not an integer" in row.provenance
+
+    def test_ok_rows_carry_integer_bound_and_genus(self, bundled):
+        rows = [row for row in analyze_all(bundled) if row.ok]
+        assert len(rows) == len(bundled)
+        assert all(type(row.p) is int for row in rows)
+        assert all(type(row.genus) is int for row in rows if row.genus is not None)
+        assert any(row.genus is not None for row in rows)
+
     def test_parse_failure_row(self):
         row = analyze(KnotRecord("junk", "X[1,2,3,4] X[1,2,3,4]"))
         assert not row.ok
