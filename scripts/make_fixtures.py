@@ -1,8 +1,9 @@
 """Regenerate src/specalt/data/fixtures.csv from the family constructors.
 
 Every fixture is a non-split alternating diagram.  The signature column
-records the value computed at build time (it freezes the build and
-``tables.analyze`` fails any row whose computed sigma differs from it);
+records the Seifert-matrix oracle's value (module ``seifert``), computed at
+build time; it freezes the build, and ``tables.analyze`` fails any row
+whose Gordon-Litherland sigma differs from it;
 the u and genus columns carry classical
 table values for the named knots/links and stay empty for synthetic
 fixtures.  A fixture that fails a gate (duplicate name, split diagram,
@@ -22,7 +23,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from specalt.diagram import is_special_alternating  # noqa: E402
-from specalt.invariants import signature_nullity, determinant  # noqa: E402
+from specalt.invariants import determinant  # noqa: E402
+from specalt.seifert import signature_nullity  # noqa: E402
 from specalt import families as F  # noqa: E402
 
 # (name, diagram, known u cell, known genus cell)

@@ -1,9 +1,11 @@
 """Certification of minimal unlinking numbers for special alternating links.
 
 The pipeline: parse an alternating diagram, compute the classical
-signature bound p = (|sigma|+k-1)/2 by two independent routes, decide by
-an exhaustive lattice-embedding obstruction and a crossing-change search
-whether the bound is attained, and certify or bound the unlinking number.
+signature bound p = (|sigma|+|k-1-eta|)/2 from the Goeritz form by
+Gordon-Litherland, decide by an exhaustive lattice-embedding obstruction
+and a crossing-change search whether the bound is attained, and certify or
+bound the unlinking number.  The Seifert-matrix module ``seifert`` is an
+independent signature route for checking, not part of the pipeline.
 """
 
 from .diagram import (LinkDiagram, Checkerboard, TwistDecomposition,

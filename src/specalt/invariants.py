@@ -1,17 +1,16 @@
-"""Classical invariants from checkerboard data; two independent signature
-routes.
+"""Classical invariants from checkerboard data.
 
-The decision's signature route goes through the positive-definite Goeritz
-form of the all-(-1) checkerboard coloring: for a reduced non-split
-alternating diagram,
+Signature and nullity come from the Goeritz form G of a checkerboard
+coloring by Gordon-Litherland (1978):
 
-    sigma(L) = sig(gram) - n_plus(D) = rank(gram) - n_plus(D),
+    sigma(L) = sig(G) + sum of mu(c) over crossings with mu(c) * sign(c) = -1,
+    eta(L) = null(G),
 
-where n_plus is the number of positive crossings.  The correction term's
-crossing-type convention is calibrated against the Seifert-matrix oracle
-(module ``seifert``); the two routes must agree exactly on every
-alternating fixture, and ``tables.analyze`` checks them against each other
-on every special alternating row.
+additively over split parts.  On the all-(-1) coloring of a reduced
+non-split alternating diagram G is positive definite, so the decision's
+lattice reads sigma = rank(G) - n_plus(D), n_plus being the number of
+positive crossings.  The Seifert-matrix oracle (module ``seifert``) is an
+independent route that the tests compare this one against.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import (LinkDiagram, Checkerboard, checkerboard, is_special_alternating,
-                      SplitDiagram, DiagramError)
-from .linalg import det_bareiss
-from . import seifert as _seifert
+                      split_components, SplitDiagram, DiagramError)
+from .linalg import det_bareiss, symmetric_signature_nullity
 
 
 class DegenerateColoring(DiagramError):
@@ -69,6 +67,13 @@ def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list[int], list[list
     return whites, g
 
 
+def _gl_correction(d: LinkDiagram, c: Checkerboard) -> int:
+    """Gordon-Litherland correction: the sum of mu(c) over the crossings
+    whose incidence and orientation sign disagree; -n_plus on the
+    all-(-1) coloring."""
+    return sum(mu for mu, s in zip(c.incidence, d.signs) if mu != s)
+
+
 def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
     """Goeritz pairing: v_i . v_j = -(crossings between v_i and v_j) off the
     diagonal, diagonal = crossings around v_i.
@@ -89,14 +94,14 @@ def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
         gram=tuple(tuple(row[1:]) for row in g[1:]),
         unquotiented=tuple(tuple(row) for row in g),
         white_order=tuple(whites),
-        sigma=len(whites) - 1 - sum(1 for s in d.signs if s == 1),
+        sigma=len(whites) - 1 + _gl_correction(d, c),
         coloring=c,
     )
 
 
 def gl_signature(d: LinkDiagram, c: Checkerboard) -> int:
-    """Signature via the Goeritz form with the calibrated correction
-    (number of positive crossings under the all-(-1) coloring)."""
+    """Signature of the positive-definite lattice of the all-(-1) coloring
+    ``c``: rank minus the number of positive crossings."""
     return goeritz(d, c).sigma
 
 
@@ -110,9 +115,19 @@ class ClassicalInvariants:
 
 
 def signature_nullity(d: LinkDiagram) -> tuple[int, int]:
-    """(sigma, eta) of the symmetrized Seifert form, additively over split
-    parts (nullity gains one per extra split component)."""
-    return _seifert.signature_nullity(d)
+    """(sigma, eta) by Gordon-Litherland on each split part's quotient
+    Goeritz form; eta gains one per extra split part."""
+    parts = split_components(d) if not d.is_connected else [d]
+    sigma, eta = 0, len(parts) - 1
+    for part in parts:
+        if part.n == 0:
+            continue
+        c = checkerboard(part)
+        _, g = _goeritz_form(part, c)
+        s, nl = symmetric_signature_nullity([row[1:] for row in g[1:]])
+        sigma += s + _gl_correction(part, c)
+        eta += nl
+    return sigma, eta
 
 
 def determinant(d: LinkDiagram) -> int:

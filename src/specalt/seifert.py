@@ -1,12 +1,14 @@
-"""Seifert matrices from diagrams: the signature/nullity oracle route.
+"""Seifert matrices from diagrams: the signature/nullity reference oracle.
 
 The diagram is first isotoped (by reverse Reidemeister II moves) until its
 Seifert circles are coherently nested, i.e. the regions of the circle
 arrangement form a directed chain; the diagram is then a closed braid and
 the Seifert matrix of the braid-closure surface is read off band by band.
 
-The oracle is independent of the Goeritz/Gordon-Litherland production
-route: the two must agree exactly on every alternating fixture.
+The oracle is the reference for the Gordon-Litherland route of
+``invariants.signature_nullity``, which the pipeline runs instead: the
+tests compare the two, and ``scripts/make_fixtures.py`` writes the frozen
+signature column from this one.
 """
 
 from __future__ import annotations

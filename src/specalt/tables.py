@@ -12,13 +12,13 @@ import math
 import os
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 from .diagram import (LinkDiagram, parse_pd, reduce_nugatory, DiagramError,
                       is_special_alternating)
 from .invariants import classical_invariants, unlinking_lower_bound
-from .seifert import SeifertError
 from .unknotting import bound_text, decide_minimal_unlinking
 
 
@@ -27,8 +27,9 @@ class TableError(ValueError):
 
 
 class SignatureRoutesDisagree(DiagramError):
-    """The Goeritz-route signature of the decision differs from the
-    Seifert-route one of the report; the bound p would be wrong."""
+    """The decision's lattice signature, read from the all-(-1) coloring,
+    differs from the reported Gordon-Litherland one, read from
+    ``checkerboard``; the bound p would be wrong."""
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,26 @@ def _parse_u_cell(cell: str) -> frozenset[int] | None:
 HEADER = ["name", "pd", "signature", "u", "genus"]
 
 
+@contextmanager
+def _open_csv(path, what: str):
+    """``path`` opened for CSV reading; a file that cannot be opened or
+    is not UTF-8 raises TableError."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise TableError(f"cannot read {what} {path}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise TableError(f"{what} {path} is not UTF-8: {exc.reason}") from None
+
+
 def load_table(path) -> tuple[list[KnotRecord], list[str]]:
     """Read a fixtures CSV; returns (records, per-row error strings)."""
-    if not os.path.exists(path):
-        raise TableError(f"no such table file: {path}")
     records: list[KnotRecord] = []
     errors: list[str] = []
-    with open(path, newline="") as fh:
+    with _open_csv(path, "table") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -172,7 +186,7 @@ def analyze(record: KnotRecord) -> ReportRow:
         if verdict.sigma != inv.signature:
             raise SignatureRoutesDisagree(
                 f"Goeritz-route sigma {verdict.sigma} != "
-                f"Seifert-route sigma {inv.signature}")
+                f"reported sigma {inv.signature}")
         return ReportRow(record.name, True,
                          u_lower=verdict.u_lower, u_upper=verdict.u_upper,
                          c4_lower=verdict.c4_lower, c4_upper=verdict.c4_upper,
@@ -182,7 +196,7 @@ def analyze(record: KnotRecord) -> ReportRow:
                                       else "obstructed"),
                          provenance=verdict.provenance,
                          seconds=time.monotonic() - start, **base)
-    except (DiagramError, SeifertError) as exc:
+    except DiagramError as exc:
         return ReportRow(record.name, False, provenance=f"error: {exc}",
                          seconds=time.monotonic() - start)
 
@@ -249,12 +263,8 @@ class DiffResult:
 def load_expected(path) -> dict[str, dict[str, str]]:
     """Read an expected table into {name: row}; accepts both the fixture
     header (name/genus) and the emitted report header (K/g)."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise TableError(f"cannot read expected table {path}: {exc.strerror}") from None
     expected: dict[str, dict[str, str]] = {}
-    with fh:
+    with _open_csv(path, "expected table") as fh:
         reader = csv.DictReader(fh, restval="")
         if not {"name", "K"} & set(reader.fieldnames or ()):
             raise TableError(f"expected table {path} has no name or K column")

@@ -22,6 +22,7 @@ from specalt.diagram import (parse_pd, checkerboard_negative,
                              reduce_nugatory)
 from specalt.invariants import (gl_signature, signature_nullity, goeritz,
                                 determinant, euler_check)
+from specalt import seifert
 from specalt.lattice import (obstruction, clasp_candidates, find_pairing,
                              claim1_structure, condition_all_coords,
                              enumerate_embeddings, canonical_matrix,
@@ -64,7 +65,7 @@ def test_criterion_1_signature_oracle_agreement(bundled):
     assert len(bundled) >= 55
     for rec in bundled:
         d = parse_pd(rec.pd)
-        sigma_seifert, eta = signature_nullity(d)
+        sigma_seifert, eta = seifert.signature_nullity(d)
         sigma_gl = gl_signature(d, checkerboard_negative(d))
         assert sigma_gl == sigma_seifert, rec.name
         assert eta == 0, rec.name

@@ -431,9 +431,9 @@ class TestZeroCrossing:
 
 class TestOrientationOverride:
     def test_reversal_flips_linking(self):
-        from specalt.invariants import linking_matrix, signature_nullity
+        from specalt.invariants import linking_matrix, gl_signature
         from specalt.diagram import checkerboard_negative
-        from specalt.invariants import gl_signature
+        from specalt.seifert import signature_nullity
         hopf_pd = families.torus_2q(2).to_pd_text()
         d = parse_pd(hopf_pd)
         rev = parse_pd(hopf_pd, reverse_components=(1,))

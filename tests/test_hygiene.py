@@ -1,7 +1,8 @@
 """Source hygiene: every module-level private function has a caller, no
 check in the package or its scripts is an ``assert`` (``python -O`` strips
 those), nothing in the package, its tests or its scripts reads the
-environment, and a serial table run loads no process pool."""
+environment, the Seifert oracle stays off the pipeline, and a serial table
+run loads no process pool."""
 
 import ast
 import subprocess
@@ -64,6 +65,33 @@ def test_no_environment_reads():
              if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
              or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))]
     assert reads == []
+
+
+def _imported_modules(tree) -> set[str]:
+    """Dotted names of the modules a tree imports, relative imports
+    resolved inside the package: ``from . import seifert`` and
+    ``from .seifert import x`` both name ``specalt.seifert``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ("specalt." + (node.module or "") if node.level
+                    else node.module or "").rstrip(".")
+            out.add(base)
+            out |= {f"{base}.{alias.name}" for alias in node.names}
+    return out
+
+
+def test_only_package_init_imports_seifert():
+    """The Seifert-matrix oracle is the tests' reference route: no module
+    of the package but ``__init__`` imports it, so the pipeline cannot
+    call it."""
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if path.name != "__init__.py"
+                 and "specalt.seifert" in _imported_modules(
+                     ast.parse(path.read_text(), filename=str(path)))]
+    assert importers == []
 
 
 def test_serial_table_run_loads_no_process_pool():

@@ -9,7 +9,7 @@ from specalt.invariants import (goeritz, gl_signature, signature_nullity,
                                 unlinking_lower_bound, classical_invariants,
                                 DegenerateColoring, PreconditionViolated)
 from specalt.linalg import det_bareiss, is_positive_definite
-from specalt import families
+from specalt import families, seifert
 
 from conftest import (TREFOIL_PD, SPLIT_TREFOILS_PD, TREFOIL_KINK_PD,
                       TREFOIL_MIRROR_PD, connected_sum_pd)
@@ -80,7 +80,7 @@ class TestSignatureRoutes:
             if not (is_special_alternating(d) and all(s == 1 for s in d.signs)):
                 continue
             lat = goeritz(d, checkerboard_negative(d))
-            sigma, _ = signature_nullity(d)
+            sigma, _ = seifert.signature_nullity(d)
             assert sigma == lat.rank - d.n, rec.name
             count += 1
         assert count >= 20

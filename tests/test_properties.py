@@ -11,6 +11,7 @@ from specalt.invariants import (gl_signature, signature_nullity, determinant,
                                 goeritz, euler_check, linking_matrix,
                                 unlinking_lower_bound)
 from specalt.seifert import seifert_matrix
+from specalt import seifert
 from specalt.linalg import det_bareiss
 from specalt.bracket import normalized_bracket, unlink_normalized_bracket
 from specalt.tables import data_path, load_table
@@ -82,7 +83,7 @@ class TestRandomMedialPipeline:
             built += 1
             assert is_special_alternating(d)
             cb = checkerboard_negative(d)
-            sigma, eta = signature_nullity(d)
+            sigma, eta = seifert.signature_nullity(d)
             assert gl_signature(d, cb) == sigma
             assert eta == 0
             lat = goeritz(d, cb)
@@ -133,7 +134,8 @@ class TestParityLaw:
         """sigma + eta = k - 1 (mod 2) and every linking number is an
         integer, on every fixture and named row, on a random crossing change
         of each and on a split union of each with another; so both bounds
-        of ``unlinking_lower_bound`` are integers."""
+        of ``unlinking_lower_bound`` are integers.  The law is read from
+        the oracle, and the pipeline's route must give the same pair."""
         rnd = random.Random(1965)
         named, _ = load_table(data_path("named_pd_codes.csv"))
         bases = [parse_pd(rec.pd) for rec in bundled + named]
@@ -142,7 +144,8 @@ class TestParityLaw:
             subset = rnd.sample(range(d.n), rnd.randint(1, d.n))
             diagrams += [d, change_crossings(d, subset), split_union(d, rnd.choice(bases))]
         for d in diagrams:
-            sigma, eta = signature_nullity(d)
+            sigma, eta = seifert.signature_nullity(d)
+            assert signature_nullity(d) == (sigma, eta), d.to_pd_text()
             k = d.component_count
             assert (sigma + eta - (k - 1)) % 2 == 0, d.to_pd_text()
             assert all(lk.denominator == 1 for lk in linking_matrix(d).values())
@@ -267,9 +270,35 @@ class TestRationalHypothesis:
         for a in coeffs[1:]:
             value = a + 1 / value
         assert determinant(d) == value.numerator
-        sigma, eta = signature_nullity(d)
+        sigma, eta = seifert.signature_nullity(d)
         assert gl_signature(d, checkerboard_negative(d)) == sigma
         assert eta == 0
+
+
+class TestGordonLitherlandHypothesis:
+    @staticmethod
+    def _draw_diagram(data, bundled):
+        """A fixture with a random subset of its components reversed and a
+        random subset of its crossings changed."""
+        rec = data.draw(st.sampled_from(bundled))
+        k = rec.diagram.component_count
+        reversed_ = data.draw(st.sets(st.integers(0, k - 1)))
+        d = parse_pd(rec.pd, reverse_components=tuple(sorted(reversed_)))
+        return change_crossings(d, data.draw(st.sets(st.integers(0, d.n - 1))))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_seifert_oracle(self, bundled, data):
+        """``invariants.signature_nullity`` (Gordon-Litherland) equals the
+        Seifert-matrix oracle on modified fixtures, split unions of two of
+        them and extra free loops."""
+        d = self._draw_diagram(data, bundled)
+        if data.draw(st.booleans()):
+            d = split_union(d, self._draw_diagram(data, bundled))
+        loops = data.draw(st.integers(0, 2))
+        d = LinkDiagram(d.quads, d.incoming, d.free_loops + loops)
+        assert signature_nullity(d) == seifert.signature_nullity(d), \
+            (d.to_pd_text(), d.free_loops)
 
 
 class TestCertificateJson:

@@ -77,15 +77,15 @@ class TestAnalyze:
     def test_parity_breaking_signature_fails_row(self, monkeypatch):
         """A sigma that breaks sigma + eta = k - 1 (mod 2) fails its row,
         even on the classical-bounds-only path, instead of being rounded."""
-        from specalt import seifert
+        from specalt import invariants
         from specalt.families import rational_link
-        real = seifert.signature_nullity
+        real = invariants.signature_nullity
 
         def shifted(d):
             sigma, eta = real(d)
             return sigma + 1, eta
 
-        monkeypatch.setattr(seifert, "signature_nullity", shifted)
+        monkeypatch.setattr(invariants, "signature_nullity", shifted)
         row = analyze(KnotRecord("4_1", rational_link([2, 2]).to_pd_text()))
         assert not row.ok
         assert "not an integer" in row.provenance
@@ -207,14 +207,17 @@ class TestCertificateChecks:
     ``python -O`` keeps, and fail only the row they belong to."""
 
     def test_signature_routes_disagree_fails_row(self, monkeypatch):
-        from specalt import seifert
-        real = seifert.signature_nullity
+        """The reported sigma, from ``checkerboard``, and the decision's
+        lattice sigma, from the all-(-1) coloring, are checked against
+        each other."""
+        from specalt import invariants
+        real = invariants.signature_nullity
 
         def shifted(d):
             sigma, eta = real(d)
             return sigma + 2, eta
 
-        monkeypatch.setattr(seifert, "signature_nullity", shifted)
+        monkeypatch.setattr(invariants, "signature_nullity", shifted)
         row = analyze(KnotRecord("3_1", TREFOIL_PD))
         assert not row.ok
         assert "Goeritz-route sigma" in row.provenance
@@ -237,25 +240,28 @@ class TestCertificateChecks:
         assert "lattice is obstructed" in row.provenance
 
     def test_oracle_error_fails_only_its_row(self, bundled, monkeypatch):
-        from specalt import seifert
+        """A signature route that raises on one diagram fails that row
+        alone, which prints ``?`` cells."""
+        from specalt import invariants
+        from specalt.diagram import DiagramError
         subset = [r for r in bundled if r.name in ("3_1", "hopf", "7_4", "5_2")]
         before = analyze_all(subset, jobs=1)
         bad = canonical_key(reduce_nugatory(
             parse_pd(next(r.pd for r in subset if r.name == "7_4"))))
-        real = seifert.signature_nullity
+        real = invariants.signature_nullity
 
         def flaky(d):
             if canonical_key(d) == bad:
-                raise seifert.SeifertError("injected oracle failure")
+                raise DiagramError("injected signature failure")
             return real(d)
 
-        monkeypatch.setattr(seifert, "signature_nullity", flaky)
+        monkeypatch.setattr(invariants, "signature_nullity", flaky)
         after = analyze_all(subset, jobs=1)
         assert len(after) == len(subset)
         for old, new in zip(before, after):
             if new.name == "7_4":
                 assert not new.ok
-                assert "injected oracle failure" in new.provenance
+                assert "injected signature failure" in new.provenance
             else:
                 assert new.to_json() | {"seconds": 0} == \
                     old.to_json() | {"seconds": 0}
@@ -287,17 +293,18 @@ class TestOracleCalls:
         assert len(out) >= 30
         return out
 
-    def test_one_oracle_call_per_special_alternating_knot(self, bundled,
-                                                          oracle_calls):
-        """analyze runs the oracle once, for the reported sigma; the
-        decision reads its own sigma from the Goeritz lattice."""
+    def test_no_oracle_call_on_any_bundled_row(self, bundled, oracle_calls):
+        """analyze never runs the oracle, special alternating or not: the
+        reported sigma comes from Gordon-Litherland and the decision reads
+        its own from the Goeritz lattice."""
         counts = {}
-        for rec, _ in self.special_alternating(bundled):
+        for rec in bundled:
             oracle_calls.clear()
             row = analyze(rec)
             assert row.ok, rec.name
             counts[rec.name] = len(oracle_calls)
-        assert {name: c for name, c in counts.items() if c != 1} == {}
+        assert {name: c for name, c in counts.items() if c} == {}
+        assert len(counts) == len(bundled)
 
     def test_decision_is_oracle_free(self, bundled, oracle_calls):
         from specalt.lattice import obstruction
@@ -433,6 +440,33 @@ class TestTablesInputErrors:
             load_expected(exp)
         rc = cli_main(["tables", str(small_csv), "--diff", str(exp)])
         assert rc == 2 and "no name or K column" in capsys.readouterr().err
+
+    def test_directory_as_table(self, tmp_path, capsys):
+        with pytest.raises(TableError):
+            load_table(tmp_path)
+        rc = cli_main(["tables", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: cannot read table")
+
+    def test_non_utf8_table(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("name,pd,signature,u,genus\n"
+                         f'n\u00e6ud,"{TREFOIL_PD}",-2,1,1\n'.encode("latin-1"))
+        with pytest.raises(TableError):
+            load_table(path)
+        rc = cli_main(["tables", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "not UTF-8" in err
+
+    def test_non_utf8_diff_file(self, small_csv, tmp_path, capsys):
+        exp = tmp_path / "expected.csv"
+        exp.write_bytes("name,u,c4,sigma,genus\n3_1,1,1,-2,1\n"
+                        "n\u00e6ud,,,,\n".encode("latin-1"))
+        with pytest.raises(TableError):
+            load_expected(exp)
+        rc = cli_main(["tables", str(small_csv), "--diff", str(exp)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "not UTF-8" in err
 
     @pytest.mark.parametrize("row", ["blank,,,,", 'blank,"  ",,,', "blank,PD[],,,"])
     def test_crossing_free_pd(self, row, tmp_path, capsys):
