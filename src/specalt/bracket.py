@@ -47,43 +47,46 @@ DELTA: Laurent = {2: -1, -2: -1}   # -A^2 - A^-2
 
 def kauffman_bracket(d: LinkDiagram) -> Laurent:
     """<D> by the full state sum; the A-smoothing joins slots (0,3) and
-    (1,2) of each crossing."""
+    (1,2) of each crossing.
+
+    Edges are relabelled 0..2n-1 once.  The 2^n states are walked depth
+    first, crossing by crossing, and a union-find over the labels counts
+    loops; states that agree on their first crossings share that prefix's
+    unions.  States are tallied by (number of A-smoothings, number of
+    loops), so the Laurent polynomial is built once per distinct pair."""
     n = d.n
-    labels = sorted({e for quad in d.quads for e in quad})
-    index = {e: i for i, e in enumerate(labels)}
-    out: Laurent = {}
-    for state in range(1 << n):
-        parent = list(range(len(labels)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-                return True
-            return False
-
-        loops = len(labels)
-        a_count = 0
-        for c in range(n):
-            if (state >> c) & 1 == 0:
-                a_count += 1
-                pairs = ((0, 3), (1, 2))
-            else:
-                pairs = ((0, 1), (2, 3))
-            for x, y in pairs:
-                if union(index[d.quads[c][x]], index[d.quads[c][y]]):
-                    loops -= 1
-        loops += d.free_loops
-        term = _poly_mul({2 * a_count - n: 1}, _poly_pow(DELTA, loops - 1))
-        out = _poly_add(out, term)
     if n == 0:
-        out = _poly_pow(DELTA, max(d.free_loops - 1, 0)) if d.free_loops else {}
+        return _poly_pow(DELTA, d.free_loops - 1) if d.free_loops else {}
+    index: dict[int, int] = {}
+    quads = [[index.setdefault(e, len(index)) for e in quad] for quad in d.quads]
+    m = len(index)
+    smoothings = [(((q0, q3), (q1, q2)), ((q0, q1), (q2, q3)))
+                  for q0, q1, q2, q3 in quads]
+    tally: dict[tuple[int, int], int] = {}
+    stack = [(0, list(range(m)), m, 0)]
+    while stack:
+        c, parent, loops, a_count = stack.pop()
+        if c == n:
+            key = (a_count, loops)
+            tally[key] = tally.get(key, 0) + 1
+            continue
+        for b, pairs in enumerate(smoothings[c]):
+            # the A branch works on a copy; the B branch takes the original
+            p = parent[:] if b == 0 else parent
+            left = loops
+            for x, y in pairs:
+                while p[x] != x:
+                    p[x] = x = p[p[x]]
+                while p[y] != y:
+                    p[y] = y = p[p[y]]
+                if x != y:
+                    p[x] = y
+                    left -= 1
+            stack.append((c + 1, p, left, a_count + 1 - b))
+    out: Laurent = {}
+    for (a_count, loops), count in tally.items():
+        term = _poly_pow(DELTA, loops + d.free_loops - 1)
+        out = _poly_add(out, _poly_mul({2 * a_count - n: count}, term))
     return out
 
 

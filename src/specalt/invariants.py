@@ -16,7 +16,6 @@ independent route that the tests compare this one against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import (LinkDiagram, Checkerboard, checkerboard, is_special_alternating,
                       split_components, SplitDiagram, DiagramError)
@@ -141,19 +140,21 @@ def determinant(d: LinkDiagram) -> int:
     return abs(det_bareiss([row[1:] for row in g[1:]]))
 
 
-def linking_matrix(d: LinkDiagram) -> dict[tuple[int, int], Fraction]:
+def linking_matrix(d: LinkDiagram) -> dict[tuple[int, int], int]:
     """Pairwise linking numbers lk(i, j) = half the signed count of
-    crossings between components i and j."""
+    crossings between components i and j.  Two components cross an even
+    number of times, so each signed count is summed as an int and halved
+    exactly once."""
     comp = d.component_of_edge
-    out: dict[tuple[int, int], Fraction] = {}
-    for c in range(d.n):
-        ca = comp[d.quads[c][0]]
-        cb = comp[d.quads[c][1]]
+    counts: dict[tuple[int, int], int] = {}
+    for c, quad in enumerate(d.quads):
+        ca = comp[quad[0]]
+        cb = comp[quad[1]]
         if ca == cb:
             continue
-        key = (min(ca, cb), max(ca, cb))
-        out[key] = out.get(key, Fraction(0)) + Fraction(d.signs[c], 2)
-    return out
+        key = (ca, cb) if ca < cb else (cb, ca)
+        counts[key] = counts.get(key, 0) + d.signs[c]
+    return {key: total // 2 for key, total in counts.items()}
 
 
 def unlinking_lower_bound(sigma: int, eta: int, k: int) -> tuple[int, int]:

@@ -196,7 +196,7 @@ def analyze(record: KnotRecord) -> ReportRow:
                                       else "obstructed"),
                          provenance=verdict.provenance,
                          seconds=time.monotonic() - start, **base)
-    except DiagramError as exc:
+    except ValueError as exc:   # DiagramError, TargetTooSmall, linalg errors
         return ReportRow(record.name, False, provenance=f"error: {exc}",
                          seconds=time.monotonic() - start)
 

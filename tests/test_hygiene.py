@@ -1,8 +1,9 @@
 """Source hygiene: every module-level private function has a caller, no
 check in the package or its scripts is an ``assert`` (``python -O`` strips
 those), nothing in the package, its tests or its scripts reads the
-environment, the Seifert oracle stays off the pipeline, and a serial table
-run loads no process pool."""
+environment, the Seifert oracle stays off the pipeline, nothing in the
+package imports ``fractions``, and a serial table run loads no process
+pool."""
 
 import ast
 import subprocess
@@ -90,6 +91,15 @@ def test_only_package_init_imports_seifert():
     importers = [path.name for path in sorted(SRC.glob("*.py"))
                  if path.name != "__init__.py"
                  and "specalt.seifert" in _imported_modules(
+                     ast.parse(path.read_text(), filename=str(path)))]
+    assert importers == []
+
+
+def test_no_module_imports_fractions():
+    """Every number the package computes is an integer: no module of it
+    imports ``fractions``."""
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "fractions" in _imported_modules(
                      ast.parse(path.read_text(), filename=str(path)))]
     assert importers == []
 

@@ -268,6 +268,34 @@ class TestCertificateChecks:
         assert "7_4,?,?,?,\n" in emit_tables(after, "csv")
         assert "| 7_4 | ? | ? | ? |  |" in emit_tables(after, "markdown")
 
+    def test_value_error_fails_only_its_row(self, bundled, monkeypatch):
+        """A plain ``ValueError`` from the lattice step, such as
+        ``TargetTooSmall`` out of ``enumerate_embeddings``, fails its own
+        row and leaves every other bundled row unchanged."""
+        from specalt import unknotting
+        from specalt.lattice import TargetTooSmall
+        before = analyze_all(bundled, jobs=1)
+        bad = canonical_key(reduce_nugatory(
+            parse_pd(next(r.pd for r in bundled if r.name == "8_15"))))
+        real = unknotting.obstruction
+
+        def small_target(d):
+            if canonical_key(d) == bad:
+                raise TargetTooSmall("injected: target dimension 0 below rank 2")
+            return real(d)
+
+        monkeypatch.setattr(unknotting, "obstruction", small_target)
+        after = analyze_all(bundled, jobs=1)
+        assert [row.name for row in after] == [row.name for row in before]
+        for old, new in zip(before, after):
+            if new.name == "8_15":
+                assert not new.ok
+                assert new.provenance == \
+                    "error: injected: target dimension 0 below rank 2"
+            else:
+                assert new.to_json() | {"seconds": 0} == \
+                    old.to_json() | {"seconds": 0}
+
 
 class TestOracleCalls:
     @pytest.fixture
