@@ -743,7 +743,10 @@ def twist_regions(d: LinkDiagram) -> TwistDecomposition:
 def is_twist_reduced(d: LinkDiagram) -> bool:
     """True iff for every pair of same-colored regions, all crossings
     between them lie in a single twist region."""
-    tw = twist_regions(d)
+    return _twist_reduced(d, twist_regions(d))
+
+
+def _twist_reduced(d: LinkDiagram, tw: TwistDecomposition) -> bool:
     by_pair: dict[tuple[int, int], set[int]] = {}
     for c in range(d.n):
         f = [d.face_index[(c, s)] for s in range(4)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .diagram import (LinkDiagram, checkerboard_negative, mirror, twist_regions,
-                      is_twist_reduced, is_special_alternating, _bigon_pairs,
+                      _twist_reduced, is_special_alternating, _bigon_pairs,
                       NotAlternating, SplitDiagram, DiagramError)
 from .invariants import goeritz, unlinking_lower_bound, GoeritzLattice
 from .linalg import is_positive_definite
@@ -30,10 +30,6 @@ class LatticeEmbedding:
 
     images: tuple[tuple[int, ...], ...]
     target_dim: int
-
-    @property
-    def rank(self) -> int:
-        return len(self.images)
 
     @property
     def full_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -65,7 +61,7 @@ class CoordinatePairing:
 @dataclass(frozen=True)
 class ObstructionVerdict:
     """The verdict on ``lattice``, the Goeritz lattice of the diagram decided
-    on, whose signature ``lattice.sigma`` fixes p and the target dimension."""
+    on, ``lattice.coloring.diagram``; ``lattice.sigma`` fixes p and n."""
 
     admissible: bool
     p: int
@@ -259,8 +255,9 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
     """Decide whether the Goeritz lattice admits an embedding satisfying
     conditions (i) and (ii); Obstructed certifies c4 > p.
 
-    The signature comes from the same lattice; a diagram of positive
-    signature is replaced by its mirror."""
+    The signature comes from the same lattice.  Only here is a diagram of
+    positive signature replaced by its mirror; the verdict's lattice names
+    the diagram decided on."""
     if not d.is_connected:
         raise SplitDiagram("obstruction needs a non-split diagram")
     if d.n and not d.is_alternating:
@@ -299,21 +296,24 @@ class MarkedRegionsNotAdjacent(DiagramError):
     a convention bug, not a valid state."""
 
 
-def clasp_candidates(d: LinkDiagram, lat: GoeritzLattice, e: LatticeEmbedding,
-                     pairing: CoordinatePairing) -> ClaspSet:
-    """Extract one crossing per disjoint clasp from an admissible witness:
+def clasp_candidates(v: ObstructionVerdict) -> ClaspSet:
+    """Extract one crossing per disjoint clasp from an admissible verdict:
     each paired coordinate marks a white-region pair, and the crossings
-    between a marked pair lie in one twist region (d twist-reduced)."""
+    between a marked pair lie in one twist region.  That is Claim 2, on a
+    twist-reduced diagram; on any other diagram the set is empty."""
+    if not v.admissible:
+        raise DiagramError("clasp extraction needs an admissible verdict")
+    cb = v.lattice.coloring
+    d = cb.diagram
     if not is_special_alternating(d):
         raise DiagramError("clasp extraction needs a special alternating diagram")
-    if not is_twist_reduced(d):
-        raise DiagramError("clasp extraction needs a twist-reduced diagram")
-    cb = lat.coloring
-    full = e.full_matrix
-    # face of each full-matrix row
-    faces_of_rows = lat.white_order
+    tw = twist_regions(d)
+    if not _twist_reduced(d, tw):
+        return ClaspSet((), (), ())
+    full = v.embedding.full_matrix
+    faces_of_rows = v.lattice.white_order        # face of each full-matrix row
     marked: dict[tuple[int, int], int] = {}
-    for (a, b, eps) in pairing.pairs:
+    for (a, b, eps) in v.pairing.pairs:
         rows_a = [i for i, row in enumerate(full) if row[a] != 0]
         rows_b = [i for i, row in enumerate(full) if row[b] != 0]
         if len(rows_a) != 2 or set(rows_a) != set(rows_b):
@@ -322,7 +322,6 @@ def clasp_candidates(d: LinkDiagram, lat: GoeritzLattice, e: LatticeEmbedding,
         pair = (faces_of_rows[rows_a[0]], faces_of_rows[rows_a[1]])
         key = (min(pair), max(pair))
         marked[key] = marked.get(key, 0) + 1
-    tw = twist_regions(d)
     bigons = {tuple(sorted(pair)) for pair in _bigon_pairs(d)}
     chosen: list[int] = []
     clasps: list[tuple[int, int]] = []

@@ -11,11 +11,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
 from .diagram import (LinkDiagram, DiagramError, NotSpecialAlternating, SplitDiagram,
-                      canonical_key, change_crossings, mirror, _nugatory_pattern,
-                      is_special_alternating, is_twist_reduced)
+                      canonical_key, change_crossings, _nugatory_pattern,
+                      is_special_alternating)
 from . import moves as _moves
 from .moves import Move
 from .bracket import normalized_bracket, unlink_normalized_bracket
@@ -129,7 +128,7 @@ def certify_unlink(d: LinkDiagram,
                    budget: SimplifyBudget = SimplifyBudget()) -> UnlinkCertificate:
     """Certify d as the unlink on its components, refute it, or give up."""
     k = d.component_count
-    lk = linking_matrix(d)
+    lk = linking_matrix(d) if k > 1 else {}     # a knot has no linking numbers
     for pair, val in sorted(lk.items()):
         if val != 0:
             return UnlinkCertificate("refuted", invariant="linking number",
@@ -271,30 +270,29 @@ def decide_minimal_unlinking(d: LinkDiagram) -> UnlinkingVerdict:
     and witnesses at higher m give upper bounds.
 
     ``d`` must be nugatory-free, as ``reduce_nugatory`` leaves it; a
-    nugatory crossing raises DiagramError.  sigma and p come from the
-    Goeritz lattice of the obstruction.  A reduced special alternating
-    diagram with crossings has sigma > 0 exactly when its crossings are
-    negative; such a diagram is decided as its mirror."""
+    nugatory crossing raises DiagramError.  sigma, p and the side of the
+    mirror come from the obstruction: the search runs on the diagram its
+    lattice was read from, and sigma is negated when that is the mirror."""
     if not d.is_connected:
         raise SplitDiagram("decide needs a non-split diagram; decompose first")
     if not is_special_alternating(d):
         raise NotSpecialAlternating("decide needs a special alternating diagram")
     if any(_nugatory_pattern(d, c) is not None for c in range(d.n)):
         raise DiagramError("decide needs a nugatory-free diagram; reduce it first")
-    mirrored = d.n > 0 and d.signs[0] == -1
-    if mirrored:
-        d = mirror(d)
     ob = obstruction(d)
-    sigma = ob.lattice.sigma
-    p = ob.p
-    verdict = partial(UnlinkingVerdict, p, -sigma if mirrored else sigma, ob)
+    lat = ob.lattice
+    sigma = lat.sigma if lat.coloring.diagram is d else -lat.sigma
+    d, p = lat.coloring.diagram, ob.p
+
+    # Bounds lo..hi hold for u and c4 alike: c4 <= u gives the upper one, and
+    # the main theorem (c4 = p iff p changes here unlink) the lower one.
+    def verdict(result, witness, lo, hi, searches, unknown=(), cert=None, *, provenance):
+        return UnlinkingVerdict(p, sigma, ob, result, witness, lo, hi, lo, hi,
+                                tuple(searches), unknown, cert, provenance)
+
     if d.n == 0:
-        return verdict("equal", (), 0, 0, 0, 0,
-                       provenance="crossing-free diagram")
-    hints: tuple[tuple[int, ...], ...] = ()
-    if ob.admissible and is_twist_reduced(d):
-        hints = (clasp_candidates(d, ob.lattice, ob.embedding,
-                                  ob.pairing).crossings,)
+        return verdict("equal", (), 0, 0, (), provenance="crossing-free diagram")
+    hints = (clasp_candidates(ob).crossings,) if ob.admissible else ()
     searches: list[tuple[int, str]] = []
     out_p = exhaustive_search(d, p, hints)
     searches.append((p, out_p.status))
@@ -303,12 +301,10 @@ def decide_minimal_unlinking(d: LinkDiagram) -> UnlinkingVerdict:
             raise WitnessContradictsObstruction(
                 f"witness {list(out_p.witnesses[0])} at p={p} but the "
                 f"lattice is obstructed ({ob.reason})")
-        return verdict("equal", out_p.witnesses[0], p, p, p, p,
-                       tuple(searches), (), out_p.certificate,
-                       provenance="witness at p")
+        return verdict("equal", out_p.witnesses[0], p, p, searches, (),
+                       out_p.certificate, provenance="witness at p")
     if out_p.status == "inconclusive" and ob.admissible:
-        return verdict("inconclusive", None, p, None, p, None,
-                       tuple(searches), out_p.unknown,
+        return verdict("inconclusive", None, p, None, searches, out_p.unknown,
                        provenance="unknown subsets at p")
     # The bound is certifiably not attained: either every p-subset was
     # refuted (the main theorem then rules out p in every diagram) or the
@@ -321,12 +317,10 @@ def decide_minimal_unlinking(d: LinkDiagram) -> UnlinkingVerdict:
         out_m = exhaustive_search(d, m)
         searches.append((m, out_m.status))
         if out_m.status == "some":
-            return verdict("greater", out_m.witnesses[0], lo, m, lo, m,
-                           tuple(searches), (), out_m.certificate,
-                           provenance=f"{why}; witness at {m}")
+            return verdict("greater", out_m.witnesses[0], lo, m, searches, (),
+                           out_m.certificate, provenance=f"{why}; witness at {m}")
         if out_m.status == "inconclusive":
-            return verdict("greater", None, lo, None, lo, None,
-                           tuple(searches), out_m.unknown,
+            return verdict("greater", None, lo, None, searches, out_m.unknown,
                            provenance=f"{why}; unknown at {m}")
-    return verdict("greater", None, lo, None, lo, None, tuple(searches),
+    return verdict("greater", None, lo, None, searches,
                    provenance=f"{why}; no witness in searched range")

@@ -20,7 +20,7 @@ import pytest
 from specalt.diagram import (parse_pd, checkerboard_negative,
                              change_crossings, is_special_alternating,
                              reduce_nugatory)
-from specalt.invariants import (gl_signature, signature_nullity, goeritz,
+from specalt.invariants import (gl_signature, signature_nullity,
                                 determinant, euler_check)
 from specalt import seifert
 from specalt.lattice import (obstruction, clasp_candidates, find_pairing,
@@ -90,8 +90,7 @@ def test_criterion_2_figure2_fixture():
                for perm in itertools.permutations(range(5)))
     pairing = find_pairing(verdict.embedding, 2)
     assert pairing is not None and len(pairing.pairs) == 2
-    lat = goeritz(d, checkerboard_negative(d))
-    clasp = clasp_candidates(d, lat, verdict.embedding, verdict.pairing)
+    clasp = clasp_candidates(verdict)
     assert len(clasp.crossings) == 2
     cert = certify_unlink(change_crossings(d, clasp.crossings))
     assert cert.status == "certified"

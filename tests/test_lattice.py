@@ -272,7 +272,6 @@ class TestObstruction:
 
     def test_claim1_on_admissible_special_fixtures(self, bundled):
         from specalt.diagram import is_special_alternating
-        from specalt.invariants import signature_nullity
         checked = 0
         for rec in bundled:
             d = parse_pd(rec.pd)
@@ -280,10 +279,9 @@ class TestObstruction:
                 continue
             v = obstruction(d)
             if v.admissible:
-                lat_d = mirror(d) if signature_nullity(d)[0] > 0 else d
-                lat = goeritz(lat_d, checkerboard_negative(lat_d))
+                lat = v.lattice
                 assert sum(lat.unquotiented[i][i]
-                           for i in range(lat.rank + 1)) == 2 * lat_d.n
+                           for i in range(lat.rank + 1)) == 2 * d.n
                 assert condition_all_coords(v.embedding)
                 assert claim1_structure(v.embedding), rec.name
                 checked += 1
@@ -293,8 +291,7 @@ class TestObstruction:
 class TestClaspCandidates:
     def test_8_15_two_crossings(self, knot_8_15):
         v = obstruction(knot_8_15)
-        lat = goeritz(knot_8_15, checkerboard_negative(knot_8_15))
-        clasp = clasp_candidates(knot_8_15, lat, v.embedding, v.pairing)
+        clasp = clasp_candidates(v)
         assert len(clasp.crossings) == 2
         assert len(set(clasp.crossings)) == 2
         for (c1, c2) in clasp.clasps:
@@ -302,8 +299,7 @@ class TestClaspCandidates:
 
     def test_trefoil_single(self, trefoil):
         v = obstruction(trefoil)
-        lat = goeritz(trefoil, checkerboard_negative(trefoil))
-        clasp = clasp_candidates(trefoil, lat, v.embedding, v.pairing)
+        clasp = clasp_candidates(v)
         assert len(clasp.crossings) == 1
 
     def test_clasp_crossings_certify(self, trefoil, knot_8_15):
@@ -311,23 +307,26 @@ class TestClaspCandidates:
         from specalt.diagram import change_crossings
         for d in (trefoil, knot_8_15):
             v = obstruction(d)
-            lat = goeritz(d, checkerboard_negative(d))
-            clasp = clasp_candidates(d, lat, v.embedding, v.pairing)
-            cert = certify_unlink(change_crossings(d, clasp.crossings))
+            clasp = clasp_candidates(v)
+            cert = certify_unlink(change_crossings(v.lattice.coloring.diagram,
+                                                   clasp.crossings))
             assert cert.status == "certified", d
 
-    def test_rejects_non_twist_reduced(self):
-        """Two parallel crossings separated by detour paths on both sides:
-        special alternating but not twist-reduced."""
-        from specalt.families import medial_special_alternating
-        from specalt.diagram import is_twist_reduced, DiagramError
-        rot = {"u": ["e1", "f1", "e2", "g1"], "v": ["e1", "g3", "e2", "f3"],
-               "x": ["f1", "f2"], "y": ["f2", "f3"],
-               "w": ["g1", "g2"], "z": ["g2", "g3"]}
-        d = medial_special_alternating(rot)
+    def test_non_twist_reduced_gives_no_hint(self):
+        """An 11-crossing medial diagram with two crossings between one
+        pair of regions that form no bigon: special alternating and
+        admissible, but not twist-reduced, so Claim 2 names no clasp."""
+        from specalt.diagram import is_twist_reduced
+        d = parse_pd("X[22,11,1,12] X[16,1,17,2] X[2,15,3,16] X[10,21,11,22] "
+                     "X[8,19,9,20] X[20,17,21,18] X[6,9,7,10] X[18,7,19,8] "
+                     "X[14,3,15,4] X[4,13,5,14] X[12,5,13,6]")
         assert not is_twist_reduced(d)
         v = obstruction(d)
-        if v.admissible:
-            lat = goeritz(d, checkerboard_negative(d))
-            with pytest.raises(DiagramError):
-                clasp_candidates(d, lat, v.embedding, v.pairing)
+        assert v.admissible
+        assert clasp_candidates(v).crossings == ()
+
+    def test_rejects_obstructed_verdict(self, knot_9_35):
+        v = obstruction(knot_9_35)
+        assert not v.admissible
+        with pytest.raises(DiagramError):
+            clasp_candidates(v)

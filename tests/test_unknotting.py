@@ -1,7 +1,8 @@
 import pytest
 
 from specalt.diagram import (parse_pd, change_crossings, mirror, LinkDiagram,
-                             DiagramError, NotSpecialAlternating, SplitDiagram)
+                             DiagramError, NotSpecialAlternating, SplitDiagram,
+                             is_special_alternating, reduce_nugatory)
 from specalt.unknotting import (SimplifyBudget, certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, reidemeister_simplify,
                                 replay_moves)
@@ -56,6 +57,47 @@ class TestCertify:
         assert cert.status == "certified"
         final = replay_moves(d, cert.moves)
         assert final.n == 0 and final.free_loops == 1
+
+    def test_knot_search_skips_linking_numbers(self, knot_8_15, knot_9_35,
+                                               monkeypatch):
+        from specalt import unknotting
+        real = unknotting.linking_matrix
+        calls = []
+
+        def counted(d):
+            calls.append(d.component_count)
+            return real(d)
+
+        monkeypatch.setattr(unknotting, "linking_matrix", counted)
+        exhaustive_search(knot_9_35, 1)
+        exhaustive_search(knot_8_15, 2)
+        assert calls == []
+        exhaustive_search(families.torus_2q(4), 2)
+        assert calls and set(calls) == {2}
+
+    def test_linking_skip_keeps_bundled_rows(self, bundled, monkeypatch):
+        """Every bundled row reads the same, apart from its seconds, as
+        when the linking numbers screen every changed diagram."""
+        from specalt import unknotting
+        from specalt.invariants import linking_matrix
+        from specalt.tables import analyze_all
+
+        def rows():
+            return [{k: v for k, v in row.to_json().items() if k != "seconds"}
+                    for row in analyze_all(bundled)]
+
+        shipped = rows()
+        real = unknotting.certify_unlink
+
+        def linking_first(d, budget=SimplifyBudget()):
+            for pair, val in sorted(linking_matrix(d).items()):
+                if val != 0:
+                    return unknotting.UnlinkCertificate(
+                        "refuted", invariant="linking number", value=f"lk{pair}={val}")
+            return real(d, budget)
+
+        monkeypatch.setattr(unknotting, "certify_unlink", linking_first)
+        assert rows() == shipped
 
     def test_det_one_knot_refuted_by_bracket(self):
         # changing one crossing of 9_35's standard diagram sometimes gives
@@ -122,6 +164,19 @@ class TestExhaustiveSearch:
         assert exhaustive_search(knot_8_15, 4).status == "some"
 
 
+@pytest.fixture(scope="module")
+def special_fixture_verdicts(bundled):
+    """(name, verdict, mirror's verdict) per special alternating fixture."""
+    out = []
+    for rec in bundled:
+        d = reduce_nugatory(parse_pd(rec.pd))
+        if is_special_alternating(d):
+            out.append((rec.name, decide_minimal_unlinking(d),
+                        decide_minimal_unlinking(mirror(d))))
+    assert len(out) >= 40
+    return out
+
+
 class TestDecide:
     def test_trefoil(self, trefoil):
         v = decide_minimal_unlinking(trefoil)
@@ -180,3 +235,25 @@ class TestDecide:
         assert cert.status == "certified"
         assert len(v.witness) == v.p
 
+
+    def test_mirror_decides_the_same_diagram(self, special_fixture_verdicts):
+        for name, v, vm in special_fixture_verdicts:
+            assert vm.sigma == -v.sigma, name
+            assert (vm.witness, vm.provenance, vm.certificate) == \
+                (v.witness, v.provenance, v.certificate), name
+            assert (vm.u_lower, vm.u_upper, vm.c4_lower, vm.c4_upper) == \
+                (v.u_lower, v.u_upper, v.c4_lower, v.c4_upper), name
+
+    def test_move_log_replays_on_the_searched_diagram(self, special_fixture_verdicts):
+        replayed = 0
+        for name, *verdicts in special_fixture_verdicts:
+            for v in verdicts:
+                if v.certificate is None:
+                    continue
+                searched = v.obstruction_verdict.lattice.coloring.diagram
+                final = replay_moves(change_crossings(searched, v.witness),
+                                     v.certificate.moves)
+                assert final.n == 0, name
+                assert final.free_loops == searched.component_count, name
+                replayed += 1
+        assert replayed >= 40
