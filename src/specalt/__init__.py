@@ -4,8 +4,11 @@ The pipeline: parse an alternating diagram, compute the classical
 signature bound p = (|sigma|+|k-1-eta|)/2 from the Goeritz form by
 Gordon-Litherland, decide by an exhaustive lattice-embedding obstruction
 and a crossing-change search whether the bound is attained, and certify or
-bound the unlinking number.  The Seifert-matrix module ``seifert`` is an
-independent signature route for checking, not part of the pipeline.
+bound the unlinking number; the bounds on u also bound the 4-ball
+crossing number c4.  The Seifert-matrix module ``seifert`` is an
+independent signature route for checking, not part of the pipeline.  The
+checkers of the paper's intermediate claims (Claim 1's column structure,
+the Euler identity) are test helpers and do not ship here.
 """
 
 from .diagram import (LinkDiagram, Checkerboard, TwistDecomposition,
@@ -14,17 +17,16 @@ from .diagram import (LinkDiagram, Checkerboard, TwistDecomposition,
                       checkerboard_negative, is_special_alternating,
                       reduce_nugatory, twist_regions, is_twist_reduced,
                       change_crossings, mirror, split_components,
-                      planar_isomorphic, canonical_key)
+                      canonical_key)
 from .invariants import (GoeritzLattice, ClassicalInvariants, goeritz,
                          gl_signature, signature_nullity,
                          determinant, linking_matrix, unlinking_lower_bound,
-                         euler_check, classical_invariants, DegenerateColoring)
+                         classical_invariants, DegenerateColoring)
 from .seifert import seifert_matrix
 from .lattice import (LatticeEmbedding, CoordinatePairing, ObstructionVerdict,
-                      ClaspSet, TargetTooSmall, MarkedRegionsNotAdjacent,
+                      TargetTooSmall, MarkedRegionsNotAdjacent,
                       enumerate_embeddings, condition_all_coords, find_pairing,
-                      claim1_structure, obstruction, clasp_candidates,
-                      canonical_matrix, signed_permutation_equivalent)
+                      obstruction, clasp_candidates, canonical_matrix)
 from .unknotting import (SimplifyBudget, UnlinkCertificate, SearchOutcome,
                          UnlinkingVerdict, WitnessContradictsObstruction,
                          reidemeister_simplify, certify_unlink,

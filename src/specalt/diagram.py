@@ -107,10 +107,6 @@ class LinkDiagram:
     def n(self) -> int:
         return len(self.quads)
 
-    @property
-    def edge_count(self) -> int:
-        return 2 * len(self.quads)
-
     @cached_property
     def edge_ends(self) -> dict[int, tuple[End, End]]:
         ends: dict[int, list[End]] = {}
@@ -740,13 +736,10 @@ def twist_regions(d: LinkDiagram) -> TwistDecomposition:
     return TwistDecomposition(tuple(regions))
 
 
-def is_twist_reduced(d: LinkDiagram) -> bool:
+def is_twist_reduced(d: LinkDiagram, tw: TwistDecomposition) -> bool:
     """True iff for every pair of same-colored regions, all crossings
-    between them lie in a single twist region."""
-    return _twist_reduced(d, twist_regions(d))
-
-
-def _twist_reduced(d: LinkDiagram, tw: TwistDecomposition) -> bool:
+    between them lie in a single twist region of ``tw``, the twist
+    regions of ``d``."""
     by_pair: dict[tuple[int, int], set[int]] = {}
     for c in range(d.n):
         f = [d.face_index[(c, s)] for s in range(4)]
@@ -759,7 +752,7 @@ def _twist_reduced(d: LinkDiagram, tw: TwistDecomposition) -> bool:
     return True
 
 
-# -- planar isomorphism ------------------------------------------------------
+# -- canonical keys ----------------------------------------------------------
 
 
 def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
@@ -800,12 +793,3 @@ def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
 def canonical_key(d: LinkDiagram) -> tuple:
     """Key equal for orientation-preservingly isomorphic diagrams."""
     return _canonical_code(d, reflect=False)
-
-
-def planar_isomorphic(d1: LinkDiagram, d2: LinkDiagram,
-                      allow_reflection: bool = False) -> bool:
-    if _canonical_code(d1, False) == _canonical_code(d2, False):
-        return True
-    if allow_reflection:
-        return _canonical_code(d1, True) == _canonical_code(d2, False)
-    return False

@@ -31,15 +31,12 @@ class GoeritzLattice:
     """Positive-definite Goeritz form of an alternating diagram.
 
     ``gram`` is the pairing on the white regions v_1..v_r after deleting
-    v_0 (the white face with the smallest face index); ``unquotiented`` is
-    the full (r+1)x(r+1) degenerate pairing whose rows sum to zero.
-    ``sigma`` is the signature of the diagram's link, rank - n_plus, and
+    v_0 (the white face with the smallest face index).  ``sigma`` is the signature of the diagram's link, rank - n_plus, and
     ``coloring`` the checkerboard the form was read from.
     """
 
     rank: int
     gram: tuple[tuple[int, ...], ...]
-    unquotiented: tuple[tuple[int, ...], ...]
     white_order: tuple[int, ...]          # face indices v_0, v_1, ..., v_r
     sigma: int
     coloring: Checkerboard
@@ -91,7 +88,6 @@ def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
     return GoeritzLattice(
         rank=len(whites) - 1,
         gram=tuple(tuple(row[1:]) for row in g[1:]),
-        unquotiented=tuple(tuple(row) for row in g),
         white_order=tuple(whites),
         sigma=len(whites) - 1 + _gl_correction(d, c),
         coloring=c,
@@ -170,22 +166,6 @@ def unlinking_lower_bound(sigma: int, eta: int, k: int) -> tuple[int, int]:
         raise DiagramError(f"sigma {sigma}, nullity {eta}, k = {k}: sigma + eta "
                            f"!= k - 1 (mod 2), so the bound is not an integer")
     return (abs(sigma) + abs(k - 1 - eta)) // 2, (abs(sigma) - eta + k - 1) // 2
-
-
-class PreconditionViolated(DiagramError):
-    pass
-
-
-def euler_check(d: LinkDiagram, c: Checkerboard) -> bool:
-    """chi(S_-) = 1 + sigma = k - 2p for a positive special alternating
-    reduced non-split diagram, with chi computed from the white surface."""
-    if not (is_special_alternating(d) and all(s == 1 for s in d.signs)):
-        raise PreconditionViolated("need a positive special alternating diagram")
-    lat = goeritz(d, c)
-    chi = 1 - (d.n - lat.rank)
-    k = d.component_count
-    p = unlinking_lower_bound(lat.sigma, 0, k)[0]
-    return chi == 1 + lat.sigma and chi == k - 2 * p
 
 
 def classical_invariants(d: LinkDiagram) -> ClassicalInvariants:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .diagram import (LinkDiagram, checkerboard_negative, mirror, twist_regions,
-                      _twist_reduced, is_special_alternating, _bigon_pairs,
+                      is_twist_reduced, is_special_alternating, _bigon_pairs,
                       NotAlternating, SplitDiagram, DiagramError)
 from .invariants import goeritz, unlinking_lower_bound, GoeritzLattice
 from .linalg import is_positive_definite
@@ -37,10 +37,6 @@ class LatticeEmbedding:
         v0 = tuple(-sum(col) for col in zip(*self.images)) if self.images \
             else tuple(0 for _ in range(self.target_dim))
         return (v0,) + self.images
-
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in self.images)
-                     for r1 in self.images)
 
     def to_json(self):
         return {"target_dim": self.target_dim,
@@ -99,11 +95,6 @@ def canonical_matrix(rows) -> tuple[tuple[int, ...], ...]:
         return ()
     normed = sorted(map(_sign_normal, zip(*rows)), reverse=True)
     return tuple(zip(*normed)) if normed else ()
-
-
-def signed_permutation_equivalent(rows_a, rows_b) -> bool:
-    return canonical_matrix(tuple(map(tuple, rows_a))) == \
-        canonical_matrix(tuple(map(tuple, rows_b)))
 
 
 class _Stats:
@@ -242,15 +233,6 @@ def find_pairing(e: LatticeEmbedding, p: int) -> CoordinatePairing | None:
     return CoordinatePairing(tuple(pairs[:p]))
 
 
-def claim1_structure(e: LatticeEmbedding) -> bool:
-    """Every column of the full matrix holds exactly one +1 and one -1."""
-    for col in zip(*e.full_matrix):
-        nz = sorted(x for x in col if x)
-        if nz != [-1, 1]:
-            return False
-    return True
-
-
 def obstruction(d: LinkDiagram) -> ObstructionVerdict:
     """Decide whether the Goeritz lattice admits an embedding satisfying
     conditions (i) and (ii); Obstructed certifies c4 > p.
@@ -281,26 +263,17 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
                               stats.nodes, stats.dedup, "exhausted")
 
 
-@dataclass(frozen=True)
-class ClaspSet:
-    """One crossing per disjoint clasp, with the clasp partner and the
-    marked white-face pair."""
-
-    crossings: tuple[int, ...]
-    clasps: tuple[tuple[int, int], ...]
-    face_pairs: tuple[tuple[int, int], ...]
-
-
 class MarkedRegionsNotAdjacent(DiagramError):
     """Marked regions lack the >= 2 crossings Claim 2 guarantees; indicates
     a convention bug, not a valid state."""
 
 
-def clasp_candidates(v: ObstructionVerdict) -> ClaspSet:
-    """Extract one crossing per disjoint clasp from an admissible verdict:
-    each paired coordinate marks a white-region pair, and the crossings
-    between a marked pair lie in one twist region.  That is Claim 2, on a
-    twist-reduced diagram; on any other diagram the set is empty."""
+def clasp_candidates(v: ObstructionVerdict) -> tuple[int, ...]:
+    """One crossing per disjoint clasp, extracted from an admissible
+    verdict: each paired coordinate marks a white-region pair, and the
+    crossings between a marked pair lie in one twist region.  That is
+    Claim 2, on a twist-reduced diagram; on any other diagram the tuple is
+    empty."""
     if not v.admissible:
         raise DiagramError("clasp extraction needs an admissible verdict")
     cb = v.lattice.coloring
@@ -308,8 +281,8 @@ def clasp_candidates(v: ObstructionVerdict) -> ClaspSet:
     if not is_special_alternating(d):
         raise DiagramError("clasp extraction needs a special alternating diagram")
     tw = twist_regions(d)
-    if not _twist_reduced(d, tw):
-        return ClaspSet((), (), ())
+    if not is_twist_reduced(d, tw):
+        return ()
     full = v.embedding.full_matrix
     faces_of_rows = v.lattice.white_order        # face of each full-matrix row
     marked: dict[tuple[int, int], int] = {}
@@ -324,8 +297,6 @@ def clasp_candidates(v: ObstructionVerdict) -> ClaspSet:
         marked[key] = marked.get(key, 0) + 1
     bigons = {tuple(sorted(pair)) for pair in _bigon_pairs(d)}
     chosen: list[int] = []
-    clasps: list[tuple[int, int]] = []
-    face_pairs: list[tuple[int, int]] = []
     for (f1, f2), count in sorted(marked.items()):
         between = [c for c in range(d.n)
                    if tuple(sorted(cb.white_corner_pair(c))) == (f1, f2)]
@@ -343,7 +314,5 @@ def clasp_candidates(v: ObstructionVerdict) -> ClaspSet:
             if tuple(sorted((c1, c2))) not in bigons:
                 raise MarkedRegionsNotAdjacent(
                     f"selected crossings {c1},{c2} are not clasped")
-            clasps.append((c1, c2))
             chosen.append(min(c1, c2))
-            face_pairs.append((f1, f2))
-    return ClaspSet(tuple(chosen), tuple(clasps), tuple(face_pairs))
+    return tuple(chosen)

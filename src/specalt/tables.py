@@ -96,12 +96,20 @@ class ReportRow:
                 "provenance": self.provenance, "seconds": round(self.seconds, 3)}
 
 
+_SET_CELL = re.compile(r"\{(-?\d+(?:;-?\d+)*)\}|(-?\d+(?:;-?\d+)*)")
+
+
+def _cell_values(text: str) -> list[int]:
+    """The integers of a set cell ``N``, ``{N;N;...}`` or ``N;N;...`` (N
+    may be negative); any other text raises TableError."""
+    m = _SET_CELL.fullmatch(text)
+    if m is None:
+        raise TableError(f"{text!r} is not an integer set N, {{N;...}} or N;...")
+    return [int(x) for x in (m[1] or m[2]).split(";")]
+
+
 def _parse_u_cell(cell: str) -> frozenset[int] | None:
-    cell = cell.strip()
-    if not cell:
-        return None
-    parts = re.split(r"[;,]", cell.strip("{} "))
-    return frozenset(int(p) for p in parts if p.strip())
+    return frozenset(_cell_values(cell)) if cell else None
 
 
 HEADER = ["name", "pd", "signature", "u", "genus"]
@@ -189,7 +197,7 @@ def analyze(record: KnotRecord) -> ReportRow:
                 f"reported sigma {inv.signature}")
         return ReportRow(record.name, True,
                          u_lower=verdict.u_lower, u_upper=verdict.u_upper,
-                         c4_lower=verdict.c4_lower, c4_upper=verdict.c4_upper,
+                         c4_lower=verdict.u_lower, c4_upper=verdict.u_upper,
                          witness=verdict.witness,
                          obstruction=("admissible"
                                       if verdict.obstruction_verdict.admissible
@@ -238,16 +246,16 @@ def emit_tables(rows, fmt: str = "markdown") -> str:
 
 
 def _cell_interval(text: str) -> tuple[int, float] | None:
-    """A cell as the integer interval (lo, hi) it allows, hi infinite for
-    an open-ended ``>=lo``; None for an empty or unknown cell."""
-    text = text.strip()
+    """A stripped cell as the integer interval (lo, hi) it allows, hi
+    infinite for an open-ended ``>=lo``; None for an empty or unknown
+    ``?`` cell.  Any other cell is a set, read by ``_cell_values``."""
     if not text or text == "?":
         return None
-    m = re.match(r">=(\d+)$", text)
+    m = re.fullmatch(r">=(\d+)", text)
     if m:
-        return int(m.group(1)), math.inf
-    vals = [int(p) for p in re.split(r"[;,]", text.strip("{} ")) if p.strip()]
-    return (min(vals), max(vals)) if vals else None
+        return int(m[1]), math.inf
+    vals = _cell_values(text)
+    return min(vals), max(vals)
 
 
 @dataclass(frozen=True)
@@ -262,7 +270,9 @@ class DiffResult:
 
 def load_expected(path) -> dict[str, dict[str, str]]:
     """Read an expected table into {name: row}; accepts both the fixture
-    header (name/genus) and the emitted report header (K/g)."""
+    header (name/genus) and the emitted report header (K/g).  Every u, c4,
+    sigma and genus cell must read as ``_cell_interval`` reads it, or the
+    file raises TableError before any row is analysed."""
     expected: dict[str, dict[str, str]] = {}
     with _open_csv(path, "expected table") as fh:
         reader = csv.DictReader(fh, restval="")
@@ -271,6 +281,15 @@ def load_expected(path) -> dict[str, dict[str, str]]:
         for rec in reader:
             rec = {("name" if k == "K" else "genus" if k == "g" else k): v
                    for k, v in rec.items()}
+            for col in ("u", "c4", "sigma", "genus"):
+                text = rec.get(col, "").strip()
+                try:
+                    _cell_interval(text)
+                except TableError:
+                    raise TableError(
+                        f"expected table {path} line {reader.line_num}: bad {col} "
+                        f"cell {text!r}: expected ?, >=N, N, {{N;...}} or N;..."
+                    ) from None
             expected[rec["name"].strip()] = rec
     return expected
 

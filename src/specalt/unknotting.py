@@ -234,7 +234,9 @@ class WitnessContradictsObstruction(DiagramError):
 @dataclass(frozen=True)
 class UnlinkingVerdict:
     """Decision for u(L) against the classical lower bound p; ``sigma`` is
-    the signature of the diagram as given."""
+    the signature of the diagram as given.  The bounds u_lower..u_upper
+    hold for c4 alike: c4 <= u gives the upper one, and the main theorem
+    (c4 = p iff p changes here unlink) the lower one."""
 
     p: int
     sigma: int
@@ -243,8 +245,6 @@ class UnlinkingVerdict:
     witness: tuple[int, ...] | None = None
     u_lower: int | None = None
     u_upper: int | None = None
-    c4_lower: int | None = None
-    c4_upper: int | None = None
     searches: tuple[tuple[int, str], ...] = ()      # (m, outcome status)
     unknown: tuple[tuple[int, ...], ...] = ()
     certificate: UnlinkCertificate | None = None
@@ -253,7 +253,7 @@ class UnlinkingVerdict:
     def to_json(self):
         out = {"p": str(self.p), "sigma": self.sigma, "result": self.result,
                "u_lower": self.u_lower, "u_upper": self.u_upper,
-               "c4_lower": self.c4_lower, "c4_upper": self.c4_upper,
+               "c4_lower": self.u_lower, "c4_upper": self.u_upper,
                "witness": list(self.witness) if self.witness is not None else None,
                "searches": [list(s) for s in self.searches],
                "unknown": [list(u) for u in self.unknown],
@@ -284,15 +284,13 @@ def decide_minimal_unlinking(d: LinkDiagram) -> UnlinkingVerdict:
     sigma = lat.sigma if lat.coloring.diagram is d else -lat.sigma
     d, p = lat.coloring.diagram, ob.p
 
-    # Bounds lo..hi hold for u and c4 alike: c4 <= u gives the upper one, and
-    # the main theorem (c4 = p iff p changes here unlink) the lower one.
     def verdict(result, witness, lo, hi, searches, unknown=(), cert=None, *, provenance):
-        return UnlinkingVerdict(p, sigma, ob, result, witness, lo, hi, lo, hi,
+        return UnlinkingVerdict(p, sigma, ob, result, witness, lo, hi,
                                 tuple(searches), unknown, cert, provenance)
 
     if d.n == 0:
         return verdict("equal", (), 0, 0, (), provenance="crossing-free diagram")
-    hints = (clasp_candidates(ob).crossings,) if ob.admissible else ()
+    hints = (clasp_candidates(ob),) if ob.admissible else ()
     searches: list[tuple[int, str]] = []
     out_p = exhaustive_search(d, p, hints)
     searches.append((p, out_p.status))

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level private function has a caller, no
-check in the package or its scripts is an ``assert`` (``python -O`` strips
+"""Source hygiene: every module-level private function has a caller,
+every public name of the package has a reader outside the tests, no check
+in the package or its scripts is an ``assert`` (``python -O`` strips
 those), nothing in the package, its tests or its scripts reads the
 environment, the Seifert oracle stays off the pipeline, nothing in the
 package imports ``fractions``, and a serial table run loads no process
@@ -42,6 +43,41 @@ def test_every_private_function_is_referenced():
             if used[name] - _references(node)[name] <= 0:
                 unused.append(f"{module}:{node.lineno} {name}")
     assert unused == []
+
+
+# Public names kept although only the tests read them today, with the reason.
+TEST_ONLY_PUBLIC = {
+    # Reads back the move logs that ``Move.to_json`` emits; the checker that
+    # replays emitted certificates without search (ROADMAP.md, item 5) is
+    # its first caller outside the tests.
+    "move_from_json",
+}
+
+
+def test_every_public_name_has_a_reader_outside_tests():
+    """Every public module-level function and class of the package, and
+    every public method, is referenced by name from the package outside
+    its own body, from ``scripts/`` or from ``perfbench/``: nothing ships
+    that only a test reads.  Re-exports in ``__init__`` do not count."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            used += _references(ast.parse(path.read_text(), filename=str(path)))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for sub in [node, *members]:
+                # uses inside its own body (recursion, a class naming itself)
+                # do not count
+                if (isinstance(sub, kinds) and not sub.name.startswith("_")
+                        and sub.name not in TEST_ONLY_PUBLIC
+                        and used[sub.name] - _references(sub)[sub.name] <= 0):
+                    unread.append(f"{module}:{sub.lineno} {sub.name}")
+    assert unread == []
 
 
 def test_no_assert_statements():

@@ -4,15 +4,16 @@ import pytest
 
 from specalt.diagram import (parse_pd, checkerboard, checkerboard_negative,
                              change_crossings, mirror, DiagramError)
-from specalt.invariants import (goeritz, gl_signature, signature_nullity,
-                                determinant, linking_matrix, euler_check,
+from specalt.invariants import (goeritz, _goeritz_form, gl_signature,
+                                signature_nullity, determinant, linking_matrix,
                                 unlinking_lower_bound, classical_invariants,
-                                DegenerateColoring, PreconditionViolated)
+                                DegenerateColoring)
 from specalt.linalg import det_bareiss, is_positive_definite
 from specalt import families, seifert
 
 from conftest import (TREFOIL_PD, SPLIT_TREFOILS_PD, TREFOIL_KINK_PD,
                       TREFOIL_MIRROR_PD, connected_sum_pd)
+from paper_claims import euler_check, PreconditionViolated
 
 
 class TestGoeritz:
@@ -35,7 +36,8 @@ class TestGoeritz:
         # trefoil blocks exactly
         assert lat.gram == ((3, 0), (0, 3))
         assert abs(det_bareiss(lat.gram)) == 9
-        assert sorted(lat.unquotiented[i][i] for i in range(3)) == [3, 3, 6]
+        _, g = _goeritz_form(d, checkerboard_negative(d))
+        assert sorted(g[i][i] for i in range(3)) == [3, 3, 6]
 
     def test_degenerate_coloring_rejected(self, trefoil):
         cb = checkerboard(trefoil)
@@ -46,9 +48,8 @@ class TestGoeritz:
     def test_diag_sum_is_twice_crossings(self, bundled):
         for rec in bundled:
             d = parse_pd(rec.pd)
-            lat = goeritz(d, checkerboard_negative(d))
-            assert sum(lat.unquotiented[i][i] for i in range(lat.rank + 1)) \
-                == 2 * d.n, rec.name
+            _, g = _goeritz_form(d, checkerboard_negative(d))
+            assert sum(g[i][i] for i in range(len(g))) == 2 * d.n, rec.name
 
     def test_positive_definite_everywhere(self, bundled):
         for rec in bundled:
@@ -57,8 +58,8 @@ class TestGoeritz:
             assert is_positive_definite(lat.gram), rec.name
 
     def test_unquotiented_rows_sum_zero(self, knot_9_35):
-        lat = goeritz(knot_9_35, checkerboard_negative(knot_9_35))
-        for row in lat.unquotiented:
+        _, g = _goeritz_form(knot_9_35, checkerboard_negative(knot_9_35))
+        for row in g:
             assert sum(row) == 0
 
 

@@ -7,12 +7,13 @@ from math import isqrt
 import pytest
 
 from specalt.diagram import parse_pd, mirror, checkerboard_negative, DiagramError
-from specalt.invariants import goeritz
+from specalt.invariants import goeritz, _goeritz_form
 from specalt.lattice import (LatticeEmbedding, enumerate_embeddings,
                              condition_all_coords, find_pairing,
-                             claim1_structure, obstruction, clasp_candidates,
-                             canonical_matrix, signed_permutation_equivalent,
-                             TargetTooSmall)
+                             obstruction, clasp_candidates,
+                             canonical_matrix, TargetTooSmall)
+
+from paper_claims import claim1_structure
 
 
 def fig2_matrix():
@@ -31,7 +32,8 @@ class TestEnumerate:
     def test_a2_in_z3(self):
         embs = list(enumerate_embeddings(((2, -1), (-1, 2)), 3))
         assert len(embs) == 1
-        assert signed_permutation_equivalent(embs[0].images, ((1, -1, 0), (0, 1, -1)))
+        assert canonical_matrix(embs[0].images) == \
+            canonical_matrix(((1, -1, 0), (0, 1, -1)))
 
     def test_unit_in_z1(self):
         embs = list(enumerate_embeddings(((1,),), 1))
@@ -47,7 +49,8 @@ class TestEnumerate:
     def test_gram_revalidates(self, knot_8_15):
         lat = goeritz(knot_8_15, checkerboard_negative(knot_8_15))
         for emb in itertools.islice(enumerate_embeddings(lat.gram, 12), 5):
-            assert emb.gram() == lat.gram
+            assert tuple(tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in emb.images)
+                         for r1 in emb.images) == lat.gram
             assert all(sum(col) == 0 for col in zip(*emb.full_matrix))
 
 
@@ -233,7 +236,7 @@ class TestObstruction:
         assert v.admissible and v.p == 2 and v.target_dim == 8
         full = v.embedding.full_matrix
         fig2 = fig2_matrix()
-        assert any(signed_permutation_equivalent([fig2[i] for i in perm], full)
+        assert any(canonical_matrix(tuple(fig2[i] for i in perm)) == canonical_matrix(full)
                    for perm in itertools.permutations(range(5)))
 
     def test_9_35_obstructed(self, knot_9_35):
@@ -280,8 +283,9 @@ class TestObstruction:
             v = obstruction(d)
             if v.admissible:
                 lat = v.lattice
-                assert sum(lat.unquotiented[i][i]
-                           for i in range(lat.rank + 1)) == 2 * d.n
+                _, g = _goeritz_form(lat.coloring.diagram, lat.coloring)
+                assert len(g) == lat.rank + 1
+                assert sum(g[i][i] for i in range(len(g))) == 2 * d.n
                 assert condition_all_coords(v.embedding)
                 assert claim1_structure(v.embedding), rec.name
                 checked += 1
@@ -292,38 +296,38 @@ class TestClaspCandidates:
     def test_8_15_two_crossings(self, knot_8_15):
         v = obstruction(knot_8_15)
         clasp = clasp_candidates(v)
-        assert len(clasp.crossings) == 2
-        assert len(set(clasp.crossings)) == 2
-        for (c1, c2) in clasp.clasps:
-            assert c1 != c2
+        assert len(clasp) == 2
+        assert len(set(clasp)) == 2
+        # each hinted crossing is clasped: it shares a bigon with another one
+        from specalt.diagram import _bigon_pairs
+        bigons = _bigon_pairs(v.lattice.coloring.diagram)
+        assert all(any(c in pair for pair in bigons) for c in clasp)
 
     def test_trefoil_single(self, trefoil):
         v = obstruction(trefoil)
-        clasp = clasp_candidates(v)
-        assert len(clasp.crossings) == 1
+        assert len(clasp_candidates(v)) == 1
 
     def test_clasp_crossings_certify(self, trefoil, knot_8_15):
         from specalt.unknotting import certify_unlink
         from specalt.diagram import change_crossings
         for d in (trefoil, knot_8_15):
             v = obstruction(d)
-            clasp = clasp_candidates(v)
             cert = certify_unlink(change_crossings(v.lattice.coloring.diagram,
-                                                   clasp.crossings))
+                                                   clasp_candidates(v)))
             assert cert.status == "certified", d
 
     def test_non_twist_reduced_gives_no_hint(self):
         """An 11-crossing medial diagram with two crossings between one
         pair of regions that form no bigon: special alternating and
         admissible, but not twist-reduced, so Claim 2 names no clasp."""
-        from specalt.diagram import is_twist_reduced
+        from specalt.diagram import is_twist_reduced, twist_regions
         d = parse_pd("X[22,11,1,12] X[16,1,17,2] X[2,15,3,16] X[10,21,11,22] "
                      "X[8,19,9,20] X[20,17,21,18] X[6,9,7,10] X[18,7,19,8] "
                      "X[14,3,15,4] X[4,13,5,14] X[12,5,13,6]")
-        assert not is_twist_reduced(d)
+        assert not is_twist_reduced(d, twist_regions(d))
         v = obstruction(d)
         assert v.admissible
-        assert clasp_candidates(v).crossings == ()
+        assert clasp_candidates(v) == ()
 
     def test_rejects_obstructed_verdict(self, knot_9_35):
         v = obstruction(knot_9_35)

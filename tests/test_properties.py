@@ -8,8 +8,7 @@ from specalt.diagram import (LinkDiagram, parse_pd, change_crossings,
                              split_components, validate)
 from specalt.families import medial_special_alternating
 from specalt.invariants import (gl_signature, signature_nullity, determinant,
-                                goeritz, euler_check, linking_matrix,
-                                unlinking_lower_bound)
+                                goeritz, linking_matrix, unlinking_lower_bound)
 from specalt.seifert import seifert_matrix
 from specalt import seifert
 from specalt.linalg import det_bareiss
@@ -19,6 +18,8 @@ from specalt.unknotting import certify_unlink, replay_moves
 from specalt.moves import (move_from_json, apply_move, r2plus_sites, r3_sites,
                            apply_r2plus, apply_r3)
 from specalt import families
+
+from paper_claims import euler_check
 
 
 def random_plane_bipartite_graph(rnd, grow_steps):

@@ -496,6 +496,32 @@ class TestTablesInputErrors:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error:") and "not UTF-8" in err
 
+    @pytest.mark.parametrize("col,cell", [("u", "abc"), ("c4", "{3;4"), ("u", "3,4"),
+                                          ("sigma", "-2.0"), ("genus", ">=x"),
+                                          ("u", ">=-1"), ("c4", "3;")])
+    def test_bad_diff_cell(self, col, cell, small_csv, tmp_path, capsys):
+        """A malformed cell in the expected table is an input error, found
+        when the file is read: exit 2, no analysis, no table printed."""
+        cells = {"u": "1", "c4": "1", "sigma": "-2", "genus": "1", col: cell}
+        exp = tmp_path / "expected.csv"
+        exp.write_text("name,u,c4,sigma,genus\n3_1," +
+                       ",".join(f'"{cells[c]}"' for c in ("u", "c4", "sigma", "genus")) + "\n")
+        with pytest.raises(TableError, match=f"line 2: bad {col} cell"):
+            load_expected(exp)
+        rc = cli_main(["tables", str(small_csv), "--diff", str(exp)])
+        cap = capsys.readouterr()
+        assert rc == 2 and cap.out == ""
+        assert cap.err.startswith("error: expected table") and f"bad {col} cell" in cap.err
+
+    def test_diff_cell_forms_of_the_bundled_tables(self, tmp_path):
+        """Every cell form the bundled expected tables use reads cleanly."""
+        exp = tmp_path / "expected.csv"
+        exp.write_text("name,u,c4,sigma,genus\n"
+                       "a,?,>=0,0,\n"
+                       "b,{2;3},2;3,-4,2\n"
+                       "c,3;4,{3;4},-6,3\n")
+        assert sorted(load_expected(exp)) == ["a", "b", "c"]
+
     @pytest.mark.parametrize("row", ["blank,,,,", 'blank,"  ",,,', "blank,PD[],,,"])
     def test_crossing_free_pd(self, row, tmp_path, capsys):
         path = tmp_path / "blank.csv"
