@@ -6,6 +6,16 @@ into Z^n (n = rank - sigma) meeting every coordinate (condition i) and
 admitting p coordinate pairs with equal projections up to sign
 (condition ii).  Exhausting all embeddings up to signed column
 permutations therefore certifies a strict inequality.
+
+The search places one Gram row at a time, most constrained first: next
+the unplaced row with the most nonzero Gram entries against the rows
+already placed, ties to the larger norm.  Each row's candidates come from
+a depth-first walk over its coordinates that breaks the signed column
+permutations fixing the rows already placed: entries do not increase
+within a block of equal placed columns, and are non-negative on a zero
+placed column.  ``nodes`` counts the coordinate prefixes that walk
+visits; ``dedup`` counts the complete matrices skipped because their
+canonical form was already found, the symmetry the walk leaves unbroken.
 """
 
 from __future__ import annotations
@@ -106,56 +116,90 @@ class _Stats:
 
 
 def _row_candidates(placed: list[tuple[int, ...]], diag: int,
-                    dots: list[int], n: int, stats: _Stats):
+                    dots: list[int], n: int, stats: _Stats) -> list[tuple[int, ...]]:
     """All vectors v with |v|^2 = diag and v . placed[i] = dots[i], up to
-    the residual signed-permutation symmetry of the placed columns."""
-    k = len(placed)
-    # suffix norms of placed rows for Cauchy-Schwarz pruning
-    suffix = [[0] * (n + 1) for _ in range(k)]
-    for i in range(k):
-        for j in range(n - 1, -1, -1):
-            suffix[i][j] = suffix[i][j + 1] + placed[i][j] * placed[i][j]
-    prefixes = [tuple(placed[i][j] for i in range(k)) for j in range(n)]
-    zero_pref = [all(x == 0 for x in pref) for pref in prefixes]
+    the residual signed-permutation symmetry of the placed columns.
 
+    A depth-first walk fixes v[0], v[1], ... in turn and carries the
+    remaining norm ``rem`` and the remaining dot products ``need``.  Each
+    prefix visited is one node of ``stats.nodes``; a child is screened in
+    its parent's loop, so a pruned one costs no call.  Prunes:
+    Cauchy-Schwarz, need[i]^2 <= rem * |placed[i][j:]|^2 for every i;
+    non-increasing entries within a block of equal placed columns; a
+    non-negative entry on a zero placed column (the first row is placed
+    against none, so its entries come out non-negative and non-increasing)."""
+    cols = list(zip(*placed)) if placed else [()] * n
+    suffix = [()] * (n + 1)          # suffix[j][i] = |placed[i][j:]|^2
+    acc = suffix[n] = (0,) * len(placed)
+    for j in range(n - 1, -1, -1):
+        acc = suffix[j] = tuple([a + c * c for a, c in zip(acc, cols[j])])
+    capped = [j > 0 and cols[j] == cols[j - 1] for j in range(n)]
+    zero = [not any(col) for col in cols]
+    out: list[tuple[int, ...]] = []
     v = [0] * n
+    nodes = 1                        # the empty prefix
+    last = n - 1
 
-    def rec(j: int, rem: int, partial: list[int]):
-        stats.nodes += 1
-        if j == n:
-            if rem == 0 and all(partial[i] == dots[i] for i in range(k)):
-                yield tuple(v)
-            return
-        # Cauchy-Schwarz: remaining dot product must be achievable
-        for i in range(k):
-            need = dots[i] - partial[i]
-            if need * need > rem * suffix[i][j]:
-                return
-        if rem == 0 and any(partial[i] != dots[i] for i in range(k)):
-            return
+    def rec(j: int, rem: int, need: list[int]):
+        # v[:j] is a counted node that passed Cauchy-Schwarz
+        nonlocal nodes
         hi = isqrt(rem)
-        lo = -hi
-        if j > 0 and prefixes[j] == prefixes[j - 1]:
-            hi = min(hi, v[j - 1])           # nonincreasing within a block
-        if zero_pref[j]:
-            lo = 0                            # sign-normalized block
+        lo = -hi                  # before the cap: only hi follows the block
+        if capped[j] and v[j - 1] < hi:
+            hi = v[j - 1]         # nonincreasing within a block
+        if zero[j]:
+            lo = 0                # sign-normalized block
+        if hi < lo:
+            return
+        nodes += hi - lo + 1
+        col = cols[j]
+        if j == last:
+            for x in range(hi, lo - 1, -1):
+                if x * x == rem and all(a == x * c for a, c in zip(need, col)):
+                    v[j] = x
+                    out.append(tuple(v))
+            v[j] = 0
+            return
+        suf = suffix[j + 1]
         for x in range(hi, lo - 1, -1):
-            v[j] = x
-            if x:
-                for i in range(k):
-                    partial[i] += x * placed[i][j]
-            yield from rec(j + 1, rem - x * x, partial)
-            if x:
-                for i in range(k):
-                    partial[i] -= x * placed[i][j]
+            rem2 = rem - x * x
+            need2 = [a - x * c for a, c in zip(need, col)] if x else need
+            for a, s in zip(need2, suf):
+                if a * a > rem2 * s:
+                    break
+            else:
+                v[j] = x
+                rec(j + 1, rem2, need2)
         v[j] = 0
 
-    yield from rec(0, diag, [0] * k)
+    if all(a * a <= diag * s for a, s in zip(dots, suffix[0])):
+        rec(0, diag, dots)
+    stats.nodes += nodes
+    return out
+
+
+def _row_order(gram) -> list[int]:
+    """Most constrained first: next the unplaced row with the most nonzero
+    Gram entries against the rows already placed, ties to the larger norm,
+    then to the lower index."""
+    order: list[int] = []
+    rest = list(range(len(gram)))
+    while rest:
+        i = max(rest, key=lambda i: (sum(1 for t in order if gram[i][t]),
+                                     gram[i][i], -i))
+        order.append(i)
+        rest.remove(i)
+    return order
 
 
 def enumerate_embeddings(gram, n: int, stats: _Stats | None = None):
     """Yield one representative per signed-column-permutation class of
     integer matrices X with X X^T = gram, exhaustively.
+
+    Rows are placed in ``_row_order``; each row's candidates come from
+    ``_row_candidates`` against the rows placed before it.  A complete
+    matrix whose ``canonical_matrix`` was already yielded is counted in
+    ``stats.dedup`` and skipped.
 
     Raises TargetTooSmall when n < rank; an unembeddable form simply yields
     nothing.
@@ -171,7 +215,7 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None):
     if r == 0:
         yield LatticeEmbedding((), n)
         return
-    order = sorted(range(r), key=lambda i: -gram[i][i])
+    order = _row_order(gram)
     seen: set = set()
 
     placed: list[tuple[int, ...]] = []
@@ -190,9 +234,8 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None):
             yield LatticeEmbedding(canon, n)
             return
         i = order[k]
-        diag = gram[i][i]
         dots = [gram[i][order[t]] for t in range(k)]
-        for v in _row_candidates(placed, diag, dots, n, stats):
+        for v in _row_candidates(placed, gram[i][i], dots, n, stats):
             placed.append(v)
             yield from rec(k + 1)
             placed.pop()

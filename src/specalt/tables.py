@@ -13,7 +13,7 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .diagram import (LinkDiagram, parse_pd, reduce_nugatory, DiagramError,
@@ -172,7 +172,11 @@ def load_table(path) -> tuple[list[KnotRecord], list[str]]:
 
 
 def analyze(record: KnotRecord) -> ReportRow:
-    """parse -> reduce -> invariants -> obstruction -> decide."""
+    """parse -> reduce -> invariants -> obstruction -> decide.
+
+    The row fails, its provenance naming the cell, when the record's
+    signature or genus differs from the computed one, or when its u set
+    has no value inside the computed bounds [u_lower, u_upper]."""
     start = time.monotonic()
     try:
         d = reduce_nugatory(record.diagram)
@@ -182,28 +186,44 @@ def analyze(record: KnotRecord) -> ReportRow:
                              provenance=f"computed sigma {inv.signature} != "
                                         f"recorded {record.known_signature}",
                              seconds=time.monotonic() - start)
+        genus = inv.seifert_genus_report
+        if None not in (genus, record.known_genus) and genus != record.known_genus:
+            return ReportRow(record.name, False, genus=genus,
+                             provenance=f"computed genus {genus} != "
+                                        f"recorded {record.known_genus}",
+                             seconds=time.monotonic() - start)
         p, c4b = unlinking_lower_bound(inv.signature, inv.nullity, inv.component_count)
         base = dict(sigma=inv.signature, nullity=inv.nullity, det=inv.determinant,
-                    components=inv.component_count, p=p, genus=inv.seifert_genus_report)
+                    components=inv.component_count, p=p, genus=genus)
         if not is_special_alternating(d):
-            return ReportRow(record.name, True,
-                             u_lower=p, c4_lower=c4b,
-                             provenance="not special alternating: classical bounds only",
-                             seconds=time.monotonic() - start, **base)
-        verdict = decide_minimal_unlinking(d)
-        if verdict.sigma != inv.signature:
-            raise SignatureRoutesDisagree(
-                f"Goeritz-route sigma {verdict.sigma} != "
-                f"reported sigma {inv.signature}")
-        return ReportRow(record.name, True,
-                         u_lower=verdict.u_lower, u_upper=verdict.u_upper,
-                         c4_lower=verdict.u_lower, c4_upper=verdict.u_upper,
-                         witness=verdict.witness,
-                         obstruction=("admissible"
-                                      if verdict.obstruction_verdict.admissible
-                                      else "obstructed"),
-                         provenance=verdict.provenance,
-                         seconds=time.monotonic() - start, **base)
+            row = ReportRow(record.name, True,
+                            u_lower=p, c4_lower=c4b,
+                            provenance="not special alternating: classical bounds only",
+                            **base)
+        else:
+            verdict = decide_minimal_unlinking(d)
+            if verdict.sigma != inv.signature:
+                raise SignatureRoutesDisagree(
+                    f"Goeritz-route sigma {verdict.sigma} != "
+                    f"reported sigma {inv.signature}")
+            row = ReportRow(record.name, True,
+                            u_lower=verdict.u_lower, u_upper=verdict.u_upper,
+                            c4_lower=verdict.u_lower, c4_upper=verdict.u_upper,
+                            witness=verdict.witness,
+                            obstruction=("admissible"
+                                         if verdict.obstruction_verdict.admissible
+                                         else "obstructed"),
+                            provenance=verdict.provenance, **base)
+        u_upper = math.inf if row.u_upper is None else row.u_upper
+        if record.known_u is not None and not any(
+                row.u_lower <= u <= u_upper for u in record.known_u):
+            recorded = ";".join(map(str, sorted(record.known_u)))
+            return ReportRow(record.name, False, u_lower=row.u_lower,
+                             u_upper=row.u_upper,
+                             provenance=f"computed u {row.u_text()} excludes "
+                                        f"recorded {recorded}",
+                             seconds=time.monotonic() - start)
+        return replace(row, seconds=time.monotonic() - start)
     except ValueError as exc:   # DiagramError, TargetTooSmall, linalg errors
         return ReportRow(record.name, False, provenance=f"error: {exc}",
                          seconds=time.monotonic() - start)
@@ -245,17 +265,25 @@ def emit_tables(rows, fmt: str = "markdown") -> str:
     raise TableError(f"unknown format {fmt}")
 
 
-def _cell_interval(text: str) -> tuple[int, float] | None:
-    """A stripped cell as the integer interval (lo, hi) it allows, hi
-    infinite for an open-ended ``>=lo``; None for an empty or unknown
-    ``?`` cell.  Any other cell is a set, read by ``_cell_values``."""
+def _cell_set(text: str) -> frozenset[int] | tuple[int, float] | None:
+    """A stripped cell as the values it allows: the interval (lo, infinity)
+    for an open-ended ``>=lo``, the value set of any other set cell (read
+    by ``_cell_values``), None for an empty or unknown ``?`` cell."""
     if not text or text == "?":
         return None
     m = re.fullmatch(r">=(\d+)", text)
     if m:
         return int(m[1]), math.inf
-    vals = _cell_values(text)
-    return min(vals), max(vals)
+    return frozenset(_cell_values(text))
+
+
+def _cell_interval(text: str) -> tuple[int, float] | None:
+    """A stripped cell as the integer interval (lo, hi) it spans, hi
+    infinite for an open-ended ``>=lo``; None for an empty or ``?`` cell."""
+    vals = _cell_set(text)
+    if isinstance(vals, frozenset):
+        return min(vals), max(vals)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -297,9 +325,10 @@ def load_expected(path) -> dict[str, dict[str, str]]:
 def diff_tables(rows, expected: dict[str, dict[str, str]]) -> DiffResult:
     """Compare computed rows against an expected table (columns
     name,u,c4,sigma,genus) as ``load_expected`` reads it.  Cells compare
-    as integer intervals, ``>=lo`` meaning [lo, infinity), and a cell is
-    consistent when one interval contains the other; equal cells are
-    silent, consistent-but-unequal cells are listed as loose notes, the
+    as value sets first: cells that allow the same values, such as
+    ``{3;4}`` and ``3;4``, are silent.  Otherwise they compare as integer
+    intervals, ``>=lo`` meaning [lo, infinity); a cell consistent with the
+    other (one interval contains the other) is listed as a loose note, the
     rest are mismatches."""
     by_name = {r.name: r for r in rows}
     mismatches: list[str] = []
@@ -317,7 +346,7 @@ def diff_tables(rows, expected: dict[str, dict[str, str]]) -> DiffResult:
         for col, got, want in checks:
             if not want:
                 continue
-            if got == want:
+            if _cell_set(got) == _cell_set(want):
                 continue
             ig, iw = _cell_interval(got), _cell_interval(want)
             if ig and iw and (iw[0] <= ig[0] <= ig[1] <= iw[1]

@@ -57,6 +57,24 @@ class TestAnalyze:
         assert not row.ok
         assert "sigma" in row.provenance
 
+    @pytest.mark.parametrize("known_u, ok", [(frozenset({2}), False),
+                                             (frozenset({2, 3}), False),
+                                             (frozenset({1, 2}), True)])
+    def test_recorded_u_outside_bounds_fails_row(self, known_u, ok):
+        """The trefoil's u is 1: a recorded u set fails the row exactly
+        when none of its values lies in the computed bounds."""
+        row = analyze(KnotRecord("3_1", TREFOIL_PD, known_u=known_u))
+        assert row.ok == ok
+        if not ok:
+            recorded = ";".join(map(str, sorted(known_u)))
+            assert row.provenance == f"computed u 1 excludes recorded {recorded}"
+
+    def test_recorded_genus_mismatch_fails_row(self):
+        row = analyze(KnotRecord("3_1", TREFOIL_PD, known_genus=2))
+        assert not row.ok
+        assert row.provenance == "computed genus 1 != recorded 2"
+        assert analyze(KnotRecord("3_1", TREFOIL_PD, known_genus=1)).ok
+
     def test_non_special_gets_bounds_only(self):
         from specalt.families import rational_link
         rec = KnotRecord("4_1", rational_link([2, 2]).to_pd_text())
@@ -158,10 +176,18 @@ class TestEmitAndDiff:
         ((2, None), ">=1", "loose"),
         ((2, None), "1", "mismatch"),
         ((2, 3), ">=4", "mismatch"),
+        ((3, 4), "3;4", "silent"),
+        ((3, 4), "{3;4}", "silent"),
+        ((3, 4), "4;3", "silent"),
+        ((3, None), ">=3", "silent"),
+        ((3, 4), "3", "loose"),
+        ((3, 5), "3;5", "loose"),
     ])
     def test_diff_open_ended_bounds(self, got, want, verdict, tmp_path):
         """A >=lo cell is the interval [lo, infinity): containment either
-        way is consistent, anything else a mismatch."""
+        way is consistent, anything else a mismatch.  Cells compare as
+        value sets first, so a computed {3;4} against an expected 3;4 is
+        silent, while {3;4} against the published 3 stays a loose note."""
         from specalt.tables import ReportRow
         row = ReportRow("k", True, sigma=-2, components=1,
                         u_lower=got[0], u_upper=got[1])
@@ -169,7 +195,7 @@ class TestEmitAndDiff:
         p.write_text(f"name,u,c4,sigma,genus\nk,{want},,,\n")
         result = diff_tables([row], load_expected(p))
         assert (result.clean, len(result.loose)) == \
-            ((True, 1) if verdict == "loose" else (False, 0))
+            {"silent": (True, 0), "loose": (True, 1), "mismatch": (False, 0)}[verdict]
 
     def test_natural_sort(self):
         names = ["12a1035", "12a144", "12a97", "11a362"]
