@@ -5,8 +5,8 @@
     specalt search <name|pd> --changes m    subset search at m changes
     specalt tables <csv> [--diff expected.csv]   full table run
 
-Exit codes: 0 success, 1 diff mismatch, 2 input error, 3 inconclusive
-verdicts present.
+Exit codes: 0 success, 1 diff mismatch, 2 input error or failed row, 3
+inconclusive verdicts present.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def cmd_tables(args) -> int:
         print(json.dumps([r.to_json() for r in rows], indent=2))
     else:
         print(emit_tables(rows, fmt=args.format), end="")
+    failed = [r for r in rows if not r.ok]
+    for r in failed:
+        print(f"row failed: {r.name}: {r.provenance}", file=sys.stderr)
     rc = 0
     if expected is not None:
         result = diff_tables(rows, expected)
@@ -120,7 +123,7 @@ def cmd_tables(args) -> int:
             rc = 1
         elif not result.mismatches and not result.loose:
             print("diff: clean", file=sys.stderr)
-    if row_errors and rc == 0:
+    if (row_errors or failed) and rc == 0:
         rc = 2
     if rc == 0 and any(r.inconclusive for r in rows):
         rc = 3

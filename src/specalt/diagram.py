@@ -762,7 +762,11 @@ def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
     An isomorphism of oriented diagrams maps slot s to slot s, because slot
     0 is the one incoming under-strand and the cyclic order is kept (a
     reflection fixes slot 0 and reads the others as 0,3,2,1), so one walk
-    per root crossing suffices."""
+    per root crossing suffices.
+
+    Every root's code has n rows of equal length, so codes compare row by
+    row; a root's walk stops at the first row above the best code's row
+    in the same place, since no later row can bring it back below."""
     n = d.n
     if n == 0:
         return ("loops", d.free_loops)
@@ -771,23 +775,32 @@ def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
         return ("split", tuple(parts))
     order = (0, 3, 2, 1) if reflect else (0, 1, 2, 3)
     mates = [[d.mate((c, s)) for s in order] for c in range(n)]
-    codes = []
+    over_in = [inc[order[1]] for inc in d.incoming]
+    best: list[tuple] = []
     for c0 in range(n):
         # BFS assigning canonical ids in traversal order
         ids = {c0: 0}
         queue = [c0]
         code: list[tuple] = []
+        tied = bool(best)           # equal to best's rows so far
         for c in queue:
-            row: list = [d.incoming[c][order[1]]]
+            row: list = [over_in[c]]
             for mc, ms in mates[c]:
                 if mc not in ids:
                     ids[mc] = len(ids)
                     queue.append(mc)
                 # order is its own inverse, so order[ms] is the position of ms
                 row += (ids[mc], order[ms])
-            code.append(tuple(row))
-        codes.append(tuple(code))
-    return ("diag", d.free_loops, min(codes))
+            key = tuple(row)
+            if tied:
+                rival = best[len(code)]
+                if key > rival:
+                    break
+                tied = key == rival
+            code.append(key)
+        else:
+            best = code
+    return ("diag", d.free_loops, tuple(best))
 
 
 def canonical_key(d: LinkDiagram) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import (LinkDiagram, DiagramError, NotSpecialAlternating, SplitDiagram,
@@ -55,6 +56,18 @@ def _greedy_reduce(d: LinkDiagram, log: list[Move]) -> LinkDiagram:
         return d
 
 
+def _undone_by_greedy(cur: LinkDiagram, nxt: LinkDiagram) -> bool:
+    """True when the greedy pass on ``nxt = r2plus(cur)`` would first take
+    out the bigon of the two added crossings (``to_diagram`` numbers them
+    ``cur.n`` and ``cur.n + 1``).  That gives back ``cur`` up to
+    relabelling; ``cur`` is greedy-reduced, so the pass would stop there,
+    and its key is already seen."""
+    if _moves.r1_sites(nxt):
+        return False
+    sites = _moves.r2_sites(nxt)
+    return bool(sites) and sites[0] == (cur.n, cur.n + 1)
+
+
 def reidemeister_simplify(d: LinkDiagram,
                           budget: SimplifyBudget = SimplifyBudget()
                           ) -> tuple[LinkDiagram, list[Move]]:
@@ -86,6 +99,8 @@ def reidemeister_simplify(d: LinkDiagram,
             try:
                 nxt = _moves.apply_move(cur, mv)
             except DiagramError:
+                continue
+            if mv.kind == "r2plus" and _undone_by_greedy(cur, nxt):
                 continue
             sublog = list(log) + [mv]
             nxt = _greedy_reduce(nxt, sublog)
@@ -189,30 +204,26 @@ def exhaustive_search(d: LinkDiagram, m: int,
     whose change certifies as an unlink, AllRefuted when every subset is
     refuted, Inconclusive otherwise.  Subsets left unknown are retried
     once with the escalated budget; ``subsets_tried`` counts the first
-    round only."""
-    ordered: list[tuple[int, ...]] = []
-    seen = set()
-    for s in first_subsets:
-        key = tuple(sorted(s))
-        if len(key) == m and key not in seen:
-            seen.add(key)
-            ordered.append(key)
-    for s in itertools.combinations(range(d.n), m):
-        if s not in seen:
-            ordered.append(s)
-    unknown = ordered
+    round only.  The subsets stream: the sorted hints of size m, each
+    once, then the other m-subsets in lexicographic order."""
+    hints = list(dict.fromkeys(tuple(sorted(s)) for s in first_subsets if len(s) == m))
+    skip = set(hints)
+    rest = (s for s in itertools.combinations(range(d.n), m) if s not in skip)
+    pending: Iterable[tuple[int, ...]] = itertools.chain(hints, rest)
+    tried = 0
     for retry, budget in enumerate((SimplifyBudget(), SimplifyBudget().escalated())):
-        pending, unknown = unknown, []
-        for tried, subset in enumerate(pending, start=1):
+        unknown: list[tuple[int, ...]] = []
+        for subset in pending:
+            if not retry:
+                tried += 1
             cert = certify_unlink(change_crossings(d, subset), budget)
             if cert.status == "certified":
-                return SearchOutcome("some", (subset,), cert, (),
-                                     len(ordered) if retry else tried)
+                return SearchOutcome("some", (subset,), cert, (), tried)
             if cert.status == "unknown":
                 unknown.append(subset)
-    if unknown:
-        return SearchOutcome("inconclusive", (), None, tuple(unknown), len(ordered))
-    return SearchOutcome("all_refuted", (), None, (), len(ordered))
+        pending = unknown
+    status = "inconclusive" if unknown else "all_refuted"
+    return SearchOutcome(status, (), None, tuple(unknown), tried)
 
 
 def bound_text(lo, hi) -> str:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -118,6 +119,39 @@ class TestAnalyze:
     def test_parse_failure_row(self):
         row = analyze(KnotRecord("junk", "X[1,2,3,4] X[1,2,3,4]"))
         assert not row.ok
+
+    def test_mutated_pd_codes_fail_as_rows(self, bundled, tmp_path):
+        """100 seeded one-edit mutations of the fixtures with at most 8
+        crossings: a label replaced, a quad rotated or dropped, or two
+        labels swapped.  Each code is a row error of ``load_table`` or an
+        ``analyze`` row that is ok or failed with a provenance; no
+        exception escapes."""
+        rnd = random.Random(18)
+        bases = [rec.diagram.quads for rec in bundled if rec.diagram.n <= 8]
+        lines = ["name,pd,signature,u,genus"]
+        for i in range(100):
+            quads = [list(q) for q in rnd.choice(bases)]
+            c, s = rnd.randrange(len(quads)), rnd.randrange(4)
+            kind = rnd.choice(("relabel", "rotate", "drop", "swap"))
+            if kind == "relabel":
+                quads[c][s] = rnd.randint(1, 2 * len(quads) + 1)
+            elif kind == "rotate":
+                r = s % 3 + 1
+                quads[c] = quads[c][r:] + quads[c][:r]
+            elif kind == "drop":
+                del quads[c]
+            else:
+                c2, s2 = rnd.randrange(len(quads)), rnd.randrange(4)
+                quads[c][s], quads[c2][s2] = quads[c2][s2], quads[c][s]
+            pd = " ".join("X[%d,%d,%d,%d]" % tuple(q) for q in quads)
+            lines.append(f'{kind}{i},"{pd}",,,')
+        path = tmp_path / "mutants.csv"
+        path.write_text("\n".join(lines) + "\n")
+        records, errors = load_table(path)
+        assert len(records) + len(errors) == 100
+        rows = [analyze(rec) for rec in records]
+        assert all(row.ok or row.provenance for row in rows)
+        assert errors and rows
 
     def test_parallel_matches_serial(self, bundled):
         subset = [r for r in bundled if r.name in ("3_1", "hopf", "7_4", "5_2")]
@@ -416,6 +450,17 @@ class TestCLI:
         exp.write_text("name,u,c4,sigma,genus\n3_1,4,4,-2,1\n")
         rc = cli_main(["tables", str(csv_path), "--diff", str(exp)])
         assert rc == 1
+
+    def test_tables_failed_row_exit_2(self, tmp_path, capsys):
+        """A recorded u of 2 contradicts the trefoil's computed u = 1: the
+        row fails, stderr names it with its provenance, and the exit is 2."""
+        csv_path = tmp_path / "small.csv"
+        csv_path.write_text("name,pd,signature,u,genus\n"
+                            f'3_1,"{TREFOIL_PD}",-2,2,1\n')
+        rc = cli_main(["tables", str(csv_path), "--format", "csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "row failed: 3_1: computed u 1 excludes recorded 2\n"
 
     def test_tables_nugatory_tangle_flips(self, tmp_path, capsys):
         from test_diagram import NUG_A, NUG_B

@@ -129,6 +129,25 @@ class TestExhaustiveSearch:
         out = exhaustive_search(knot_8_15, 2, first_subsets=((0, 1),))
         assert out.status == "some"
         assert out.subsets_tried == 1
+        # a hint of the wrong size is dropped, an unsorted one sorted
+        out = exhaustive_search(knot_8_15, 2, first_subsets=((0,), (1, 0), (0, 1)))
+        assert (out.status, out.witnesses, out.subsets_tried) == ("some", ((0, 1),), 1)
+
+    def test_hints_once_each_then_the_rest(self, knot_9_35, monkeypatch):
+        """Duplicate hints are tried once, hints of another size never,
+        and ``subsets_tried`` counts each of the C(n, m) subsets once."""
+        from specalt import unknotting
+        order = []
+
+        def recording(d, subset):
+            order.append(subset)
+            return change_crossings(d, subset)
+
+        monkeypatch.setattr(unknotting, "change_crossings", recording)
+        out = exhaustive_search(knot_9_35, 1,
+                                first_subsets=((4,), (2, 3), (4,), (), (7,), (7,)))
+        assert out.status == "all_refuted" and out.subsets_tried == 9
+        assert order == [(4,), (7,), (0,), (1,), (2,), (3,), (5,), (6,), (8,)]
 
     @pytest.mark.parametrize("escalated_status", ["certified", "unknown"])
     def test_unknown_subsets_retried_once_escalated(self, trefoil, monkeypatch,
