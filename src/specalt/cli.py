@@ -17,22 +17,24 @@ import sys
 
 from .diagram import reduce_nugatory, DiagramError
 from .tables import (KnotRecord, analyze, analyze_all, load_table, load_expected,
-                     emit_tables, diff_tables, load_bundled_fixtures, TableError,
-                     bound_consistency_ok)
+                     emit_tables, diff_tables, TableError,
+                     bound_consistency_ok, data_path)
 from .unknotting import exhaustive_search
 from .lattice import obstruction
 
 
 def _resolve(text: str) -> KnotRecord:
-    """A knot name from the bundled fixtures, or a PD code."""
+    """A knot name from the bundled fixtures or the named 11a/12a table, or
+    a PD code."""
     if "X" in text or "x" in text:
         return KnotRecord(name="input", pd=text)
-    records, _ = load_bundled_fixtures()
-    for rec in records:
-        if rec.name == text:
-            return rec
-    raise DiagramError(f"unknown knot name {text!r} (not in bundled fixtures) "
-                       "and not a PD code")
+    for table in ("fixtures.csv", "named_pd_codes.csv"):
+        records, _ = load_table(data_path(table))
+        for rec in records:
+            if rec.name == text:
+                return rec
+    raise DiagramError(f"unknown knot name {text!r} (not in the bundled fixtures "
+                       "or named table) and not a PD code")
 
 
 def cmd_analyze(args) -> int:

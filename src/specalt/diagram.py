@@ -20,7 +20,11 @@ tables (see tests/test_diagram.py for the anchor checks):
   slot s+1``; a connected diagram with n crossings has n + 2 faces.  Link
   components are traced by the strand walk ``out-end -> mate -> slot + 2``.
   Both are orbits read by ``cycles``, and every crossing set reached over
-  edges is read by ``flood``.
+  edges is read by ``flood``.  Each walk's step map is built in one pass
+  over ``quads`` (and ``incoming``) that pairs the two ends of each label,
+  then read as ``dict.__getitem__``, so no step calls ``mate``; crossing
+  components and the checkerboard propagate over such a pairing too.
+  ``edge_ends`` and ``mate`` serve validation, moves and canonical keys.
 * For a directed edge, the face containing the arrival corner at its head
   lies on the LEFT of the edge.
 
@@ -121,13 +125,26 @@ class LinkDiagram:
 
     @cached_property
     def faces(self) -> tuple[tuple[End, ...], ...]:
-        """Faces as cyclic tuples of corners; corner (c, s) is ``q_s``."""
+        """Faces as cyclic tuples of corners; corner (c, s) is ``q_s``.
+
+        One pass pairs the two ends of each label: the corner just before
+        either end steps to the other end."""
         if not self.quads:
             return ((),) * (self.free_loops + 1) if self.free_loops else ()
-        mate = self.mate
-        corners = [(c, s) for c in range(len(self.quads)) for s in range(4)]
-        walks = cycles(corners, lambda end: mate((end[0], (end[1] + 1) % 4)))
-        return tuple(walks) + ((),) * self.free_loops
+        corners: list[End] = []
+        step: dict[End, End] = {}
+        first: dict[int, tuple[End, End]] = {}
+        for c, quad in enumerate(self.quads):
+            ends = ((c, 0), (c, 1), (c, 2), (c, 3))
+            corners += ends
+            for s in range(4):
+                other = first.pop(quad[s], None)
+                if other is None:
+                    first[quad[s]] = ends[s], ends[s - 1]
+                else:
+                    step[other[1]] = ends[s]
+                    step[ends[s - 1]] = other[0]
+        return tuple(cycles(corners, step.__getitem__)) + ((),) * self.free_loops
 
     @cached_property
     def face_index(self) -> dict[End, int]:
@@ -139,15 +156,20 @@ class LinkDiagram:
 
     @cached_property
     def _strands(self) -> tuple[tuple[End, ...], ...]:
-        """Link components as cyclic tuples of outgoing ends, in flow order."""
-        mate = self.mate
-        outs = [(c, s) for c in range(len(self.quads)) for s in range(4)
-                if not self.incoming[c][s]]
+        """Link components as cyclic tuples of outgoing ends, in flow order.
 
-        def along(end: End) -> End:
-            c, s = mate(end)
-            return c, (s + 2) % 4
-        return tuple(cycles(outs, along))
+        One pass finds each label's outgoing end and the end straight
+        through its incoming end (slot ``^ 2``), the next outgoing end."""
+        out_end: dict[int, End] = {}
+        through: dict[int, End] = {}
+        for c, (quad, inc) in enumerate(zip(self.quads, self.incoming)):
+            for s in range(4):
+                if inc[s]:
+                    through[quad[s]] = (c, s ^ 2)
+                else:
+                    out_end[quad[s]] = (c, s)
+        step = {end: through[label] for label, end in out_end.items()}
+        return tuple(cycles(step, step.__getitem__))
 
     @property
     def component_count(self) -> int:
@@ -163,11 +185,18 @@ class LinkDiagram:
 
     @cached_property
     def _crossing_components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the underlying 4-valent graph."""
+        """Connected components of the underlying 4-valent graph, over the
+        adjacency of one pass pairing the two ends of each label."""
         adj: list[list[int]] = [[] for _ in self.quads]
-        for (a, _), (b, _) in self.edge_ends.values():
-            adj[a].append(b)
-            adj[b].append(a)
+        first: dict[int, int] = {}
+        for c, quad in enumerate(self.quads):
+            for label in quad:
+                a = first.pop(label, None)
+                if a is None:
+                    first[label] = c
+                else:
+                    adj[a].append(c)
+                    adj[c].append(a)
         comps, done = [], set()
         for c in range(len(adj)):
             if c not in done:
@@ -272,6 +301,21 @@ def checkerboard(d: LinkDiagram) -> Checkerboard:
     white.  Along an edge the corners on one side are q_{a-1} at one end
     and q_b at the other, so mu keeps its value across an edge joining an
     even slot to an odd one and flips across any other edge."""
+    # the mate table of one pass pairing the two ends of each label: the
+    # crossing across each edge, and whether the edge joins an even slot
+    # to an odd one
+    across: list[list[tuple[int, bool]]] = [[] for _ in d.quads]
+    first: dict[int, End] = {}
+    for c, quad in enumerate(d.quads):
+        for s in range(4):
+            other = first.pop(quad[s], None)
+            if other is None:
+                first[quad[s]] = c, s
+            else:
+                c2, s2 = other
+                odd = (s + s2) % 2 == 1
+                across[c].append((c2, odd))
+                across[c2].append((c, odd))
     mu = [0] * d.n
     for root in range(d.n):
         if mu[root]:
@@ -280,9 +324,8 @@ def checkerboard(d: LinkDiagram) -> Checkerboard:
         stack = [root]
         while stack:
             c = stack.pop()
-            for s in range(4):
-                c2, s2 = d.mate((c, s))
-                want = mu[c] if (s + s2) % 2 else -mu[c]
+            for c2, odd in across[c]:
+                want = mu[c] if odd else -mu[c]
                 if not mu[c2]:
                     mu[c2] = want
                     stack.append(c2)
@@ -594,15 +637,11 @@ def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
     for c in chosen:
         if not (0 <= c < d.n):
             raise DiagramError(f"crossing index {c} out of range")
-    quads, incs = [], []
-    for c in range(d.n):
-        if c in chosen:
-            r = d.over_in_slot(c)
-            quads.append(tuple(d.quads[c][(s + r) % 4] for s in range(4)))
-            incs.append(tuple(d.incoming[c][(s + r) % 4] for s in range(4)))
-        else:
-            quads.append(d.quads[c])
-            incs.append(d.incoming[c])
+    quads, incs = list(d.quads), list(d.incoming)
+    for c in chosen:
+        r = d.over_in_slot(c)
+        quads[c] = quads[c][r:] + quads[c][:r]
+        incs[c] = incs[c][r:] + incs[c][:r]
     return LinkDiagram(tuple(quads), tuple(incs), d.free_loops)
 
 

@@ -38,18 +38,15 @@ def move_from_json(obj) -> Move:
 
 
 def r1_sites(d: LinkDiagram) -> list[tuple]:
-    out = []
-    for c in range(d.n):
-        for s in range(4):
-            if d.mate((c, s)) == (c, (s + 1) % 4):
-                out.append((c,))
-                break
-    return out
+    """Crossings with a kink, in index order: those where a face is a
+    monogon, its one corner (c, s) closed by the edge from slot s + 1 back
+    to slot s."""
+    return [(c,) for c in sorted({face[0][0] for face in d.faces if len(face) == 1})]
 
 
 def apply_r1(d: LinkDiagram, site: tuple) -> LinkDiagram:
     (c,) = site
-    if not any(d.mate((c, s)) == (c, (s + 1) % 4) for s in range(4)):
+    if (c,) not in r1_sites(d):
         raise DiagramError(f"no kink at crossing {c}")
     b = _Builder.from_diagram(d)
     b.delete_with_wiring({c}, b.passage_wires(c), set())

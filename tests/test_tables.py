@@ -428,6 +428,20 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["admissible"] is True
 
+    def test_analyze_named_table_knot(self, capsys):
+        """Names missing from the fixtures fall back to the named table,
+        where 11a291 is Table 1's u = 4 knot with an obstructed lattice."""
+        rc = cli_main(["--json", "analyze", "11a291"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (out["name"], out["sigma"], out["u"]) == ("11a291", -6, "4")
+        assert out["obstruction"] == "obstructed"
+
+    def test_embed_named_table_knot(self, capsys):
+        rc = cli_main(["embed", "11a291"])
+        out = capsys.readouterr().out
+        assert rc == 0 and out.startswith("11a291: obstructed (exhausted; p=3")
+
     def test_search(self, capsys):
         rc = cli_main(["search", "3_1", "--changes", "1"])
         out = capsys.readouterr().out

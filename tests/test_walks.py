@@ -4,20 +4,29 @@
 Faces, strands, crossing components, Seifert circles, twist regions and
 the edge labels of ``_Builder.to_diagram`` fix face indices, white orders,
 embeddings, clasp hints, witnesses and move logs downstream, so each one
-must come out element for element as these references read it."""
+must come out element for element as these references read it.  The
+references step with ``mate`` over ``edge_ends``; the package builds each
+step map in one pass over the quads instead, so the walks, the
+checkerboard, ``r1_sites`` and ``change_crossings`` are also checked on
+every diagram the crossing-change search and the simplifier build from
+the small fixtures and from ``s13_1``."""
 
+import csv
+import itertools
 import random
 from pathlib import Path
 
-from specalt import families
-from specalt.diagram import (LinkDiagram, _Builder, change_crossings, cycles,
-                             flood, mirror, parse_pd, reduce_nugatory,
-                             twist_regions)
-from specalt.moves import apply_r2plus, r2plus_sites
-from specalt.seifert import _in_ends, _smooth_out, seifert_circles
-from specalt.tables import data_path, load_table
+import pytest
 
-from conftest import SPLIT_TREFOILS_PD
+from specalt import families, unknotting
+from specalt.diagram import (LinkDiagram, _Builder, canonical_key, change_crossings,
+                             checkerboard, cycles, flood, mirror, parse_pd, reduce_nugatory,
+                             twist_regions)
+from specalt.moves import apply_r2plus, r1_sites, r2plus_sites
+from specalt.seifert import _in_ends, _smooth_out, seifert_circles
+from specalt.tables import data_path, load_bundled_fixtures, load_table
+
+from conftest import SPLIT_TREFOILS_PD, TREFOIL_KINK_PD
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
@@ -72,6 +81,62 @@ def ref_crossing_components(d: LinkDiagram):
                     stack.append(x)
         out.append(tuple(sorted(comp)))
     return tuple(out)
+
+
+def ref_face_index(d: LinkDiagram):
+    return {corner: i for i, face in enumerate(ref_faces(d)) for corner in face}
+
+
+def ref_component_of_edge(d: LinkDiagram):
+    return {d.quads[c][s]: i for i, strand in enumerate(ref_strands(d)) for c, s in strand}
+
+
+def ref_edge_order(d: LinkDiagram):
+    """Edge labels in the order of their first end, crossing by crossing."""
+    order = []
+    for quad in d.quads:
+        for label in quad:
+            if label not in order:
+                order.append(label)
+    return order
+
+
+def ref_incidence(d: LinkDiagram):
+    mu = [0] * d.n
+    for root in range(d.n):
+        if mu[root]:
+            continue
+        mu[root] = 1
+        stack = [root]
+        while stack:
+            c = stack.pop()
+            for s in range(4):
+                c2, s2 = d.mate((c, s))
+                want = mu[c] if (s + s2) % 2 else -mu[c]
+                if not mu[c2]:
+                    mu[c2] = want
+                    stack.append(c2)
+                assert mu[c2] == want
+    return tuple(mu)
+
+
+def ref_r1_sites(d: LinkDiagram):
+    out = []
+    for c in range(d.n):
+        for s in range(4):
+            if d.mate((c, s)) == (c, (s + 1) % 4):
+                out.append((c,))
+                break
+    return out
+
+
+def ref_change_crossings(d: LinkDiagram, subset):
+    quads, incs = [], []
+    for c in range(d.n):
+        r = d.over_in_slot(c) if c in subset else 0
+        quads.append(tuple(d.quads[c][(s + r) % 4] for s in range(4)))
+        incs.append(tuple(d.incoming[c][(s + r) % 4] for s in range(4)))
+    return tuple(quads), tuple(incs)
 
 
 def ref_seifert_circles(d: LinkDiagram):
@@ -213,3 +278,102 @@ def test_walk_orders_match_plain_loops():
         assert twist_regions(d).regions == ref_twist_regions(d), d.to_pd_text()
         b = scrambled_builder(d, rnd)
         assert b.to_diagram().to_pd_text() == ref_builder_pd_text(b), d.to_pd_text()
+
+
+def reflect_plane(d: LinkDiagram) -> LinkDiagram:
+    """The reflection that reverses the plane: each quad read as slots
+    0, 3, 2, 1, so slot 0 stays the incoming under end."""
+    return LinkDiagram(tuple((q[0], q[3], q[2], q[1]) for q in d.quads),
+                       tuple((i[0], i[3], i[2], i[1]) for i in d.incoming), d.free_loops)
+
+
+def small_fixture_changes():
+    """Every change of one or two crossings of each fixture with at most 9
+    crossings, then its mirror and its plane reflection."""
+    records, errors = load_bundled_fixtures()
+    assert not errors
+    out = []
+    for rec in records:
+        d = rec.diagram
+        if d.n <= 9:
+            for m in (1, 2):
+                for subset in itertools.combinations(range(d.n), m):
+                    x = change_crossings(d, subset)
+                    out += [x, mirror(x), reflect_plane(x)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def s13_1_scans():
+    """``s13_1`` changed at its witness (0, 1, 2, 4), every diagram the
+    simplifier scans for kinks while certifying it, and every one it keys."""
+    with open(PAPER13_CSV, newline="") as fh:
+        pd = next(row["pd"] for row in csv.DictReader(fh) if row["name"] == "s13_1")
+    d = change_crossings(reduce_nugatory(parse_pd(pd)), (0, 1, 2, 4))
+    scanned, keyed = [], []
+
+    def scanning(x):
+        scanned.append(x)
+        return r1_sites(x)
+
+    def keying(x):
+        keyed.append(x)
+        return canonical_key(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unknotting._moves, "r1_sites", scanning)
+        mp.setattr(unknotting, "canonical_key", keying)
+        final, log = unknotting.reidemeister_simplify(d)
+    assert final.n == 0 and len(log) == 12
+    return d, scanned, keyed
+
+
+def test_changed_and_simplified_walks_match_plain_loops(s13_1_scans):
+    d, _, keyed = s13_1_scans
+    assert len(keyed) == 95
+    inputs = small_fixture_changes() + [d] + keyed
+    assert len(inputs) > 4000
+    for x in inputs:
+        pd = x.to_pd_text()
+        assert x.faces == ref_faces(x), pd
+        assert x.face_index == ref_face_index(x), pd
+        assert x._strands == ref_strands(x), pd
+        assert x.component_of_edge == ref_component_of_edge(x), pd
+        assert x._crossing_components == ref_crossing_components(x), pd
+        assert list(x.edge_ends) == ref_edge_order(x), pd
+        assert checkerboard(x).incidence == ref_incidence(x), pd
+
+
+def with_kink(d: LinkDiagram, rnd) -> LinkDiagram:
+    """``d`` with a kink added on a random edge, the loop after the under
+    pass or before the over pass."""
+    label = rnd.choice(sorted(d.edge_ends))
+    a, b = d.edge_ends[label]
+    head = a if d.incoming[a[0]][a[1]] else b
+    new, loop = max(d.edge_ends) + 1, max(d.edge_ends) + 2
+    quads = [list(q) for q in d.quads]
+    quads[head[0]][head[1]] = new
+    quads.append(rnd.choice(([label, loop, loop, new], [label, new, loop, loop])))
+    return parse_pd(" ".join("X[%d,%d,%d,%d]" % tuple(q) for q in quads))
+
+
+def test_r1_sites_match_slot_scan(s13_1_scans):
+    _, scanned, _ = s13_1_scans
+    assert len(scanned) > 400
+    rnd = random.Random(29)
+    plain = [d for d in walk_inputs() if d.n]
+    kinked = [with_kink(d, rnd) for d in plain[::5]]
+    kinked += [with_kink(d, rnd) for d in kinked[::3]]
+    kinked += [parse_pd(pd) for pd in (TREFOIL_KINK_PD, "X[1,1,2,2]", "X[2,1,1,2]")]
+    for x in scanned + plain + kinked:
+        assert r1_sites(x) == ref_r1_sites(x), x.to_pd_text()
+    assert all(r1_sites(x) for x in kinked)
+
+
+def test_change_crossings_rotates_as_reference():
+    rnd = random.Random(5)
+    for d in walk_inputs()[:600:3]:
+        for _ in range(3):
+            subset = rnd.sample(range(d.n), rnd.randint(0, d.n))
+            x = change_crossings(d, subset)
+            assert (x.quads, x.incoming) == ref_change_crossings(d, set(subset)), d.to_pd_text()
+            assert change_crossings(x, subset) == d, d.to_pd_text()
