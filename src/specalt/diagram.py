@@ -20,11 +20,13 @@ tables (see tests/test_diagram.py for the anchor checks):
   slot s+1``; a connected diagram with n crossings has n + 2 faces.  Link
   components are traced by the strand walk ``out-end -> mate -> slot + 2``.
   Both are orbits read by ``cycles``, and every crossing set reached over
-  edges is read by ``flood``.  Each walk's step map is built in one pass
-  over ``quads`` (and ``incoming``) that pairs the two ends of each label,
-  then read as ``dict.__getitem__``, so no step calls ``mate``; crossing
-  components and the checkerboard propagate over such a pairing too.
-  ``edge_ends`` and ``mate`` serve validation, moves and canonical keys.
+  edges is read by ``flood``.  ``edge_ends`` is the one pairing of the two
+  ends of each label (it raises unless each occurs twice); the face step
+  map, the components' crossing adjacency, the checkerboard's mate table
+  and the mates of ``_Builder`` are each built in one loop over it.  Strands
+  map each outgoing end through ``incoming``, with no pairing: search
+  children read them first, and building ``edge_ends`` for that walk made
+  it about 60% slower.
 * For a directed edge, the face containing the arrival corner at its head
   lies on the LEFT of the edge.
 
@@ -79,6 +81,19 @@ def cycles(starts, step) -> list[tuple]:
     return out
 
 
+def _label_ends(quads) -> dict[int, tuple[End, End]]:
+    """The two ends of each edge label, keyed in order of first occurrence;
+    raises DiagramError unless every label occurs exactly twice."""
+    ends: dict[int, list[End]] = {}
+    for c, quad in enumerate(quads):
+        for s, label in enumerate(quad):
+            ends.setdefault(label, []).append((c, s))
+    bad = [e for e, p in ends.items() if len(p) != 2]
+    if bad:
+        raise DiagramError(f"edge labels not occurring exactly twice: {sorted(bad)}")
+    return {e: (p[0], p[1]) for e, p in ends.items()}
+
+
 def flood(start, neighbours) -> set:
     """The set reachable from ``start``; ``neighbours(x)`` lists the
     elements one step from ``x``."""
@@ -113,11 +128,8 @@ class LinkDiagram:
 
     @cached_property
     def edge_ends(self) -> dict[int, tuple[End, End]]:
-        ends: dict[int, list[End]] = {}
-        for c, quad in enumerate(self.quads):
-            for s, label in enumerate(quad):
-                ends.setdefault(label, []).append((c, s))
-        return {e: (p[0], p[1]) for e, p in ends.items()}
+        """The diagram's one label pairing, built by ``_label_ends``."""
+        return _label_ends(self.quads)
 
     def mate(self, end: End) -> End:
         a, b = self.edge_ends[self.quads[end[0]][end[1]]]
@@ -127,32 +139,20 @@ class LinkDiagram:
     def faces(self) -> tuple[tuple[End, ...], ...]:
         """Faces as cyclic tuples of corners; corner (c, s) is ``q_s``.
 
-        One pass pairs the two ends of each label: the corner just before
-        either end steps to the other end."""
+        Over ``edge_ends``, the corner just before either end of a label
+        steps to the other end."""
         if not self.quads:
             return ((),) * (self.free_loops + 1) if self.free_loops else ()
-        corners: list[End] = []
         step: dict[End, End] = {}
-        first: dict[int, tuple[End, End]] = {}
-        for c, quad in enumerate(self.quads):
-            ends = ((c, 0), (c, 1), (c, 2), (c, 3))
-            corners += ends
-            for s in range(4):
-                other = first.pop(quad[s], None)
-                if other is None:
-                    first[quad[s]] = ends[s], ends[s - 1]
-                else:
-                    step[other[1]] = ends[s]
-                    step[ends[s - 1]] = other[0]
+        for a, b in self.edge_ends.values():
+            step[a[0], (a[1] - 1) % 4] = b
+            step[b[0], (b[1] - 1) % 4] = a
+        corners = [(c, s) for c in range(self.n) for s in range(4)]
         return tuple(cycles(corners, step.__getitem__)) + ((),) * self.free_loops
 
     @cached_property
     def face_index(self) -> dict[End, int]:
-        idx: dict[End, int] = {}
-        for i, face in enumerate(self.faces):
-            for corner in face:
-                idx[corner] = i
-        return idx
+        return {corner: i for i, face in enumerate(self.faces) for corner in face}
 
     @cached_property
     def _strands(self) -> tuple[tuple[End, ...], ...]:
@@ -177,26 +177,17 @@ class LinkDiagram:
 
     @cached_property
     def component_of_edge(self) -> dict[int, int]:
-        comp = {}
-        for i, strand in enumerate(self._strands):
-            for c, s in strand:
-                comp[self.quads[c][s]] = i
-        return comp
+        quads = self.quads
+        return {quads[c][s]: i for i, strand in enumerate(self._strands) for c, s in strand}
 
     @cached_property
     def _crossing_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying 4-valent graph, over the
-        adjacency of one pass pairing the two ends of each label."""
+        crossing adjacency of ``edge_ends``."""
         adj: list[list[int]] = [[] for _ in self.quads]
-        first: dict[int, int] = {}
-        for c, quad in enumerate(self.quads):
-            for label in quad:
-                a = first.pop(label, None)
-                if a is None:
-                    first[label] = c
-                else:
-                    adj[a].append(c)
-                    adj[c].append(a)
+        for (a, _), (b, _) in self.edge_ends.values():
+            adj[a].append(b)
+            adj[b].append(a)
         comps, done = [], set()
         for c in range(len(adj)):
             if c not in done:
@@ -247,21 +238,16 @@ def validate(d: LinkDiagram) -> LinkDiagram:
         raise DiagramError("quads and incoming lengths differ")
     if d.free_loops < 0:
         raise DiagramError("negative free loop count")
-    counts: dict[int, int] = {}
     for quad in d.quads:
         if len(quad) != 4:
             raise DiagramError(f"crossing {quad} does not have 4 edges")
-        for label in quad:
-            counts[label] = counts.get(label, 0) + 1
-    bad = [e for e, k in counts.items() if k != 2]
-    if bad:
-        raise DiagramError(f"edge labels not occurring exactly twice: {sorted(bad)}")
+    ends = d.edge_ends          # raises unless each label occurs twice
     for c, inc in enumerate(d.incoming):
         if not (inc[0] and not inc[2]):
             raise DiagramError(f"crossing {c}: slot 0 must be under-in, slot 2 under-out")
         if inc[1] == inc[3]:
             raise DiagramError(f"crossing {c}: over strand must pass through")
-    for e, (a, b) in d.edge_ends.items():
+    for e, (a, b) in ends.items():
         if d.incoming[a[0]][a[1]] == d.incoming[b[0]][b[1]]:
             raise DiagramError(f"edge {e} has inconsistent direction")
     # Planarity per connected component: faces close up with Euler count
@@ -301,21 +287,13 @@ def checkerboard(d: LinkDiagram) -> Checkerboard:
     white.  Along an edge the corners on one side are q_{a-1} at one end
     and q_b at the other, so mu keeps its value across an edge joining an
     even slot to an odd one and flips across any other edge."""
-    # the mate table of one pass pairing the two ends of each label: the
-    # crossing across each edge, and whether the edge joins an even slot
-    # to an odd one
+    # the mate table of ``edge_ends``: the crossing across each edge, and
+    # whether the edge joins an even slot to an odd one
     across: list[list[tuple[int, bool]]] = [[] for _ in d.quads]
-    first: dict[int, End] = {}
-    for c, quad in enumerate(d.quads):
-        for s in range(4):
-            other = first.pop(quad[s], None)
-            if other is None:
-                first[quad[s]] = c, s
-            else:
-                c2, s2 = other
-                odd = (s + s2) % 2 == 1
-                across[c].append((c2, odd))
-                across[c2].append((c, odd))
+    for (c, s), (c2, s2) in d.edge_ends.values():
+        odd = (s + s2) % 2 == 1
+        across[c].append((c2, odd))
+        across[c2].append((c, odd))
     mu = [0] * d.n
     for root in range(d.n):
         if mu[root]:
@@ -425,18 +403,8 @@ def _resolve_orientations(
 ) -> tuple[tuple[bool, bool, bool, bool], ...]:
     """Propagate in/out marks: under passes go slot0 -> slot2, edges have one
     head and one tail, over passes go through."""
-    ends: dict[int, list[End]] = {}
-    for c, quad in enumerate(quads):
-        for s, label in enumerate(quad):
-            ends.setdefault(label, []).append((c, s))
-    for e, ee in ends.items():
-        if len(ee) != 2:
-            raise DiagramError(f"edge label {e} occurs {len(ee)} times, expected 2")
-
-    inc: dict[End, bool] = {}
-    for c in range(len(quads)):
-        inc[(c, 0)] = True
-        inc[(c, 2)] = False
+    ends = _label_ends(quads)
+    inc = {(c, s): s == 0 for c in range(len(quads)) for s in (0, 2)}
 
     def neighbors(end: End):
         c, s = end
@@ -493,10 +461,9 @@ class _Builder:
         b.free_loops = d.free_loops
         b.cids = list(range(d.n))
         b._next = d.n
-        for c in range(d.n):
-            for s in range(4):
-                b.mates[(c, s)] = d.mate((c, s))
-                b.inc[(c, s)] = d.incoming[c][s]
+        for end, other in d.edge_ends.values():
+            b.splice(end, other)
+        b.inc = {(c, s): v for c, inc in enumerate(d.incoming) for s, v in enumerate(inc)}
         return b
 
     def new_crossing(self) -> int:

@@ -131,9 +131,11 @@ def _open_csv(path, what: str):
 
 
 def load_table(path) -> tuple[list[KnotRecord], list[str]]:
-    """Read a fixtures CSV; returns (records, per-row error strings)."""
+    """Read a fixtures CSV; returns (records, per-row error strings).  A
+    name already used by an earlier row is an error of the later row."""
     records: list[KnotRecord] = []
     errors: list[str] = []
+    first_line: dict[str, int] = {}
     with _open_csv(path, "table") as fh:
         reader = csv.reader(fh)
         try:
@@ -149,6 +151,10 @@ def load_table(path) -> tuple[list[KnotRecord], list[str]]:
                 errors.append(f"line {lineno}: expected 5 cells, got {len(row)}")
                 continue
             name, pd_text, sig, u_cell, genus = [c.strip() for c in row]
+            if name in first_line:
+                errors.append(f"line {lineno}: {name}: name repeats line {first_line[name]}")
+                continue
+            first_line[name] = lineno
             try:
                 rec = KnotRecord(name, pd_text,
                                  known_signature=int(sig) if sig else None,
@@ -299,9 +305,11 @@ class DiffResult:
 def load_expected(path) -> dict[str, dict[str, str]]:
     """Read an expected table into {name: row}; accepts both the fixture
     header (name/genus) and the emitted report header (K/g).  Every u, c4,
-    sigma and genus cell must read as ``_cell_interval`` reads it, or the
-    file raises TableError before any row is analysed."""
+    sigma and genus cell must read as ``_cell_interval`` reads it, and no
+    name may repeat, or the file raises TableError before any row is
+    analysed."""
     expected: dict[str, dict[str, str]] = {}
+    first_line: dict[str, int] = {}
     with _open_csv(path, "expected table") as fh:
         reader = csv.DictReader(fh, restval="")
         if not {"name", "K"} & set(reader.fieldnames or ()):
@@ -318,7 +326,12 @@ def load_expected(path) -> dict[str, dict[str, str]]:
                         f"expected table {path} line {reader.line_num}: bad {col} "
                         f"cell {text!r}: expected ?, >=N, N, {{N;...}} or N;..."
                     ) from None
-            expected[rec["name"].strip()] = rec
+            name = rec["name"].strip()
+            if name in first_line:
+                raise TableError(f"expected table {path} line {reader.line_num}: "
+                                 f"name {name!r} repeats line {first_line[name]}")
+            first_line[name] = reader.line_num
+            expected[name] = rec
     return expected
 
 

@@ -8,6 +8,7 @@ and the script recomputes those classes from an enumeration of Tait
 graphs.  Without the file both criteria fail with MISSING_NAMED_MSG.
 """
 
+import csv
 import itertools
 import json
 import os
@@ -36,6 +37,7 @@ from specalt import families
 from paper_claims import claim1_structure, euler_check
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
+VERDICTS_CSV = Path(__file__).parent / "data" / "verdicts_expected.csv"
 
 MISSING_NAMED_MSG = (
     "MISSING: src/specalt/data/named_pd_codes.csv, which holds the PD codes "
@@ -73,6 +75,12 @@ def named_rows():
     by_name, missing = _named_records(names)
     present = [by_name[n] for n in names if n not in missing]
     return {row.name: row for row in analyze_all(present)}
+
+
+@pytest.fixture(scope="module")
+def fixture_rows(bundled):
+    """Report rows of the bundled fixtures, in table order, analysed once."""
+    return analyze_all(bundled)
 
 
 def test_criterion_1_signature_oracle_agreement(bundled):
@@ -366,8 +374,8 @@ def test_criterion_4_protocol_dry_run():
           f"11-crossing-scale knots through the table protocol in {elapsed:.1f}s")
 
 
-def test_criterion_8_bound_consistency(bundled):
-    rows = analyze_all(bundled)
+def test_criterion_8_bound_consistency(fixture_rows):
+    rows = fixture_rows
     for row in rows:
         assert row.ok, (row.name, row.provenance)
         assert bound_consistency_ok(row), row.name
@@ -375,7 +383,7 @@ def test_criterion_8_bound_consistency(bundled):
           f"{len(rows)} emitted rows of the full table run")
 
 
-def test_certificates_agree_at_p(bundled, named_rows):
+def test_certificates_agree_at_p(bundled, fixture_rows, named_rows):
     """The two certificates at p agree on every special alternating row of
     the fixtures, named and paper13 tables: the lattice is admissible
     exactly when the search at p finds a witness.  On a twist-reduced
@@ -389,7 +397,7 @@ def test_certificates_agree_at_p(bundled, named_rows):
         pytest.fail(MISSING_NAMED_MSG + f"  Missing: {', '.join(missing)}")
     paper13, errors = load_table(PAPER13_CSV)
     assert not errors, errors
-    pairs = list(zip(bundled + paper13, analyze_all(bundled + paper13)))
+    pairs = list(zip(bundled + paper13, fixture_rows + analyze_all(paper13)))
     pairs += [(by_name[n], named_rows[n]) for n in named]
     special = [(rec, row) for rec, row in pairs if row.obstruction]
     assert len(special) == 116
@@ -410,3 +418,22 @@ def test_certificates_agree_at_p(bundled, named_rows):
         assert row.witness == tuple(sorted(hint)), rec.name
         hinted += 1
     assert (admissible, hinted) == (28, 25)
+
+
+def test_verdicts_match_expected(fixture_rows, named_rows):
+    """Every fixture and named row keeps the witness, provenance and
+    obstruction recorded in tests/data/verdicts_expected.csv: the fixture
+    rows in table order, then the named ones, witness crossings joined by
+    ``;``.  A change that alters any of them must rewrite that file and
+    say why."""
+    with open(VERDICTS_CSV, newline="") as fh:
+        expected = [tuple(row.values()) for row in csv.DictReader(fh)]
+    named = [name for name, *_ in expected[len(fixture_rows):]]
+    missing = [n for n in named if n not in named_rows]
+    if missing:
+        pytest.fail(MISSING_NAMED_MSG + f"  Missing: {', '.join(missing)}")
+    rows = fixture_rows + [named_rows[n] for n in named]
+    got = [(r.name, ";".join(map(str, r.witness or ())), r.provenance, r.obstruction)
+           for r in rows]
+    assert len(got) == 58 + 51
+    assert got == expected

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,24 @@ class TestParsePD:
     def test_duplicate_labels_error(self):
         with pytest.raises(DiagramError):
             parse_pd("X[1,1,1,1]")
+
+    @pytest.mark.parametrize("pd, bad", [
+        # labels 3 and 7 once each
+        ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,7]", [3, 7]),
+        # labels 1 and 7 three times each
+        ("X[1,4,2,7] X[3,6,4,1] X[7,2,6,3] X[1,7,5,5]", [1, 7]),
+    ])
+    def test_label_count_error_names_labels(self, pd, bad):
+        message = f"edge labels not occurring exactly twice: {bad}"
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            parse_pd(pd)
+        quads = tuple(tuple(int(x) for x in q.split(","))
+                      for q in re.findall(r"X\[([^\]]*)\]", pd))
+        raw = LinkDiagram(quads, ((True, True, False, False),) * len(quads))
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            raw.edge_ends
+        with pytest.raises(DiagramError, match=re.escape(message)):
+            validate(raw)
 
     def test_garbage_error(self):
         with pytest.raises(DiagramError):

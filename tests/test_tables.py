@@ -8,7 +8,7 @@ from specalt.tables import (KnotRecord, load_table, analyze, analyze_all,
                             bound_consistency_ok, natural_key)
 from specalt.cli import main as cli_main
 from specalt.diagram import (parse_pd, reduce_nugatory, canonical_key,
-                             is_special_alternating)
+                             is_special_alternating, mirror)
 
 from conftest import TREFOIL_PD, SPLIT_TREFOILS_PD, TREFOIL_KINK_PD
 
@@ -520,6 +520,52 @@ class TestCLI:
     def test_search_all_crossings_allowed(self, capsys):
         rc = cli_main(["search", "3_1", "--changes", "3"])
         assert rc == 0 and "subsets tried: 1" in capsys.readouterr().out
+
+
+class TestRepeatedNames:
+    """A name repeated in a table or an expected table hid a row from
+    ``--diff``: both loaders kept only the last row of that name."""
+
+    @pytest.fixture
+    def two_tri(self, tmp_path):
+        """The trefoil (sigma -2) and its mirror (sigma 2), both named tri."""
+        mirror_pd = mirror(parse_pd(TREFOIL_PD)).to_pd_text()
+        path = tmp_path / "two_tri.csv"
+        path.write_text("name,pd,signature,u,genus\n"
+                        f'tri,"{TREFOIL_PD}",,,\n'
+                        f'tri,"{mirror_pd}",,,\n')
+        return path
+
+    def test_load_table_row_error_names_both_lines(self, two_tri):
+        records, errors = load_table(two_tri)
+        assert [r.pd for r in records] == [TREFOIL_PD]
+        assert errors == ["line 3: tri: name repeats line 2"]
+
+    @pytest.mark.parametrize("sigma, rc", [(2, 1), (-2, 2), (None, 2)])
+    def test_tables_exit_code(self, two_tri, sigma, rc, tmp_path, capsys):
+        """The mirror's row is a row error (exit 2); against the mirror's
+        sigma the trefoil's row is a mismatch (exit 1)."""
+        args = ["tables", str(two_tri)]
+        if sigma is not None:
+            exp = tmp_path / "expected.csv"
+            exp.write_text(f"name,u,c4,sigma,genus\ntri,1,1,{sigma},1\n")
+            args += ["--diff", str(exp)]
+        assert cli_main(args) == rc
+        err = capsys.readouterr().err
+        assert "row error: line 3: tri: name repeats line 2" in err
+        assert ("MISMATCH: tri.sigma" in err) == (rc == 1)
+        assert ("diff: clean" in err) == (sigma == -2)
+
+    def test_load_expected_rejects_repeat(self, tmp_path, capsys):
+        exp = tmp_path / "expected.csv"
+        exp.write_text("K,u,c4,sigma,g\ntri,1,1,-2,1\n3_1,1,1,-2,1\ntri,1,1,2,1\n")
+        with pytest.raises(TableError, match="line 4: name 'tri' repeats line 2"):
+            load_expected(exp)
+        table = tmp_path / "t.csv"
+        table.write_text(f'name,pd,signature,u,genus\ntri,"{TREFOIL_PD}",,,\n')
+        rc = cli_main(["tables", str(table), "--diff", str(exp)])
+        cap = capsys.readouterr()
+        assert rc == 2 and cap.out == "" and "repeats line 2" in cap.err
 
 
 class TestTablesInputErrors:

@@ -5,11 +5,13 @@ Faces, strands, crossing components, Seifert circles, twist regions and
 the edge labels of ``_Builder.to_diagram`` fix face indices, white orders,
 embeddings, clasp hints, witnesses and move logs downstream, so each one
 must come out element for element as these references read it.  The
-references step with ``mate`` over ``edge_ends``; the package builds each
-step map in one pass over the quads instead, so the walks, the
-checkerboard, ``r1_sites`` and ``change_crossings`` are also checked on
-every diagram the crossing-change search and the simplifier build from
-the small fixtures and from ``s13_1``."""
+references step with ``mate`` one end at a time; the package builds each
+step map, adjacency and mate table in one loop over ``edge_ends`` (the
+strands in one pass over ``incoming``) instead, so the walks, the
+checkerboard, ``_Builder.from_diagram``, ``r1_sites`` and
+``change_crossings`` are also checked on every diagram the
+crossing-change search and the simplifier build from the small fixtures
+and from ``s13_1``."""
 
 import csv
 import itertools
@@ -341,6 +343,15 @@ def test_changed_and_simplified_walks_match_plain_loops(s13_1_scans):
         assert x._crossing_components == ref_crossing_components(x), pd
         assert list(x.edge_ends) == ref_edge_order(x), pd
         assert checkerboard(x).incidence == ref_incidence(x), pd
+
+
+def test_builder_splices_every_mate(s13_1_scans):
+    _, _, keyed = s13_1_scans
+    for d in walk_inputs() + keyed:
+        b = _Builder.from_diagram(d)
+        ends = [(c, s) for c in range(d.n) for s in range(4)]
+        assert b.mates == {end: d.mate(end) for end in ends}, d.to_pd_text()
+        assert b.inc == {(c, s): d.incoming[c][s] for c, s in ends}, d.to_pd_text()
 
 
 def with_kink(d: LinkDiagram, rnd) -> LinkDiagram:
