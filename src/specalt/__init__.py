@@ -27,10 +27,10 @@ from .lattice import (LatticeEmbedding, CoordinatePairing, ObstructionVerdict,
                       TargetTooSmall, MarkedRegionsNotAdjacent,
                       enumerate_embeddings, condition_all_coords, find_pairing,
                       obstruction, clasp_candidates, canonical_matrix)
-from .unknotting import (SimplifyBudget, UnlinkCertificate, SearchOutcome,
-                         UnlinkingVerdict, WitnessContradictsObstruction,
-                         reidemeister_simplify, certify_unlink,
-                         exhaustive_search, decide_minimal_unlinking, replay_moves)
+from .unknotting import (UnlinkCertificate, SearchOutcome, UnlinkingVerdict,
+                         WitnessContradictsObstruction, reidemeister_simplify,
+                         certify_unlink, exhaustive_search,
+                         decide_minimal_unlinking, replay_moves)
 from .bracket import kauffman_bracket, normalized_bracket, unlink_normalized_bracket
 from .tables import (KnotRecord, ReportRow, SignatureRoutesDisagree, load_table,
                      analyze, analyze_all, emit_tables, load_expected, diff_tables,

@@ -123,7 +123,7 @@ def cmd_tables(args) -> int:
             print(f"MISMATCH: {bad}", file=sys.stderr)
         if not result.clean:
             rc = 1
-        elif not result.mismatches and not result.loose:
+        elif not (result.loose or row_errors or failed):
             print("diff: clean", file=sys.stderr)
     if (row_errors or failed) and rc == 0:
         rc = 2

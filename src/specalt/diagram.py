@@ -547,8 +547,7 @@ class _Builder:
     def passage_wires(self, c: int) -> dict[End, End]:
         return {(c, 0): (c, 2), (c, 2): (c, 0), (c, 1): (c, 3), (c, 3): (c, 1)}
 
-    def insert_on_edge(self, target: End, in_port_incoming: bool,
-                       approach_left: bool) -> tuple[int, End, End]:
+    def insert_on_edge(self, target: End, approach_left: bool) -> tuple[int, End, End]:
         """Insert a crossing where a new OVER strand crosses the edge at
         ``target``; returns (cid, over-in slot, over-out slot).
 
@@ -761,14 +760,15 @@ def is_twist_reduced(d: LinkDiagram, tw: TwistDecomposition) -> bool:
 # -- canonical keys ----------------------------------------------------------
 
 
-def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
-    """Canonical encoding up to rotation-preserving relabeling (and optional
-    reflection), used for isomorphism tests and search dedup.
+def canonical_key(d: LinkDiagram) -> tuple:
+    """Canonical encoding up to rotation-preserving relabeling: equal
+    exactly for orientation-preservingly isomorphic diagrams, used for
+    isomorphism tests and search dedup.  Isomorphism up to planar
+    reflection compares the key of the reflected diagram.
 
     An isomorphism of oriented diagrams maps slot s to slot s, because slot
-    0 is the one incoming under-strand and the cyclic order is kept (a
-    reflection fixes slot 0 and reads the others as 0,3,2,1), so one walk
-    per root crossing suffices.
+    0 is the one incoming under-strand and the cyclic order is kept, so one
+    walk per root crossing suffices.
 
     Every root's code has n rows of equal length, so codes compare row by
     row; a root's walk stops at the first row above the best code's row
@@ -777,11 +777,10 @@ def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
     if n == 0:
         return ("loops", d.free_loops)
     if not d.is_connected:
-        parts = sorted(_canonical_code(p, reflect) for p in split_components(d))
+        parts = sorted(canonical_key(p) for p in split_components(d))
         return ("split", tuple(parts))
-    order = (0, 3, 2, 1) if reflect else (0, 1, 2, 3)
-    mates = [[d.mate((c, s)) for s in order] for c in range(n)]
-    over_in = [inc[order[1]] for inc in d.incoming]
+    mates = [[d.mate((c, s)) for s in range(4)] for c in range(n)]
+    over_in = [inc[1] for inc in d.incoming]
     best: list[tuple] = []
     for c0 in range(n):
         # BFS assigning canonical ids in traversal order
@@ -795,8 +794,7 @@ def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
                 if mc not in ids:
                     ids[mc] = len(ids)
                     queue.append(mc)
-                # order is its own inverse, so order[ms] is the position of ms
-                row += (ids[mc], order[ms])
+                row += (ids[mc], ms)
             key = tuple(row)
             if tied:
                 rival = best[len(code)]
@@ -807,8 +805,3 @@ def _canonical_code(d: LinkDiagram, reflect: bool) -> tuple:
         else:
             best = code
     return ("diag", d.free_loops, tuple(best))
-
-
-def canonical_key(d: LinkDiagram) -> tuple:
-    """Key equal for orientation-preservingly isomorphic diagrams."""
-    return _canonical_code(d, reflect=False)

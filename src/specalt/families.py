@@ -98,17 +98,17 @@ def medial_special_alternating(rotations: Rotations) -> LinkDiagram:
         b.inc[(c, 2)] = False
         b.inc[(c, 3)] = False
 
-    def out_slot(dart, vert):
+    def out_slot(vert):
         return 2 if vert in west else 0
 
-    def in_slot(dart, vert):
+    def in_slot(vert):
         return 1 if vert in west else 3
 
     for v, darts in rotations.items():
         k = len(darts)
         for pos, d in enumerate(darts):
             nd = darts[(pos + 1) % k]
-            b.splice((index[d], out_slot(d, v)), (index[nd], in_slot(nd, v)))
+            b.splice((index[d], out_slot(v)), (index[nd], in_slot(v)))
     d = b.to_diagram()
     if not d.is_connected:
         raise PlaneGraphError("graph is not connected")

@@ -159,8 +159,8 @@ def apply_r3(d: LinkDiagram, site: tuple) -> LinkDiagram:
         ins_m_left = not ins_m_left
     # Insert the new crossings while every edge is still intact, then splice
     # the middle segment of the detour (inside the far corner's region).
-    xb, in_b, out_b = b.insert_on_edge(b_far, True, ins_b_left)
-    xm, in_m, out_m = b.insert_on_edge(m_far, True, ins_m_left)
+    xb, in_b, out_b = b.insert_on_edge(b_far, ins_b_left)
+    xm, in_m, out_m = b.insert_on_edge(m_far, ins_m_left)
     if up_is_p:
         b.splice(out_b, in_m)
         open_in, open_out = in_b, out_m
@@ -241,10 +241,8 @@ def apply_r2plus(d: LinkDiagram, site: tuple) -> LinkDiagram:
     # side, X2 on its head side.
     swap = (wa == wb)   # True: a_tail pairs with the head-side crossing
     approach_left = wb  # F is on B's left iff the walk runs with B's flow
-    x1, in1, out1 = b.insert_on_edge(endb1, True,
-                                     approach_left if not swap else not approach_left)
-    x2, in2, out2 = b.insert_on_edge((x1, 2), True,
-                                     (not approach_left) if not swap else approach_left)
+    x1, in1, out1 = b.insert_on_edge(endb1, approach_left if not swap else not approach_left)
+    x2, in2, out2 = b.insert_on_edge((x1, 2), (not approach_left) if not swap else approach_left)
     if not swap:
         b.splice(a_tail, in1)
         b.splice(out1, in2)

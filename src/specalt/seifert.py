@@ -99,7 +99,7 @@ def _is_chain(sides) -> bool:
     return len(set(tails)) == len(tails) and len(set(heads)) == len(heads)
 
 
-def _vogel_site(d: LinkDiagram, circles, regions, circle_of):
+def _vogel_site(d: LinkDiagram, circle_of):
     """A pair of darts on one face whose edges lie on two different circles
     seen from the same side (Vogel's incoherent configuration)."""
     for face in d.faces:
@@ -138,7 +138,7 @@ def isotope_to_braid_form(d: LinkDiagram) -> LinkDiagram:
         if _is_chain(sides):
             return cur
         circle_of = _circle_of_edge(cur, circles)
-        site = _vogel_site(cur, circles, regions, circle_of)
+        site = _vogel_site(cur, circle_of)
         if site is None:
             raise SeifertError("no Vogel move available but circles not nested")
         cur = _moves.apply_r2plus(cur, site)

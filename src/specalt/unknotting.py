@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import (LinkDiagram, DiagramError, NotSpecialAlternating, SplitDiagram,
@@ -25,17 +24,11 @@ from .lattice import obstruction, clasp_candidates, ObstructionVerdict
 # Searches above p that look for an upper bound once p is ruled out.
 EXTRA_SEARCHES = 2
 
-
-@dataclass(frozen=True)
-class SimplifyBudget:
-    """Caps for the move search: ``extra`` crossings above the input
-    diagram and ``nodes`` explored diagram states."""
-
-    extra: int = 2
-    nodes: int = 1_000_000
-
-    def escalated(self) -> "SimplifyBudget":
-        return SimplifyBudget(self.extra + 4, max(self.nodes, 10_000_000))
+# The simplifier's one budget, read at call time: at most SIMPLIFY_EXTRA
+# crossings above the input diagram and SIMPLIFY_NODES explored states.
+# A subset it leaves undecided is reported unknown, not retried.
+SIMPLIFY_EXTRA = 2
+SIMPLIFY_NODES = 1_000_000
 
 
 def _greedy_reduce(d: LinkDiagram, log: list[Move]) -> LinkDiagram:
@@ -68,24 +61,23 @@ def _undone_by_greedy(cur: LinkDiagram, nxt: LinkDiagram) -> bool:
     return bool(sites) and sites[0] == (cur.n, cur.n + 1)
 
 
-def reidemeister_simplify(d: LinkDiagram,
-                          budget: SimplifyBudget = SimplifyBudget()
-                          ) -> tuple[LinkDiagram, list[Move]]:
-    """Best-first search over R1/R2 reductions, R3 transits and bounded
-    reverse-R2 excursions; returns the fewest-crossing diagram found and
+def reidemeister_simplify(d: LinkDiagram) -> tuple[LinkDiagram, list[Move]]:
+    """Best-first search over R1/R2 reductions, R3 transits and reverse-R2
+    excursions of at most SIMPLIFY_EXTRA crossings, over at most
+    SIMPLIFY_NODES states; returns the fewest-crossing diagram found and
     the move log reaching it."""
     log0: list[Move] = []
     start = _greedy_reduce(d, log0)
     if start.n == 0:
         return start, log0
-    cap = d.n + budget.extra
+    cap = d.n + SIMPLIFY_EXTRA
     counter = itertools.count()
     heap: list[tuple[int, int, LinkDiagram, tuple[Move, ...]]] = []
     heapq.heappush(heap, (start.n, next(counter), start, tuple(log0)))
     seen = {canonical_key(start)}
     best, best_log = start, tuple(log0)
     nodes = 0
-    while heap and nodes < budget.nodes:
+    while heap and nodes < SIMPLIFY_NODES:
         n_cur, _, cur, log = heapq.heappop(heap)
         nodes += 1
         candidates: list[Move] = []
@@ -93,7 +85,7 @@ def reidemeister_simplify(d: LinkDiagram,
         if cur.n + 2 <= cap:
             candidates += [Move("r2plus", s) for s in _moves.r2plus_sites(cur)]
         for mv in candidates:
-            if nodes >= budget.nodes:
+            if nodes >= SIMPLIFY_NODES:
                 break
             nodes += 1
             try:
@@ -120,7 +112,7 @@ def reidemeister_simplify(d: LinkDiagram,
 @dataclass(frozen=True)
 class UnlinkCertificate:
     """Certified(moves to a crossing-free diagram) | Refuted(invariant) |
-    Unknown(budget exhausted)."""
+    Unknown(the simplifier's fixed budget ran out)."""
 
     status: str                       # "certified" | "refuted" | "unknown"
     moves: tuple[Move, ...] = ()
@@ -139,8 +131,7 @@ class UnlinkCertificate:
         return out
 
 
-def certify_unlink(d: LinkDiagram,
-                   budget: SimplifyBudget = SimplifyBudget()) -> UnlinkCertificate:
+def certify_unlink(d: LinkDiagram) -> UnlinkCertificate:
     """Certify d as the unlink on its components, refute it, or give up."""
     k = d.component_count
     lk = linking_matrix(d) if k > 1 else {}     # a knot has no linking numbers
@@ -165,7 +156,7 @@ def certify_unlink(d: LinkDiagram,
         if fb != unlink_normalized_bracket(k):
             return UnlinkCertificate("refuted", invariant="bracket",
                                      value=_poly_str(fb))
-    final, full_log = reidemeister_simplify(d, budget)
+    final, full_log = reidemeister_simplify(d)
     if final.n == 0 and final.free_loops == k:
         return UnlinkCertificate("certified", tuple(full_log), final.free_loops)
     return UnlinkCertificate("unknown")
@@ -200,28 +191,24 @@ class SearchOutcome:
 
 def exhaustive_search(d: LinkDiagram, m: int,
                       first_subsets: tuple[tuple[int, ...], ...] = ()) -> SearchOutcome:
-    """Try all C(n, m) crossing-change subsets; Some on the first subset
-    whose change certifies as an unlink, AllRefuted when every subset is
-    refuted, Inconclusive otherwise.  Subsets left unknown are retried
-    once with the escalated budget; ``subsets_tried`` counts the first
-    round only.  The subsets stream: the sorted hints of size m, each
-    once, then the other m-subsets in lexicographic order."""
+    """Try all C(n, m) crossing-change subsets once each; Some on the first
+    subset whose change certifies as an unlink, AllRefuted when every
+    subset is refuted, Inconclusive otherwise, listing the subsets the
+    simplifier's budget left unknown.  The subsets stream: the sorted
+    hints of size m, each once, then the other m-subsets in lexicographic
+    order."""
     hints = list(dict.fromkeys(tuple(sorted(s)) for s in first_subsets if len(s) == m))
     skip = set(hints)
     rest = (s for s in itertools.combinations(range(d.n), m) if s not in skip)
-    pending: Iterable[tuple[int, ...]] = itertools.chain(hints, rest)
+    unknown: list[tuple[int, ...]] = []
     tried = 0
-    for retry, budget in enumerate((SimplifyBudget(), SimplifyBudget().escalated())):
-        unknown: list[tuple[int, ...]] = []
-        for subset in pending:
-            if not retry:
-                tried += 1
-            cert = certify_unlink(change_crossings(d, subset), budget)
-            if cert.status == "certified":
-                return SearchOutcome("some", (subset,), cert, (), tried)
-            if cert.status == "unknown":
-                unknown.append(subset)
-        pending = unknown
+    for subset in itertools.chain(hints, rest):
+        tried += 1
+        cert = certify_unlink(change_crossings(d, subset))
+        if cert.status == "certified":
+            return SearchOutcome("some", (subset,), cert, (), tried)
+        if cert.status == "unknown":
+            unknown.append(subset)
     status = "inconclusive" if unknown else "all_refuted"
     return SearchOutcome(status, (), None, tuple(unknown), tried)
 

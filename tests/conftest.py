@@ -39,6 +39,13 @@ def bundled():
     return records
 
 
+def reflect_plane(d: LinkDiagram) -> LinkDiagram:
+    """The reflection that reverses the plane: each quad read as slots
+    0, 3, 2, 1, so slot 0 stays the incoming under end."""
+    return LinkDiagram(tuple((q[0], q[3], q[2], q[1]) for q in d.quads),
+                       tuple((i[0], i[3], i[2], i[1]) for i in d.incoming), d.free_loops)
+
+
 def connected_sum_pd(pd1: str, pd2: str) -> LinkDiagram:
     """Connected sum of two knot PDs along their highest-numbered edges."""
     d1 = parse_pd(pd1)

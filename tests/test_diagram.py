@@ -12,11 +12,11 @@ from specalt.diagram import (parse_pd, DiagramError, NotAlternating,
                              reduce_nugatory, twist_regions, is_twist_reduced,
                              change_crossings, mirror, split_components,
                              canonical_key, LinkDiagram,
-                             validate, _canonical_code, _resolve_orientations)
+                             validate, _resolve_orientations)
 from specalt import families
 from specalt.tables import load_table, data_path
 
-from conftest import TREFOIL_PD
+from conftest import TREFOIL_PD, reflect_plane
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
@@ -341,13 +341,6 @@ def _relabel(d: LinkDiagram, rnd: random.Random) -> LinkDiagram:
     return LinkDiagram(tuple(quads), tuple(incoming), d.free_loops)
 
 
-def _reflect(d: LinkDiagram) -> LinkDiagram:
-    """The planar reflection of ``d``: slots 1 and 3 swap at every crossing."""
-    return LinkDiagram(tuple((a, b3, c, b1) for a, b1, c, b3 in d.quads),
-                       tuple((a, b3, c, b1) for a, b1, c, b3 in d.incoming),
-                       d.free_loops)
-
-
 def _matchings(slots: list) -> list:
     """Every perfect matching of ``slots`` as a list of pairs."""
     if not slots:
@@ -403,9 +396,8 @@ class TestIsomorphism:
             d = parse_pd(rec.pd)
             key = canonical_key(d)
             assert canonical_key(_relabel(d, rnd)) == key, rec.name
-            r = validate(_reflect(d))
-            assert _canonical_code(r, True) == key, rec.name
-            assert canonical_key(r) == _canonical_code(d, True), rec.name
+            r = validate(reflect_plane(d))
+            assert canonical_key(_relabel(r, rnd)) == canonical_key(r), rec.name
             for c in range(d.n):
                 assert canonical_key(change_crossings(d, [c])) != key, (rec.name, c)
 
@@ -429,16 +421,16 @@ class TestIsomorphism:
         d, rev = parse_pd(pd), parse_pd(pd, reverse_components=(0,))
         assert rev.quads == d.quads
         assert rev.signs == tuple(-s for s in d.signs)
-        assert _canonical_code(d, True) != canonical_key(rev)
+        assert canonical_key(reflect_plane(d)) != canonical_key(rev)
         assert canonical_key(d) != canonical_key(rev)
 
     def test_mirror_not_isomorphic(self, trefoil):
         assert canonical_key(mirror(trefoil)) != canonical_key(trefoil)
-        assert _canonical_code(mirror(trefoil), True) == canonical_key(trefoil)
+        assert canonical_key(reflect_plane(mirror(trefoil))) == canonical_key(trefoil)
 
     def test_different_knots(self, trefoil, figure_eight):
         assert canonical_key(trefoil) != canonical_key(figure_eight)
-        assert _canonical_code(trefoil, True) != canonical_key(figure_eight)
+        assert canonical_key(reflect_plane(trefoil)) != canonical_key(figure_eight)
 
 
 class TestZeroCrossing:

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level private function has a caller,
-every public name of the package has a reader outside the tests, no check
+every public name of the package has a reader outside the tests, every
+parameter of a function in the package is read by its body, no check
 in the package or its scripts is an ``assert`` (``python -O`` strips
 those), nothing in the package, its tests or its scripts reads the
 environment, the Seifert oracle stays off the pipeline, nothing in the
@@ -77,6 +78,28 @@ def test_every_public_name_has_a_reader_outside_tests():
                         and sub.name not in TEST_ONLY_PUBLIC
                         and used[sub.name] - _references(sub)[sub.name] <= 0):
                     unread.append(f"{module}:{sub.lineno} {sub.name}")
+    assert unread == []
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function and lambda in the package, the
+    ``self`` or ``cls`` of a method aside, is read in its body (nested
+    functions included): no argument is passed only to be dropped."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(p for p in (a.vararg, a.kwarg) if p is not None)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            reads = {sub.id for stmt in body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({p.arg})" for p in params
+                       if p.arg not in reads and p.arg not in ("self", "cls")]
     assert unread == []
 
 

@@ -4,7 +4,7 @@ reference.
 
 ``reidemeister_simplify`` now drops an R2+ candidate whose two new
 crossings the greedy pass would take straight out again, before it reduces
-or keys it, and ``_canonical_code`` stops a root's walk at the first row
+or keys it, and ``canonical_key`` stops a root's walk at the first row
 above the best code so far.  Both must leave the search unchanged: the
 same best diagram and the same move log on every simplifier call made
 while deciding the named 11a/12a rows, on the heaviest witness of the
@@ -19,12 +19,14 @@ from pathlib import Path
 
 from specalt import moves as _moves
 from specalt import unknotting
-from specalt.diagram import (DiagramError, _canonical_code, canonical_key,
+from specalt.diagram import (DiagramError, canonical_key,
                              change_crossings, parse_pd, reduce_nugatory,
                              split_components)
 from specalt.moves import Move
 from specalt.tables import analyze, data_path, load_bundled_fixtures, load_table
-from specalt.unknotting import SimplifyBudget, _greedy_reduce, reidemeister_simplify
+from specalt.unknotting import _greedy_reduce, reidemeister_simplify
+
+from conftest import reflect_plane
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
@@ -60,27 +62,28 @@ def reference_key(d):
     return reference_canonical_code(d, False)
 
 
-def reference_simplify(d, budget=SimplifyBudget(), key=reference_key):
+def reference_simplify(d, max_nodes, extra, key=reference_key):
     """Best-first search that reduces and keys every candidate, R2+
-    excursions the greedy pass undoes included."""
+    excursions the greedy pass undoes included, over at most ``max_nodes``
+    states and ``extra`` crossings above ``d``."""
     log0 = []
     start = _greedy_reduce(d, log0)
     if start.n == 0:
         return start, log0
-    cap = d.n + budget.extra
+    cap = d.n + extra
     counter = itertools.count()
     heap = [(start.n, next(counter), start, tuple(log0))]
     seen = {key(start)}
     best, best_log = start, tuple(log0)
     nodes = 0
-    while heap and nodes < budget.nodes:
+    while heap and nodes < max_nodes:
         _, _, cur, log = heapq.heappop(heap)
         nodes += 1
         candidates = [Move("r3", s) for s in _moves.r3_sites(cur)]
         if cur.n + 2 <= cap:
             candidates += [Move("r2plus", s) for s in _moves.r2plus_sites(cur)]
         for mv in candidates:
-            if nodes >= budget.nodes:
+            if nodes >= max_nodes:
                 break
             nodes += 1
             try:
@@ -106,9 +109,9 @@ def test_named_rows_simplify_as_reference(monkeypatch):
     """Every simplifier call made while deciding the named rows."""
     calls = []
 
-    def recording(d, budget=SimplifyBudget()):
-        out = reidemeister_simplify(d, budget)
-        calls.append((d, budget, out))
+    def recording(d):
+        out = reidemeister_simplify(d)
+        calls.append((d, out))
         return out
 
     monkeypatch.setattr(unknotting, "reidemeister_simplify", recording)
@@ -117,8 +120,9 @@ def test_named_rows_simplify_as_reference(monkeypatch):
     for rec in records:
         assert analyze(rec).ok, rec.name
     assert calls
-    for d, budget, out in calls:
-        assert out == reference_simplify(d, budget)
+    for d, out in calls:
+        assert out == reference_simplify(d, unknotting.SIMPLIFY_NODES,
+                                         unknotting.SIMPLIFY_EXTRA)
 
 
 def test_paper13_witness_simplifies_as_reference():
@@ -129,7 +133,8 @@ def test_paper13_witness_simplifies_as_reference():
     d = change_crossings(reduce_nugatory(parse_pd(pd)), (0, 1, 2, 4))
     final, log = reidemeister_simplify(d)
     assert final.n == 0 and len(log) == 12
-    assert (final, log) == reference_simplify(d)
+    assert (final, log) == reference_simplify(d, unknotting.SIMPLIFY_NODES,
+                                              unknotting.SIMPLIFY_EXTRA)
 
 
 def _small_fixture_changes():
@@ -143,10 +148,10 @@ def _small_fixture_changes():
                     yield rec.name, subset, change_crossings(d, subset)
 
 
-def test_fixture_changes_simplify_as_reference():
+def test_fixture_changes_simplify_as_reference(monkeypatch):
     """Under a 3-node budget most outcomes end unknown; the keys of every
     state the reference visits, skipped R2+ excursions included, agree."""
-    budget = SimplifyBudget(extra=2, nodes=3)
+    monkeypatch.setattr(unknotting, "SIMPLIFY_NODES", 3)
 
     def both_keys(x):
         k = reference_key(x)
@@ -155,9 +160,11 @@ def test_fixture_changes_simplify_as_reference():
 
     unknown = 0
     for name, subset, d in _small_fixture_changes():
-        assert _canonical_code(d, True) == reference_canonical_code(d, True), (name, subset)
-        out = reidemeister_simplify(d, budget)
-        assert out == reference_simplify(d, budget, both_keys), (name, subset)
+        assert canonical_key(reflect_plane(d)) == reference_canonical_code(d, True), \
+            (name, subset)
+        out = reidemeister_simplify(d)
+        assert out == reference_simplify(d, 3, unknotting.SIMPLIFY_EXTRA, both_keys), \
+            (name, subset)
         unknown += out[0].n > 0
     assert unknown > 0
 

@@ -1,16 +1,22 @@
+import csv
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from specalt import unknotting
 from specalt.tables import (KnotRecord, load_table, analyze, analyze_all,
                             emit_tables, load_expected, diff_tables, TableError,
-                            bound_consistency_ok, natural_key)
+                            bound_consistency_ok, natural_key, data_path)
 from specalt.cli import main as cli_main
+from specalt.unknotting import decide_minimal_unlinking
 from specalt.diagram import (parse_pd, reduce_nugatory, canonical_key,
                              is_special_alternating, mirror)
 
 from conftest import TREFOIL_PD, SPLIT_TREFOILS_PD, TREFOIL_KINK_PD
+
+PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
 
 class TestLoadTable:
@@ -255,7 +261,6 @@ class TestEmitAndDiff:
     def test_bundled_regression_diff_clean(self, bundled):
         """Full run against the frozen expected table: byte-level regression
         guard for the entire pipeline."""
-        from specalt.tables import data_path
         rows = analyze_all(bundled)
         result = diff_tables(rows, load_expected(data_path("fixtures_expected.csv")))
         assert result.clean, result.mismatches
@@ -454,7 +459,7 @@ class TestCLI:
         exp = tmp_path / "expected.csv"
         exp.write_text("name,u,c4,sigma,genus\n3_1,1,1,-2,1\n")
         rc = cli_main(["tables", str(csv_path), "--diff", str(exp)])
-        assert rc == 0
+        assert rc == 0 and "diff: clean" in capsys.readouterr().err
 
     def test_tables_diff_mismatch_exit_1(self, tmp_path, capsys):
         csv_path = tmp_path / "small.csv"
@@ -475,6 +480,22 @@ class TestCLI:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == "row failed: 3_1: computed u 1 excludes recorded 2\n"
+
+    def test_failed_row_outside_diff_is_not_clean(self, tmp_path, capsys):
+        """The row ``bad`` records the wrong signature and fails; the
+        expected table lists only 3_1, which matches.  The diff finds no
+        mismatch but does not call the table clean, and the exit is 2."""
+        csv_path = tmp_path / "small.csv"
+        csv_path.write_text("name,pd,signature,u,genus\n"
+                            f'3_1,"{TREFOIL_PD}",-2,1,1\n'
+                            f'bad,"{TREFOIL_PD}",2,,\n')
+        exp = tmp_path / "expected.csv"
+        exp.write_text("name,u,c4,sigma,genus\n3_1,1,1,-2,1\n")
+        rc = cli_main(["tables", str(csv_path), "--diff", str(exp), "--format", "csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "row failed: bad: " in err and "MISMATCH" not in err
+        assert "diff: clean" not in err
 
     def test_tables_nugatory_tangle_flips(self, tmp_path, capsys):
         from test_diagram import NUG_A, NUG_B
@@ -554,7 +575,7 @@ class TestRepeatedNames:
         err = capsys.readouterr().err
         assert "row error: line 3: tri: name repeats line 2" in err
         assert ("MISMATCH: tri.sigma" in err) == (rc == 1)
-        assert ("diff: clean" in err) == (sigma == -2)
+        assert "diff: clean" not in err
 
     def test_load_expected_rejects_repeat(self, tmp_path, capsys):
         exp = tmp_path / "expected.csv"
@@ -566,6 +587,46 @@ class TestRepeatedNames:
         rc = cli_main(["tables", str(table), "--diff", str(exp)])
         cap = capsys.readouterr()
         assert rc == 2 and cap.out == "" and "repeats line 2" in cap.err
+
+
+class TestUndecided:
+    """With no simplifier states to spend, only the greedy pass certifies,
+    and a subset it leaves undecided is reported unknown."""
+
+    @pytest.fixture
+    def no_states(self, monkeypatch):
+        monkeypatch.setattr(unknotting, "SIMPLIFY_NODES", 0)
+
+    @pytest.fixture(scope="class")
+    def rec_12a880(self):
+        records, errors = load_table(data_path("named_pd_codes.csv"))
+        assert not errors
+        return next(rec for rec in records if rec.name == "12a880")
+
+    def test_row_is_inconclusive(self, no_states, rec_12a880):
+        row = analyze(rec_12a880)
+        assert row.ok and row.inconclusive
+        assert row.provenance == "all refuted at p; unknown at 3"
+        assert row.witness is None and row.u_text() == ">=3"
+
+    def test_analyze_exits_3(self, no_states, capsys):
+        assert cli_main(["analyze", "12a880"]) == 3
+        assert "provenance: all refuted at p; unknown at 3" in capsys.readouterr().out
+
+    def test_tables_exits_3(self, no_states, rec_12a880, tmp_path, capsys):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text(f'name,pd,signature,u,genus\n12a880,"{rec_12a880.pd}",,,\n')
+        assert cli_main(["tables", str(csv_path), "--format", "csv"]) == 3
+        assert capsys.readouterr().err == ""
+
+    def test_unknown_subset_does_not_stop_the_search(self, no_states):
+        """s13_1's witness (0, 1, 2, 4) needs the simplifier's states; left
+        unknown, the search at 4 goes on to the next certifying subset."""
+        with open(PAPER13_CSV, newline="") as fh:
+            pd = next(row["pd"] for row in csv.DictReader(fh) if row["name"] == "s13_1")
+        v = decide_minimal_unlinking(reduce_nugatory(parse_pd(pd)))
+        assert v.searches == ((2, "all_refuted"), (3, "all_refuted"), (4, "some"))
+        assert (v.result, v.witness, v.u_upper) == ("greater", (0, 1, 4, 5), 4)
 
 
 class TestTablesInputErrors:
@@ -692,13 +753,11 @@ class TestNamedCodes:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        from specalt.tables import data_path
         records, errors = load_table(data_path("named_pd_codes.csv"))
         assert not errors, errors
         return records
 
     def test_rows_cover_the_named_lists(self, rows):
-        from specalt.tables import data_path
         with open(data_path("table_lists.json")) as fh:
             lists = json.load(fh)
         names = [r.name for r in rows]

@@ -3,7 +3,8 @@ import pytest
 from specalt.diagram import (parse_pd, change_crossings, mirror, LinkDiagram,
                              DiagramError, NotSpecialAlternating, SplitDiagram,
                              is_special_alternating, reduce_nugatory)
-from specalt.unknotting import (SimplifyBudget, certify_unlink, exhaustive_search,
+from specalt import unknotting
+from specalt.unknotting import (certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, reidemeister_simplify,
                                 replay_moves)
 from specalt.invariants import determinant
@@ -25,13 +26,16 @@ class TestSimplify:
         assert final.n == 0 and final.free_loops == 1
         assert replay_moves(d, log) == final
 
-    def test_trefoil_does_not_reduce(self, trefoil):
-        final, log = reidemeister_simplify(trefoil, SimplifyBudget(extra=2, nodes=500))
+    def test_trefoil_does_not_reduce(self, trefoil, monkeypatch):
+        monkeypatch.setattr(unknotting, "SIMPLIFY_NODES", 500)
+        final, log = reidemeister_simplify(trefoil)
         assert final.n == 3
 
-    def test_budget_zero_nodes_still_greedy(self, trefoil):
+    def test_budget_zero_nodes_still_greedy(self, trefoil, monkeypatch):
+        monkeypatch.setattr(unknotting, "SIMPLIFY_NODES", 0)
+        monkeypatch.setattr(unknotting, "SIMPLIFY_EXTRA", 0)
         d = change_crossings(trefoil, {0})
-        final, _ = reidemeister_simplify(d, SimplifyBudget(extra=0, nodes=0))
+        final, _ = reidemeister_simplify(d)
         assert final.n == 0
 
 
@@ -60,7 +64,6 @@ class TestCertify:
 
     def test_knot_search_skips_linking_numbers(self, knot_8_15, knot_9_35,
                                                monkeypatch):
-        from specalt import unknotting
         real = unknotting.linking_matrix
         calls = []
 
@@ -78,7 +81,6 @@ class TestCertify:
     def test_linking_skip_keeps_bundled_rows(self, bundled, monkeypatch):
         """Every bundled row reads the same, apart from its seconds, as
         when the linking numbers screen every changed diagram."""
-        from specalt import unknotting
         from specalt.invariants import linking_matrix
         from specalt.tables import analyze_all
 
@@ -89,12 +91,12 @@ class TestCertify:
         shipped = rows()
         real = unknotting.certify_unlink
 
-        def linking_first(d, budget=SimplifyBudget()):
+        def linking_first(d):
             for pair, val in sorted(linking_matrix(d).items()):
                 if val != 0:
                     return unknotting.UnlinkCertificate(
                         "refuted", invariant="linking number", value=f"lk{pair}={val}")
-            return real(d, budget)
+            return real(d)
 
         monkeypatch.setattr(unknotting, "certify_unlink", linking_first)
         assert rows() == shipped
@@ -136,7 +138,6 @@ class TestExhaustiveSearch:
     def test_hints_once_each_then_the_rest(self, knot_9_35, monkeypatch):
         """Duplicate hints are tried once, hints of another size never,
         and ``subsets_tried`` counts each of the C(n, m) subsets once."""
-        from specalt import unknotting
         order = []
 
         def recording(d, subset):
@@ -149,32 +150,29 @@ class TestExhaustiveSearch:
         assert out.status == "all_refuted" and out.subsets_tried == 9
         assert order == [(4,), (7,), (0,), (1,), (2,), (3,), (5,), (6,), (8,)]
 
-    @pytest.mark.parametrize("escalated_status", ["certified", "unknown"])
-    def test_unknown_subsets_retried_once_escalated(self, trefoil, monkeypatch,
-                                                    escalated_status):
-        """Every subset runs at the default budget first; the unknown ones
-        run once more at the escalated budget, in the same order, and
-        ``subsets_tried`` counts the first round only."""
-        from specalt import unknotting
+    @pytest.mark.parametrize("later_status", ["certified", "unknown"])
+    def test_unknown_subsets_tried_once(self, trefoil, monkeypatch, later_status):
+        """An undecided subset is reported unknown, not retried: each
+        subset meets ``certify_unlink`` once, in search order, and an
+        unknown first subset does not stop the search."""
         real = unknotting.certify_unlink
         calls = []
 
-        def first_round_unknown(d, budget):
-            calls.append(budget)
-            if budget == SimplifyBudget() or escalated_status == "unknown":
+        def first_unknown(d):
+            calls.append(d)
+            if len(calls) == 1 or later_status == "unknown":
                 return unknotting.UnlinkCertificate("unknown")
-            return real(d, budget)
+            return real(d)
 
-        monkeypatch.setattr(unknotting, "certify_unlink", first_round_unknown)
+        monkeypatch.setattr(unknotting, "certify_unlink", first_unknown)
         out = exhaustive_search(trefoil, 1)
-        assert out.subsets_tried == 3
-        if escalated_status == "certified":
-            assert out.status == "some" and out.witnesses == ((0,),)
-            assert calls == [SimplifyBudget()] * 3 + [SimplifyBudget().escalated()]
+        if later_status == "certified":
+            assert (out.status, out.witnesses, out.subsets_tried) == ("some", ((1,),), 2)
+            assert calls == [change_crossings(trefoil, (c,)) for c in range(2)]
         else:
-            assert out.status == "inconclusive"
+            assert out.status == "inconclusive" and out.subsets_tried == 3
             assert out.unknown == ((0,), (1,), (2,))
-            assert calls == [SimplifyBudget()] * 3 + [SimplifyBudget().escalated()] * 3
+            assert calls == [change_crossings(trefoil, (c,)) for c in range(3)]
 
     def test_monotone_parity(self, knot_8_15):
         """Same-parity monotonicity instance: the 2-change witness for

@@ -28,7 +28,7 @@ from specalt.moves import apply_r2plus, r1_sites, r2plus_sites
 from specalt.seifert import _in_ends, _smooth_out, seifert_circles
 from specalt.tables import data_path, load_bundled_fixtures, load_table
 
-from conftest import SPLIT_TREFOILS_PD, TREFOIL_KINK_PD
+from conftest import SPLIT_TREFOILS_PD, TREFOIL_KINK_PD, reflect_plane
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
@@ -280,13 +280,6 @@ def test_walk_orders_match_plain_loops():
         assert twist_regions(d).regions == ref_twist_regions(d), d.to_pd_text()
         b = scrambled_builder(d, rnd)
         assert b.to_diagram().to_pd_text() == ref_builder_pd_text(b), d.to_pd_text()
-
-
-def reflect_plane(d: LinkDiagram) -> LinkDiagram:
-    """The reflection that reverses the plane: each quad read as slots
-    0, 3, 2, 1, so slot 0 stays the incoming under end."""
-    return LinkDiagram(tuple((q[0], q[3], q[2], q[1]) for q in d.quads),
-                       tuple((i[0], i[3], i[2], i[1]) for i in d.incoming), d.free_loops)
 
 
 def small_fixture_changes():
