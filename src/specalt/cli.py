@@ -95,6 +95,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1; got {args.jobs}", file=sys.stderr)
+        return 2
     records, row_errors = load_table(args.csv)
     expected = load_expected(args.diff) if args.diff else None
     for err in row_errors:

@@ -598,7 +598,11 @@ class _Builder:
 
 
 def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
-    """Swap over/under at each crossing in ``subset``; involutive."""
+    """Swap over/under at each crossing in ``subset``; involutive.
+
+    The change keeps the 4-valent graph and its crossing indices, so the
+    child takes the parent's ``_crossing_components`` instead of flooding
+    its own."""
     chosen = set(subset)
     for c in chosen:
         if not (0 <= c < d.n):
@@ -608,7 +612,9 @@ def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
         r = d.over_in_slot(c)
         quads[c] = quads[c][r:] + quads[c][:r]
         incs[c] = incs[c][r:] + incs[c][:r]
-    return LinkDiagram(tuple(quads), tuple(incs), d.free_loops)
+    child = LinkDiagram(tuple(quads), tuple(incs), d.free_loops)
+    child.__dict__["_crossing_components"] = d._crossing_components
+    return child
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:

@@ -49,16 +49,26 @@ def _greedy_reduce(d: LinkDiagram, log: list[Move]) -> LinkDiagram:
         return d
 
 
-def _undone_by_greedy(cur: LinkDiagram, nxt: LinkDiagram) -> bool:
-    """True when the greedy pass on ``nxt = r2plus(cur)`` would first take
-    out the bigon of the two added crossings (``to_diagram`` numbers them
-    ``cur.n`` and ``cur.n + 1``).  That gives back ``cur`` up to
-    relabelling; ``cur`` is greedy-reduced, so the pass would stop there,
-    and its key is already seen."""
-    if _moves.r1_sites(nxt):
-        return False
-    sites = _moves.r2_sites(nxt)
-    return bool(sites) and sites[0] == (cur.n, cur.n + 1)
+def _lens_only(cur: LinkDiagram, site: tuple) -> bool:
+    """True when the greedy pass would first take out the lens of
+    ``r2plus(cur, site)`` and so give back ``cur``, whose key is already
+    seen; read from ``cur`` before any surgery.  ``cur`` is greedy-reduced.
+
+    Pushing edge A (after ``site[0]``) over edge B (after ``site[1]``)
+    across their face F adds the lens bigon of the two new crossings,
+    reducible since A is over at both, and changes only F and the faces
+    beside A and B.  Those beside gain two corners each.  F splits into
+    two pieces, and a piece is a bigon only where A and B meet at a corner
+    x of F; that bigon is reducible exactly when A passes over at x, as it
+    is over at the new crossing.  So the lens is the only R1/R2 site
+    unless A passes over at such a corner."""
+    (ca, sa), (cb, sb) = site
+    # A meets B at a corner of F when A ends at B's dart (entering at slot
+    # sb) or B ends at A's dart (A leaving at slot sa + 1); A passes over
+    # there when that slot is odd.
+    over_at_x = cur.mate((ca, (sa + 1) % 4)) == (cb, sb) and sb % 2 == 1
+    over_at_y = cur.mate((cb, (sb + 1) % 4)) == (ca, sa) and sa % 2 == 0
+    return not (over_at_x or over_at_y)
 
 
 def reidemeister_simplify(d: LinkDiagram) -> tuple[LinkDiagram, list[Move]]:
@@ -88,11 +98,11 @@ def reidemeister_simplify(d: LinkDiagram) -> tuple[LinkDiagram, list[Move]]:
             if nodes >= SIMPLIFY_NODES:
                 break
             nodes += 1
+            if mv.kind == "r2plus" and _lens_only(cur, mv.site):
+                continue
             try:
                 nxt = _moves.apply_move(cur, mv)
             except DiagramError:
-                continue
-            if mv.kind == "r2plus" and _undone_by_greedy(cur, nxt):
                 continue
             sublog = list(log) + [mv]
             nxt = _greedy_reduce(nxt, sublog)

@@ -1,6 +1,6 @@
 import pytest
 
-from specalt.diagram import parse_pd, LinkDiagram
+from specalt.diagram import LinkDiagram, _Builder, is_special_alternating, parse_pd
 from specalt import families
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -46,24 +46,38 @@ def reflect_plane(d: LinkDiagram) -> LinkDiagram:
                        tuple((i[0], i[3], i[2], i[1]) for i in d.incoming), d.free_loops)
 
 
-def connected_sum_pd(pd1: str, pd2: str) -> LinkDiagram:
-    """Connected sum of two knot PDs along their highest-numbered edges."""
-    d1 = parse_pd(pd1)
-    d2 = parse_pd(pd2)
-    n1 = 2 * d1.n
-    # relabel d2's edges above d1's, splice edge n1 of d1 with edge n1+n2 of d2
-    quads2 = tuple(tuple(e + n1 for e in q) for q in d2.quads)
-    # cut edge a = n1 (ends A1, A2) and edge b = n1 + 2*d2.n (ends B1, B2),
-    # rejoining A1-B2 and B1-A2 respecting orientation
-    from specalt.diagram import _Builder
+def _edge_type(d: LinkDiagram, label: int) -> tuple[int, int]:
+    """The slot parities of an edge's tail and head: (1, 0) leaves an over
+    pass and enters an under pass."""
+    a, b = d.edge_ends[label]
+    head, tail = (a, b) if d.incoming[a[0]][a[1]] else (b, a)
+    return tail[1] % 2, head[1] % 2
+
+
+def connected_sum(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
+    """``d1 # d2``, joined along two edges of the same type, so alternating
+    summands give an alternating sum and special alternating summands of
+    the same sign a special alternating one (checked).
+
+    ``d2`` is cut at its highest label, and ``d1`` at its highest label
+    once its labels are shifted round until that edge has the same type.
+    Crossings ``0 .. d1.n - 1`` of the sum are ``d1``'s, the rest
+    ``d2``'s, in order."""
+    want = _edge_type(d2, max(d2.edge_ends))
+    cut1 = next(label for label in sorted(d1.edge_ends, reverse=True)
+                if _edge_type(d1, label) == want)
+    shift = max(d1.edge_ends)
+    quads2 = tuple(tuple(e + shift for e in q) for q in d2.quads)
     merged = LinkDiagram(d1.quads + quads2, d1.incoming + d2.incoming, 0)
     b = _Builder.from_diagram(merged)
-    a_ends = merged.edge_ends[n1]
-    b_ends = merged.edge_ends[n1 + 2 * d2.n]
-    a_head = a_ends[0] if merged.incoming[a_ends[0][0]][a_ends[0][1]] else a_ends[1]
-    a_tail = a_ends[1] if a_head == a_ends[0] else a_ends[0]
-    b_head = b_ends[0] if merged.incoming[b_ends[0][0]][b_ends[0][1]] else b_ends[1]
-    b_tail = b_ends[1] if b_head == b_ends[0] else b_ends[0]
-    b.splice(a_tail, b_head)
-    b.splice(b_tail, a_head)
-    return b.to_diagram()
+    ends = []
+    for label in (cut1, max(d2.edge_ends) + shift):
+        x, y = merged.edge_ends[label]
+        ends.append((x, y) if merged.incoming[x[0]][x[1]] else (y, x))
+    (head1, tail1), (head2, tail2) = ends
+    b.splice(tail1, head2)
+    b.splice(tail2, head1)
+    out = b.to_diagram()
+    assert not (is_special_alternating(d1) and is_special_alternating(d2)) \
+        or is_special_alternating(out), "the sum is not special alternating"
+    return out

@@ -218,10 +218,10 @@ class TestReduceNugatory:
     def test_nugatory_with_tangle_flip(self):
         """A twisted connected sum: untwisting must flip a whole trefoil
         summand while preserving the oriented link type."""
-        from conftest import TREFOIL_PD, connected_sum_pd
+        from conftest import connected_sum
         from specalt.diagram import _Builder
         from specalt.invariants import signature_nullity, determinant
-        conn = connected_sum_pd(TREFOIL_PD, TREFOIL_PD)
+        conn = connected_sum(parse_pd(TREFOIL_PD), parse_pd(TREFOIL_PD))
         # insert a kink on a bridge edge between the two summands: pick an
         # edge whose removal separates the summands (edge shared between
         # the two halves after the splice; edge labels were renumbered, so

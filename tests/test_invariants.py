@@ -12,7 +12,7 @@ from specalt.linalg import det_bareiss, is_positive_definite
 from specalt import families, seifert
 
 from conftest import (TREFOIL_PD, SPLIT_TREFOILS_PD, TREFOIL_KINK_PD,
-                      TREFOIL_MIRROR_PD, connected_sum_pd)
+                      TREFOIL_MIRROR_PD, connected_sum)
 from paper_claims import euler_check, PreconditionViolated
 
 
@@ -29,7 +29,7 @@ class TestGoeritz:
         assert lat.rank - sigma == knot_8_15.n == 8
 
     def test_connected_sum_block_structure(self):
-        d = connected_sum_pd(TREFOIL_PD, TREFOIL_PD)
+        d = connected_sum(parse_pd(TREFOIL_PD), parse_pd(TREFOIL_PD))
         lat = goeritz(d, checkerboard_negative(d))
         assert lat.rank == 2
         # v_0 is the merged region, so the quotient splits into the two

@@ -661,6 +661,13 @@ class TestTablesInputErrors:
         rc = cli_main(["tables", str(small_csv), "--diff", str(exp)])
         assert rc == 2 and "no name or K column" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, jobs, small_csv, capsys):
+        rc = cli_main(["tables", str(small_csv), "--jobs", jobs])
+        cap = capsys.readouterr()
+        assert rc == 2 and cap.out == ""
+        assert cap.err == f"error: --jobs must be at least 1; got {jobs}\n"
+
     def test_directory_as_table(self, tmp_path, capsys):
         with pytest.raises(TableError):
             load_table(tmp_path)

@@ -1,16 +1,33 @@
+from pathlib import Path
+
 import pytest
 
 from specalt.diagram import (parse_pd, change_crossings, mirror, LinkDiagram,
                              DiagramError, NotSpecialAlternating, SplitDiagram,
                              is_special_alternating, reduce_nugatory)
 from specalt import unknotting
+from specalt.moves import apply_r2plus, r1_sites, r2_sites, r2plus_sites
+from specalt.tables import data_path, load_table
 from specalt.unknotting import (certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, reidemeister_simplify,
                                 replay_moves)
 from specalt.invariants import determinant
 from specalt import families
 
-from conftest import TREFOIL_PD
+from conftest import TREFOIL_PD, connected_sum
+
+PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
+
+
+def undone_by_greedy(cur, nxt):
+    """True when the greedy pass on ``nxt = r2plus(cur)`` first takes out
+    the lens of the two added crossings (``to_diagram`` numbers them
+    ``cur.n`` and ``cur.n + 1``).  That gives back ``cur`` up to
+    relabelling, and the pass stops there when ``cur`` is greedy-reduced."""
+    if r1_sites(nxt):
+        return False
+    sites = r2_sites(nxt)
+    return bool(sites) and sites[0] == (cur.n, cur.n + 1)
 
 
 class TestSimplify:
@@ -37,6 +54,47 @@ class TestSimplify:
         d = change_crossings(trefoil, {0})
         final, _ = reidemeister_simplify(d)
         assert final.n == 0
+
+    def test_lens_skip_drops_only_undone_excursions(self):
+        """Every state the simplifier pops while deciding the 116 special
+        alternating fixture, named and ``paper13`` rows is greedy-reduced,
+        and every R2+ candidate on it that ``_lens_only`` marks fails to
+        build or builds a diagram the greedy pass gives back as the popped
+        state, so skipping it unbuilt loses nothing."""
+        states = []
+
+        def recording(d):
+            states.append(d)
+            return r2plus_sites(d)
+        rows = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(unknotting._moves, "r2plus_sites", recording)
+            for path in (data_path("fixtures.csv"), data_path("named_pd_codes.csv"),
+                         PAPER13_CSV):
+                records, errors = load_table(path)
+                assert not errors
+                for rec in records:
+                    d = reduce_nugatory(rec.diagram)
+                    if d.is_connected and is_special_alternating(d):
+                        decide_minimal_unlinking(d)
+                        rows += 1
+        assert rows == 116
+        marked = shared = 0
+        for cur in states:
+            assert not r1_sites(cur) and not r2_sites(cur), cur.to_pd_text()
+            for site in r2plus_sites(cur):
+                if not unknotting._lens_only(cur, site):
+                    continue
+                marked += 1
+                (ca, sa), (cb, sb) = site
+                shared += bool({ca, cur.mate((ca, (sa + 1) % 4))[0]} &
+                               {cb, cur.mate((cb, (sb + 1) % 4))[0]})
+                try:
+                    nxt = apply_r2plus(cur, site)
+                except DiagramError:
+                    continue
+                assert undone_by_greedy(cur, nxt), (cur.to_pd_text(), site)
+        assert marked > 1000 and 0 < shared < marked
 
 
 class TestCertify:
@@ -273,3 +331,28 @@ class TestDecide:
                 assert final.free_loops == searched.component_count, name
                 replayed += 1
         assert replayed >= 40
+
+    def test_trefoil_sums_of_sharp_fixtures_stay_sharp(self, bundled, trefoil,
+                                                       special_fixture_verdicts):
+        """The trefoil joined to a sharp (u = p) special alternating knot
+        fixture K with sigma < 0: p adds, so p = p(K) + 1 >= u(K) + 1,
+        which bounds u of the sum.  By the main theorem its search finds a
+        witness at p, on an admissible lattice; changing both summands'
+        witnesses is not refuted."""
+        verdicts = {name: v for name, v, _ in special_fixture_verdicts}
+        w3 = decide_minimal_unlinking(trefoil).witness
+        sharp = 0
+        for rec in bundled:
+            v1 = verdicts.get(rec.name)
+            if (v1 is None or rec.diagram.component_count != 1 or v1.sigma >= 0
+                    or v1.result != "equal"):
+                continue
+            total = connected_sum(trefoil, reduce_nugatory(rec.diagram))
+            v = decide_minimal_unlinking(total)
+            assert v.provenance == "witness at p", rec.name
+            assert v.p == v1.p + 1 and v.u_lower == v.u_upper == v1.u_upper + 1, rec.name
+            assert v.obstruction_verdict.admissible, rec.name
+            union = w3 + tuple(trefoil.n + c for c in v1.witness)
+            assert certify_unlink(change_crossings(total, union)).status != "refuted", rec.name
+            sharp += 1
+        assert sharp == 14

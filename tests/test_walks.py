@@ -28,7 +28,7 @@ from specalt.moves import apply_r2plus, r1_sites, r2plus_sites
 from specalt.seifert import _in_ends, _smooth_out, seifert_circles
 from specalt.tables import data_path, load_bundled_fixtures, load_table
 
-from conftest import SPLIT_TREFOILS_PD, TREFOIL_KINK_PD, reflect_plane
+from conftest import SPLIT_TREFOILS_PD, TREFOIL_KINK_PD, TREFOIL_MIRROR_PD, reflect_plane
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
@@ -300,26 +300,36 @@ def small_fixture_changes():
 
 @pytest.fixture(scope="module")
 def s13_1_scans():
-    """``s13_1`` changed at its witness (0, 1, 2, 4), every diagram the
-    simplifier scans for kinks while certifying it, and every one it keys."""
+    """``s13_1`` changed at its witness (0, 1, 2, 4); every diagram the
+    simplifier scans for kinks while certifying it, then the R2+ excursions
+    it skips unbuilt (``_lens_only``), built here, and their mirrors; and
+    every diagram it keys."""
     with open(PAPER13_CSV, newline="") as fh:
         pd = next(row["pd"] for row in csv.DictReader(fh) if row["name"] == "s13_1")
     d = change_crossings(reduce_nugatory(parse_pd(pd)), (0, 1, 2, 4))
-    scanned, keyed = [], []
+    scanned, skipped, keyed = [], [], []
+    lens_only = unknotting._lens_only
 
     def scanning(x):
         scanned.append(x)
         return r1_sites(x)
+
+    def skipping(cur, site):
+        lens = lens_only(cur, site)
+        if lens:
+            skipped.append(apply_r2plus(cur, site))
+        return lens
 
     def keying(x):
         keyed.append(x)
         return canonical_key(x)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(unknotting._moves, "r1_sites", scanning)
+        mp.setattr(unknotting, "_lens_only", skipping)
         mp.setattr(unknotting, "canonical_key", keying)
         final, log = unknotting.reidemeister_simplify(d)
     assert final.n == 0 and len(log) == 12
-    return d, scanned, keyed
+    return d, scanned + skipped + [mirror(x) for x in skipped], keyed
 
 
 def test_changed_and_simplified_walks_match_plain_loops(s13_1_scans):
@@ -381,3 +391,30 @@ def test_change_crossings_rotates_as_reference():
             x = change_crossings(d, subset)
             assert (x.quads, x.incoming) == ref_change_crossings(d, set(subset)), d.to_pd_text()
             assert change_crossings(x, subset) == d, d.to_pd_text()
+
+
+def test_changed_diagrams_keep_the_parent_components():
+    """``change_crossings`` hands the child its parent's crossing
+    components.  They and ``is_connected`` must equal those of a fresh
+    diagram with the child's code: for every fixture, named and
+    ``paper13`` diagram, its mirror, seeded changes of 1 to 3 crossings of
+    each, and the split codes, with and without free loops."""
+    rnd = random.Random(31)
+    parents = []
+    for path in (data_path("fixtures.csv"), data_path("named_pd_codes.csv"), PAPER13_CSV):
+        recs, errors = load_table(path)
+        assert not errors
+        parents += [rec.diagram for rec in recs]
+    split = [parse_pd(pd) for pd in (SPLIT_TREFOILS_PD, TREFOIL_KINK_PD, TREFOIL_MIRROR_PD)]
+    parents += split + [LinkDiagram(d.quads, d.incoming, 2) for d in split]
+    children = []
+    for d in parents:
+        m = mirror(d)
+        children.append(m)
+        children += [change_crossings(x, rnd.sample(range(x.n), rnd.randint(1, min(3, x.n))))
+                     for x in (d, m) for _ in range(3)]
+    assert len(children) > 900 and sum(not x.is_connected for x in children) >= 42
+    for x in children:
+        fresh = LinkDiagram(x.quads, x.incoming, x.free_loops)
+        assert x._crossing_components == fresh._crossing_components, x.to_pd_text()
+        assert x.is_connected == fresh.is_connected, x.to_pd_text()
