@@ -18,15 +18,15 @@ tables (see tests/test_diagram.py for the anchor checks):
   diagram that coloring makes the white surface the Seifert surface.
 * Faces are traced by the corner walk ``(c, s) -> other end of the edge in
   slot s+1``; a connected diagram with n crossings has n + 2 faces.  Link
-  components are traced by the strand walk ``out-end -> mate -> slot + 2``.
-  Both are orbits read by ``cycles``, and every crossing set reached over
-  edges is read by ``flood``.  ``edge_ends`` is the one pairing of the two
-  ends of each label (it raises unless each occurs twice); the face step
-  map, the components' crossing adjacency, the checkerboard's mate table
-  and the mates of ``_Builder`` are each built in one loop over it.  Strands
-  map each outgoing end through ``incoming``, with no pairing: search
-  children read them first, and building ``edge_ends`` for that walk made
-  it about 60% slower.
+  components are traced by the label walk ``label -> label leaving straight
+  through its head (slot + 2)``.  Both are orbits read by ``cycles``, and
+  every crossing set reached over edges is read by ``flood``.
+  ``edge_ends`` is the one pairing of the two ends of each label (it raises
+  unless each occurs twice); the face step map, the components' crossing
+  adjacency, the checkerboard's mate table and the mates of ``_Builder``
+  are each built in one loop over it.  The label walk maps each label
+  through ``incoming``, with no pairing: search children read it first,
+  and building ``edge_ends`` for that walk made it about 60% slower.
 * For a directed edge, the face containing the arrival corner at its head
   lies on the LEFT of the edge.
 
@@ -155,30 +155,30 @@ class LinkDiagram:
         return {corner: i for i, face in enumerate(self.faces) for corner in face}
 
     @cached_property
-    def _strands(self) -> tuple[tuple[End, ...], ...]:
-        """Link components as cyclic tuples of outgoing ends, in flow order.
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """Link components as cyclic tuples of edge labels, in flow order,
+        each read from its first outgoing end in (crossing, slot) order.
 
-        One pass finds each label's outgoing end and the end straight
-        through its incoming end (slot ``^ 2``), the next outgoing end."""
-        out_end: dict[int, End] = {}
-        through: dict[int, End] = {}
-        for c, (quad, inc) in enumerate(zip(self.quads, self.incoming)):
+        One pass over ``incoming`` maps each label to the label leaving
+        straight through its head (slot ``^ 2``) and lists the outgoing
+        labels as the walk's starts."""
+        through: dict[int, int] = {}
+        starts: list[int] = []
+        for quad, inc in zip(self.quads, self.incoming):
             for s in range(4):
                 if inc[s]:
-                    through[quad[s]] = (c, s ^ 2)
+                    through[quad[s]] = quad[s ^ 2]
                 else:
-                    out_end[quad[s]] = (c, s)
-        step = {end: through[label] for label, end in out_end.items()}
-        return tuple(cycles(step, step.__getitem__))
+                    starts.append(quad[s])
+        return tuple(cycles(starts, through.__getitem__))
 
-    @property
+    @cached_property
     def component_count(self) -> int:
-        return len(self._strands) + self.free_loops
+        return len(self._components) + self.free_loops
 
     @cached_property
     def component_of_edge(self) -> dict[int, int]:
-        quads = self.quads
-        return {quads[c][s]: i for i, strand in enumerate(self._strands) for c, s in strand}
+        return {label: i for i, comp in enumerate(self._components) for label in comp}
 
     @cached_property
     def _crossing_components(self) -> tuple[tuple[int, ...], ...]:
@@ -381,13 +381,14 @@ def parse_pd(text: str, reverse_components: tuple[int, ...] = ()) -> LinkDiagram
 
 
 def _reverse_strands(d: LinkDiagram, components: tuple[int, ...]) -> LinkDiagram:
-    """Reverse the orientation of the given components (indices into the
-    strand list); crossings whose under strand reverses rotate by two."""
+    """Reverse the orientation of the given components, indexed in order of
+    their smallest edge label; crossings whose under strand reverses rotate
+    by two."""
+    by_min = sorted(d._components, key=min)
     flips: set[End] = set()
     for i in components:
-        for end in d._strands[i]:
-            flips.add(end)
-            flips.add(d.mate(end))
+        for label in by_min[i]:
+            flips.update(d.edge_ends[label])
     new = [[d.incoming[c][s] ^ ((c, s) in flips) for s in range(4)]
            for c in range(d.n)]
     quads, incs = [], []
@@ -600,9 +601,10 @@ class _Builder:
 def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
     """Swap over/under at each crossing in ``subset``; involutive.
 
-    The change keeps the 4-valent graph and its crossing indices, so the
-    child takes the parent's ``_crossing_components`` instead of flooding
-    its own."""
+    The change keeps the 4-valent graph, its crossing indices and every
+    label on its link component, so the child takes the parent's
+    ``_crossing_components`` and ``component_count`` instead of flooding
+    and walking its own."""
     chosen = set(subset)
     for c in chosen:
         if not (0 <= c < d.n):
@@ -614,6 +616,7 @@ def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
         incs[c] = incs[c][r:] + incs[c][:r]
     child = LinkDiagram(tuple(quads), tuple(incs), d.free_loops)
     child.__dict__["_crossing_components"] = d._crossing_components
+    child.__dict__["component_count"] = d.component_count
     return child
 
 

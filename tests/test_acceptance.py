@@ -37,6 +37,7 @@ from specalt import families
 from paper_claims import claim1_structure, euler_check
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
+PAPER13_EXPECTED_JSON = PAPER13_CSV.with_name("paper13_expected.json")
 VERDICTS_CSV = Path(__file__).parent / "data" / "verdicts_expected.csv"
 
 MISSING_NAMED_MSG = (
@@ -81,6 +82,14 @@ def named_rows():
 def fixture_rows(bundled):
     """Report rows of the bundled fixtures, in table order, analysed once."""
     return analyze_all(bundled)
+
+
+@pytest.fixture(scope="module")
+def paper13_pairs():
+    """The ``paper13`` records and their report rows, analysed once."""
+    records, errors = load_table(PAPER13_CSV)
+    assert not errors, errors
+    return records, analyze_all(records)
 
 
 def test_criterion_1_signature_oracle_agreement(bundled):
@@ -383,7 +392,7 @@ def test_criterion_8_bound_consistency(fixture_rows):
           f"{len(rows)} emitted rows of the full table run")
 
 
-def test_certificates_agree_at_p(bundled, fixture_rows, named_rows):
+def test_certificates_agree_at_p(bundled, fixture_rows, named_rows, paper13_pairs):
     """The two certificates at p agree on every special alternating row of
     the fixtures, named and paper13 tables: the lattice is admissible
     exactly when the search at p finds a witness.  On a twist-reduced
@@ -395,9 +404,8 @@ def test_certificates_agree_at_p(bundled, fixture_rows, named_rows):
     by_name, missing = _named_records(named)
     if missing:
         pytest.fail(MISSING_NAMED_MSG + f"  Missing: {', '.join(missing)}")
-    paper13, errors = load_table(PAPER13_CSV)
-    assert not errors, errors
-    pairs = list(zip(bundled + paper13, fixture_rows + analyze_all(paper13)))
+    paper13, paper13_rows = paper13_pairs
+    pairs = list(zip(bundled + paper13, fixture_rows + paper13_rows))
     pairs += [(by_name[n], named_rows[n]) for n in named]
     special = [(rec, row) for rec, row in pairs if row.obstruction]
     assert len(special) == 116
@@ -437,3 +445,20 @@ def test_verdicts_match_expected(fixture_rows, named_rows):
            for r in rows]
     assert len(got) == 58 + 51
     assert got == expected
+
+
+def test_paper13_verdicts_match_frozen(paper13_pairs):
+    """Every ``paper13`` row, the ten links among them included, keeps the
+    sigma, det, k, p, u, c4, genus, witness and provenance frozen in
+    perfbench/data/paper13_expected.json, read as perfbench's checker
+    reads it."""
+    with open(PAPER13_EXPECTED_JSON) as fh:
+        frozen = json.load(fh)["rows"]
+    _, rows = paper13_pairs
+    got = [{"name": r.name, "sigma": r.sigma, "det": r.det, "k": r.components,
+            "p": str(r.p), "u": [r.u_lower, r.u_upper], "c4": [r.c4_lower, r.c4_upper],
+            "g": None if r.genus is None else str(r.genus),
+            "witness": list(r.witness) if r.witness else None,
+            "provenance": r.provenance} for r in rows]
+    assert len(got) == 24 and sum(r.components > 1 for r in rows) == 10
+    assert got == [{key: row[key] for key in got[0]} for row in frozen]

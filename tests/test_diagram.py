@@ -455,6 +455,20 @@ class TestOrientationOverride:
         sigma, _ = signature_nullity(rev)
         assert gl_signature(rev, checkerboard_negative(rev)) == sigma
 
+    def test_reversal_indexes_components_by_smallest_label(self):
+        """Index 0 is the component of label 1, though the first outgoing
+        end in crossing order lies on the component of label 2: both ends
+        of label 1 swap direction and those of label 2 keep theirs."""
+        pd = "X[3,4,2,1] X[1,2,4,3]"
+        d, rev = parse_pd(pd), parse_pd(pd, reverse_components=(0,))
+
+        def ends(x, label):
+            return {(c, x.incoming[c][s]) for c in range(x.n) for s in range(4)
+                    if x.quads[c][s] == label}
+        assert d.component_of_edge[1] != d.component_of_edge[2] == 0
+        assert ends(rev, 1) == {(c, not inc) for c, inc in ends(d, 1)}
+        assert ends(rev, 2) == ends(d, 2)
+
     def test_full_reversal_preserves_linking_and_signature(self):
         from specalt.invariants import linking_matrix, signature_nullity
         pd = families.torus_2q(4).to_pd_text()

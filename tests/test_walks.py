@@ -1,13 +1,14 @@
 """The orbit walks and flood fills of ``diagram.cycles`` and
 ``diagram.flood`` keep the start orders of the plain loops below.
 
-Faces, strands, crossing components, Seifert circles, twist regions and
-the edge labels of ``_Builder.to_diagram`` fix face indices, white orders,
-embeddings, clasp hints, witnesses and move logs downstream, so each one
-must come out element for element as these references read it.  The
-references step with ``mate`` one end at a time; the package builds each
-step map, adjacency and mate table in one loop over ``edge_ends`` (the
-strands in one pass over ``incoming``) instead, so the walks, the
+Faces, link components, crossing components, Seifert circles, twist
+regions and the edge labels of ``_Builder.to_diagram`` fix face indices,
+white orders, embeddings, clasp hints, linking numbers, witnesses and move
+logs downstream, so each one must come out element for element as these
+references read it.  The references step with ``mate`` one end at a time;
+the package builds each step map, adjacency and mate table in one loop
+over ``edge_ends`` (the link components' label walk in one pass over
+``incoming``) instead, so the walks, the
 checkerboard, ``_Builder.from_diagram``, ``r1_sites`` and
 ``change_crossings`` are also checked on every diagram the
 crossing-change search and the simplifier build from the small fixtures
@@ -24,6 +25,7 @@ from specalt import families, unknotting
 from specalt.diagram import (LinkDiagram, _Builder, canonical_key, change_crossings,
                              checkerboard, cycles, flood, mirror, parse_pd, reduce_nugatory,
                              twist_regions)
+from specalt.invariants import linking_matrix
 from specalt.moves import apply_r2plus, r1_sites, r2plus_sites
 from specalt.seifert import _in_ends, _smooth_out, seifert_circles
 from specalt.tables import data_path, load_bundled_fixtures, load_table
@@ -64,6 +66,11 @@ def ref_strands(d: LinkDiagram):
                 cur = (arr[0], (arr[1] + 2) % 4)
             out.append(tuple(walk))
     return tuple(out)
+
+
+def ref_components(d: LinkDiagram):
+    """``ref_strands`` with each outgoing end read as its edge label."""
+    return tuple(tuple(d.quads[c][s] for c, s in strand) for strand in ref_strands(d))
 
 
 def ref_crossing_components(d: LinkDiagram):
@@ -274,7 +281,7 @@ def test_walk_orders_match_plain_loops():
     assert len(inputs) > 1400
     for d in inputs:
         assert d.faces == ref_faces(d), d.to_pd_text()
-        assert d._strands == ref_strands(d), d.to_pd_text()
+        assert d._components == ref_components(d), d.to_pd_text()
         assert d._crossing_components == ref_crossing_components(d), d.to_pd_text()
         assert seifert_circles(d) == ref_seifert_circles(d), d.to_pd_text()
         assert twist_regions(d).regions == ref_twist_regions(d), d.to_pd_text()
@@ -341,7 +348,7 @@ def test_changed_and_simplified_walks_match_plain_loops(s13_1_scans):
         pd = x.to_pd_text()
         assert x.faces == ref_faces(x), pd
         assert x.face_index == ref_face_index(x), pd
-        assert x._strands == ref_strands(x), pd
+        assert x._components == ref_components(x), pd
         assert x.component_of_edge == ref_component_of_edge(x), pd
         assert x._crossing_components == ref_crossing_components(x), pd
         assert list(x.edge_ends) == ref_edge_order(x), pd
@@ -395,10 +402,11 @@ def test_change_crossings_rotates_as_reference():
 
 def test_changed_diagrams_keep_the_parent_components():
     """``change_crossings`` hands the child its parent's crossing
-    components.  They and ``is_connected`` must equal those of a fresh
-    diagram with the child's code: for every fixture, named and
-    ``paper13`` diagram, its mirror, seeded changes of 1 to 3 crossings of
-    each, and the split codes, with and without free loops."""
+    components and component count.  They, ``is_connected``, the
+    child's own edge-to-component map and its linking numbers must equal
+    those of a fresh diagram with the child's code: for every fixture,
+    named and ``paper13`` diagram, its mirror, seeded changes of 1 to 3
+    crossings of each, and the split codes, with and without free loops."""
     rnd = random.Random(31)
     parents = []
     for path in (data_path("fixtures.csv"), data_path("named_pd_codes.csv"), PAPER13_CSV):
@@ -418,3 +426,9 @@ def test_changed_diagrams_keep_the_parent_components():
         fresh = LinkDiagram(x.quads, x.incoming, x.free_loops)
         assert x._crossing_components == fresh._crossing_components, x.to_pd_text()
         assert x.is_connected == fresh.is_connected, x.to_pd_text()
+        assert x.component_count == fresh.component_count, x.to_pd_text()
+        edges = list(x.component_of_edge.items())
+        assert edges == list(fresh.component_of_edge.items()), x.to_pd_text()
+        assert edges == list(ref_component_of_edge(x).items()), x.to_pd_text()
+        assert list(linking_matrix(x).items()) == list(linking_matrix(fresh).items()), \
+            x.to_pd_text()
