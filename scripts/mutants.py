@@ -1,0 +1,118 @@
+"""Mutation kit: check that the tests kill a list of deliberate faults.
+
+    python scripts/mutants.py
+
+Each mutant names a file, an exact piece of its text, the text that
+replaces it, a pytest selection and the fault it stands for.  For each,
+the checkout (without ``.git``) is copied to a temporary directory, the
+edit is applied there, and ``python -m pytest -x -q <selection>`` runs in
+the copy, where ``pyproject.toml`` puts the copy's ``src`` first on the
+path.  A mutant survives when its selection still passes.  Before the
+mutants, the selections run once on an unedited copy: a selection that
+fails there would kill every mutant for nothing.
+
+Prints one line per mutant and exits 1 when a mutant survives, when a
+selection fails unedited, or when a mutant's old text does not occur
+exactly once in its file.  Nothing is written outside the temporary
+directories.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    path: str           # relative to the checkout
+    old: str            # must occur exactly once
+    new: str
+    selection: str      # pytest node ids, space-separated
+    reason: str
+
+
+CERTIFICATES = "tests/test_unknotting.py::TestDecide::test_certificates_match_expected"
+
+MUTANTS = [
+    Mutant("src/specalt/moves.py",
+           "    order = [c for c in range(d.n) if c not in over[0]] + [first, second]\n",
+           "    order = list(range(d.n))\n",
+           CERTIFICATES,
+           "R3 keeps its crossings in index order: later move sites shift"),
+    Mutant("src/specalt/moves.py",
+           "[first, second]", "[second, first]",
+           CERTIFICATES,
+           "R3 puts the over-over strand's two crossings last in the wrong order"),
+    Mutant("src/specalt/moves.py",
+           "    if not over or not under or len({c for c, _ in face}) != 3:\n"
+           "        raise DiagramError(\"triangle is not an r3 site\")\n",
+           "",
+           "tests/test_moves.py::TestR3::test_refuses_a_triangle_that_is_not_a_site",
+           "R3 no longer checks its site"),
+    Mutant("src/specalt/diagram.py",
+           "                    self.free_loops += 1\n",
+           "                    self.free_loops += 2\n",
+           "tests/test_moves.py",
+           "delete_crossings counts each closed strand twice"),
+    Mutant("src/specalt/unknotting.py",
+           "    if final.free_loops != k:\n",
+           "    if False:\n",
+           "tests/test_unknotting.py::TestCertify::test_wrong_loop_count_raises",
+           "a crossing-free result with the wrong loop count is certified"),
+]
+
+
+def run_pytest(checkout: Path, selection: str) -> bool:
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           *selection.split()]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    return proc.returncode == 0
+
+
+def main() -> int:
+    bad = 0
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text().count(m.old)
+        if count != 1:
+            print(f"BAD ENTRY ({count} occurrences of its old text in {m.path}): {m.reason}")
+            bad += 1
+    if bad:
+        return 1
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        selections = " ".join(dict.fromkeys(m.selection for m in MUTANTS))
+        if not run_pytest(copy, selections):
+            print(f"UNEDITED COPY FAILS: {selections}")
+            return 1
+        survivors = []
+        for i, m in enumerate(MUTANTS, 1):
+            copy = Path(tmp) / f"mutant{i}"
+            shutil.copytree(ROOT, copy, ignore=IGNORED)
+            target = copy / m.path
+            target.write_text(target.read_text().replace(m.old, m.new))
+            t0 = time.monotonic()
+            killed = not run_pytest(copy, m.selection)
+            print(f"{'killed  ' if killed else 'SURVIVED'} {m.path}: {m.reason} "
+                  f"({time.monotonic() - t0:.1f}s)")
+            if not killed:
+                survivors.append(m)
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed "
+          f"in {time.monotonic() - start:.1f}s")
+    for m in survivors:
+        print(f"survivor: {m.path}: {m.reason}; selection {m.selection}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,10 +31,10 @@ tables (see tests/test_diagram.py for the anchor checks):
   lies on the LEFT of the edge.
 
 Diagrams are immutable; every mutating operation returns a new value.
-``validate`` checks a code where its incidences are new (parsing and
-``_Builder`` surgery); crossing changes, mirrors, component splits and
-orientation reversals only rotate or select quadruples of a valid diagram,
-so they build without it.
+``validate`` checks a code where its incidences are new (parsing,
+``_Builder`` surgery and the relabelling of an R3 move); crossing changes,
+mirrors, component splits and orientation reversals only rotate or select
+quadruples of a valid diagram, so they build without it.
 """
 
 from __future__ import annotations
@@ -442,7 +442,9 @@ def _resolve_orientations(
 
 
 class _Builder:
-    """Mutable mate/direction structure used by all diagram surgeries.
+    """Mutable mate/direction structure for the surgeries that delete or
+    insert crossings (R1, R2, R2+ and nugatory untwisting) and for building
+    diagrams from scratch.
 
     Crossings are held in a dict keyed by arbitrary ids; slots (0, 2) hold
     the under strand and (1, 3) the over strand.  ``to_diagram`` rotates
@@ -477,76 +479,35 @@ class _Builder:
         self.mates[a] = b
         self.mates[b] = a
 
-    def delete_with_wiring(self, removed: set[int], wires: dict[End, End],
-                           cuts: set[End]) -> dict[End, End | None]:
-        """Remove crossings, reconnecting strands along ``wires``.
+    def delete_crossings(self, removed: set[int]):
+        """Remove crossings whose strands pass straight through them: each
+        strand is followed from slot s to slot s + 2 across them, each
+        surviving end is spliced to the surviving end its strand reaches,
+        and each strand that closes up inside them is one free loop."""
+        seen: set[End] = set()
 
-        ``wires`` is a symmetric pairing of removed slots the strand runs
-        through; ``cuts`` are removed slots where the strand is severed.
-        Returns a map from each cut slot to the surviving end its strand
-        comes from (None when the cut strand is internal to the removal).
-        Pure wire cycles become free loops.
-        """
-        removed_slots = {(c, s) for c in removed for s in range(4)}
-        if (set(wires) | cuts != removed_slots
-                or any(wires.get(wires[x]) != x for x in wires)):
-            raise DiagramError("wires and cuts do not pair up the removed slots")
+        def chase(end: End) -> End:
+            # marks the slots passed; stops at a surviving or a seen end
+            while end[0] in removed and end not in seen:
+                through = (end[0], (end[1] + 2) % 4)
+                seen.update((end, through))
+                end = self.mates[through]
+            return end
 
-        def chase(start_mate: End):
-            cur = start_mate
-            while True:
-                if cur[0] not in removed:
-                    return ("end", cur)
-                if cur in cuts:
-                    return ("cut", cur)
-                cur = self.mates[wires[cur]]
-
-        surviving = [e for e in self.mates
-                     if e[0] not in removed and self.mates[e][0] in removed]
-        cut_sources: dict[End, End | None] = {c: None for c in cuts}
-        done: set[End] = set()
-        for x in surviving:
-            if x in done:
-                continue
-            kind, tgt = chase(self.mates[x])
-            if kind == "end":
-                self.splice(x, tgt)
-                done.add(tgt)
-            else:
-                cut_sources[tgt] = x
-            done.add(x)
-        # pure cycles -> free loops
-        visited: set[End] = set()
+        for x in [e for e, m in self.mates.items() if e[0] not in removed and m[0] in removed]:
+            if x not in seen:
+                y = chase(self.mates[x])
+                self.splice(x, y)
+                seen.update((x, y))
         for c in removed:
             for s in range(4):
-                start = (c, s)
-                if start in visited or start in cuts:
-                    continue
-                cur, cycle = start, True
-                path = []
-                while True:
-                    if cur in visited:
-                        break
-                    path.append(cur)
-                    visited.add(cur)
-                    nxt = self.mates[wires[cur]]
-                    visited.add(wires[cur])
-                    path.append(wires[cur])
-                    if nxt[0] not in removed or nxt in cuts:
-                        cycle = False
-                        break
-                    cur = nxt
-                if cycle and path and self.mates[path[-1]] == path[0]:
+                if (c, s) not in seen:
+                    chase((c, s))
                     self.free_loops += 1
         for c in removed:
             self.cids.remove(c)
             for s in range(4):
-                self.mates.pop((c, s), None)
-                self.inc.pop((c, s), None)
-        return cut_sources
-
-    def passage_wires(self, c: int) -> dict[End, End]:
-        return {(c, 0): (c, 2), (c, 2): (c, 0), (c, 1): (c, 3), (c, 3): (c, 1)}
+                del self.mates[c, s], self.inc[c, s]
 
     def insert_on_edge(self, target: End, approach_left: bool) -> tuple[int, End, End]:
         """Insert a crossing where a new OVER strand crosses the edge at
@@ -692,7 +653,7 @@ def reduce_nugatory(d: LinkDiagram) -> LinkDiagram:
         mate = cur.mate
         tangle = flood(mate(probe)[0], lambda c: () if c == site else
                        [mate((c, s))[0] for s in range(4)]) - {site}
-        b.delete_with_wiring({site}, b.passage_wires(site), set())
+        b.delete_crossings({site})
         if tangle:
             _flip_tangle(b, tangle)
         cur = b.to_diagram()

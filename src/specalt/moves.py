@@ -2,14 +2,16 @@
 
 Move sites are referenced by indices into the current diagram, so a logged
 move sequence replays deterministically.  All moves preserve the link type;
-the tests check determinant/bracket invariance along move logs.
+the tests check determinant/bracket invariance along move logs.  R1 and R2
+delete crossings and R2+ inserts two, through ``_Builder``; R3 relabels its
+triangle's three crossings and builds no ``_Builder``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, _Builder, DiagramError, End
+from .diagram import LinkDiagram, _Builder, DiagramError, validate
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ def apply_r1(d: LinkDiagram, site: tuple) -> LinkDiagram:
     if (c,) not in r1_sites(d):
         raise DiagramError(f"no kink at crossing {c}")
     b = _Builder.from_diagram(d)
-    b.delete_with_wiring({c}, b.passage_wires(c), set())
+    b.delete_crossings({c})
     return b.to_diagram()
 
 
@@ -78,8 +80,7 @@ def apply_r2(d: LinkDiagram, site: tuple) -> LinkDiagram:
     if tuple(sorted((c, e))) not in r2_sites(d):
         raise DiagramError(f"crossings {c},{e} do not bound a reducible bigon")
     b = _Builder.from_diagram(d)
-    wires = b.passage_wires(c) | b.passage_wires(e)
-    b.delete_with_wiring({c, e}, wires, set())
+    b.delete_crossings({c, e})
     return b.to_diagram()
 
 
@@ -105,91 +106,34 @@ def r3_sites(d: LinkDiagram) -> list[tuple]:
 
 
 def apply_r3(d: LinkDiagram, site: tuple) -> LinkDiagram:
-    """Slide the over-over strand of the triangle across the crossing of the
-    other two strands (detour move: delete its two crossings, re-insert the
-    strand over the two edges flanking the opposite corner)."""
-    corners = list(site)
-    face = None
-    for f in d.faces:
-        if len(f) == 3 and sorted(f) == sorted(corners):
-            face = f
-            break
+    """Slide each strand of the triangle across the crossing of the other
+    two: along each strand the triangle's two crossings swap order, each
+    keeping its slots, their directions and ``d``'s labels.  The edge with
+    ends (x, p) and (y, q) then joins (x, p + 2) to (y, q + 2), whose labels
+    move in to (y, q) and (x, p); read from ``d``, an outer edge joining two
+    triangle crossings moves at both ends.
+
+    The over-over strand's two crossings go last, the one on the under-under
+    edge first: the order every recorded move log assumes.  Later move
+    sites index crossings, so another order would change the logs."""
+    face = next((f for f in d.faces if len(f) == 3 and sorted(f) == sorted(site)), None)
     if face is None:
         raise DiagramError("no such triangle face")
-    edges = [d.quads[c][(s + 1) % 4] for (c, s) in face]
-    ends = {lab: d.edge_ends[lab] for lab in edges}
-    parity = {lab: (ends[lab][0][1] % 2, ends[lab][1][1] % 2) for lab in edges}
-    over_edges = [lab for lab in edges if parity[lab] == (1, 1)]
-    under_edges = [lab for lab in edges if parity[lab] == (0, 0)]
-    if not over_edges or not under_edges:
+    edges = [d.edge_ends[d.quads[c][(s + 1) % 4]] for c, s in face]
+    over = [{x, y} for (x, p), (y, q) in edges if p % 2 == q % 2 == 1]
+    under = [{x, y} for (x, p), (y, q) in edges if p % 2 == q % 2 == 0]
+    if not over or not under or len({c for c, _ in face}) != 3:
         raise DiagramError("triangle is not an r3 site")
-    e_t, e_b = over_edges[0], under_edges[0]
-    t_crossings = {ends[e_t][0][0], ends[e_t][1][0]}
-    b_crossings = {ends[e_b][0][0], ends[e_b][1][0]}
-    (q_,) = t_crossings & b_crossings
-    (p_,) = t_crossings - {q_}
-    (r_,) = b_crossings - {q_}
-    o_p = next(s for (c, s) in ends[e_t] if c == p_)
-    o_q = next(s for (c, s) in ends[e_t] if c == q_)
-    s_r = next(s for (c, s) in face if c == r_)
-    # flow along the sliding strand: does it run (P-external -> P -> Q)?
-    up_is_p = not d.incoming[p_][o_p]
-
-    b = _Builder.from_diagram(d)
-    far1 = (r_, (s_r + 2) % 4)
-    far2 = (r_, (s_r + 3) % 4)
-    b_far = far1 if far1[1] % 2 == 0 else far2   # under strand of R
-    m_far = far2 if b_far == far1 else far1
-
-    # The far corner q_{s_r+2} of R is flanked by the edges at slots s_r+2
-    # (its into-R dart bounds that corner: left of the flow iff incoming)
-    # and s_r+3 (out-of-R dart: left of the flow iff outgoing).
-    def far_is_left(slot_end: End) -> bool:
-        if slot_end == far1:
-            return d.incoming[r_][far1[1]]
-        return not d.incoming[r_][far2[1]]
-
-    # Over-in sides: spatially the new segment crosses B's far edge first
-    # (entering the far region) then M's far edge (leaving it), seen from
-    # the P-side end; the flow direction decides the arrival sides.
-    ins_b_left = not far_is_left(b_far)
-    ins_m_left = far_is_left(m_far)
-    if not up_is_p:
-        ins_b_left = not ins_b_left
-        ins_m_left = not ins_m_left
-    # Insert the new crossings while every edge is still intact, then splice
-    # the middle segment of the detour (inside the far corner's region).
-    xb, in_b, out_b = b.insert_on_edge(b_far, ins_b_left)
-    xm, in_m, out_m = b.insert_on_edge(m_far, ins_m_left)
-    if up_is_p:
-        b.splice(out_b, in_m)
-        open_in, open_out = in_b, out_m
-    else:
-        b.splice(out_m, in_b)
-        open_in, open_out = in_m, out_b
-
-    wires: dict[End, End] = {}
-    cuts: set[End] = set()
-    for cc, oo in ((p_, o_p), (q_, o_q)):
-        wires[(cc, 0)] = (cc, 2)
-        wires[(cc, 2)] = (cc, 0)
-        cuts.add((cc, oo))
-        cuts.add((cc, (oo + 2) % 4))
-    cut_src = b.delete_with_wiring({p_, q_}, wires, cuts)
-    t_p = cut_src[(p_, (o_p + 2) % 4)]
-    t_q = cut_src[(q_, (o_q + 2) % 4)]
-    if (t_p is None) != (t_q is None):
-        raise DiagramError("inconsistent r3 cut structure")
-
-    if t_p is None:
-        b.splice(open_out, open_in)
-    elif up_is_p:
-        b.splice(t_p, open_in)
-        b.splice(open_out, t_q)
-    else:
-        b.splice(t_q, open_in)
-        b.splice(open_out, t_p)
-    return b.to_diagram()
+    quads = [list(quad) for quad in d.quads]
+    for (x, p), (y, q) in edges:
+        quads[y][q] = d.quads[x][(p + 2) % 4]
+        quads[x][p] = d.quads[y][(q + 2) % 4]
+        quads[x][(p + 2) % 4] = quads[y][(q + 2) % 4] = d.quads[x][p]
+    (first,) = over[0] & under[0]
+    (second,) = over[0] - under[0]
+    order = [c for c in range(d.n) if c not in over[0]] + [first, second]
+    return validate(LinkDiagram(tuple(tuple(quads[c]) for c in order),
+                                tuple(d.incoming[c] for c in order), d.free_loops))
 
 
 def r2plus_sites(d: LinkDiagram) -> list[tuple]:

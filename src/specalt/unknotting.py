@@ -155,21 +155,22 @@ def certify_unlink(d: LinkDiagram) -> UnlinkCertificate:
         return UnlinkCertificate("refuted", invariant="determinant", value=str(det))
     # cheap pass: greedy reductions only
     log: list[Move] = []
-    red = _greedy_reduce(d, log)
-    if red.n == 0:
-        if red.free_loops != k:
-            return UnlinkCertificate("refuted", invariant="component count",
-                                     value=str(red.free_loops))
-        return UnlinkCertificate("certified", tuple(log), red.free_loops)
-    if red.n <= 16:
-        fb = normalized_bracket(red)
-        if fb != unlink_normalized_bracket(k):
-            return UnlinkCertificate("refuted", invariant="bracket",
-                                     value=_poly_str(fb))
-    final, full_log = reidemeister_simplify(d)
-    if final.n == 0 and final.free_loops == k:
-        return UnlinkCertificate("certified", tuple(full_log), final.free_loops)
-    return UnlinkCertificate("unknown")
+    final = _greedy_reduce(d, log)
+    if final.n:
+        if final.n <= 16:
+            fb = normalized_bracket(final)
+            if fb != unlink_normalized_bracket(k):
+                return UnlinkCertificate("refuted", invariant="bracket",
+                                         value=_poly_str(fb))
+        final, log = reidemeister_simplify(d)
+        if final.n:
+            return UnlinkCertificate("unknown")
+    # R1, R2, R2+ and R3 keep the link type, so other than k free loops
+    # means a surgery miscounted them: raise rather than refute.
+    if final.free_loops != k:
+        raise DiagramError(f"moves reached {final.free_loops} free loops from "
+                           f"{k} components")
+    return UnlinkCertificate("certified", tuple(log), k)
 
 
 def _poly_str(p: dict[int, int]) -> str:

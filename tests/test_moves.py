@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
-from specalt.diagram import parse_pd, change_crossings, canonical_key
-from specalt.moves import (r1_sites, r2_sites, r3_sites, r2plus_sites,
+from specalt.diagram import parse_pd, change_crossings, canonical_key, DiagramError
+from specalt.moves import (Move, r1_sites, r2_sites, r3_sites, r2plus_sites, move_from_json,
                            apply_r1, apply_r2, apply_r3, apply_r2plus, apply_move)
 from specalt.bracket import normalized_bracket
 from specalt.invariants import determinant
@@ -61,6 +62,28 @@ class TestR3:
     def test_alternating_has_no_r3(self, bundled):
         for rec in bundled[:10]:
             assert r3_sites(parse_pd(rec.pd)) == []
+
+    def test_refuses_a_triangle_that_is_not_a_site(self, bundled):
+        """An alternating triangle has no over-over edge: ``apply_r3``
+        refuses each triangle face of the alternating fixtures, directly and
+        as a logged move read back from JSON."""
+        refused = 0
+        for rec in bundled:
+            d = rec.diagram
+            if not d.is_alternating:
+                continue
+            for face in d.faces:
+                if len(face) != 3:
+                    continue
+                site = tuple(sorted(face))
+                with pytest.raises(DiagramError, match="not an r3 site"):
+                    apply_r3(d, site)
+                logged = move_from_json(json.loads(json.dumps(Move("r3", site).to_json())))
+                assert logged == Move("r3", site)
+                with pytest.raises(DiagramError, match="not an r3 site"):
+                    apply_move(d, logged)
+                refused += 1
+        assert refused == 104
 
     def test_invariance_sweep(self):
         pool = [families.knot_8_15(), families.knot_9_35(),

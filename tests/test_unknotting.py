@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -6,8 +8,8 @@ from specalt.diagram import (parse_pd, change_crossings, mirror, LinkDiagram,
                              DiagramError, NotSpecialAlternating, SplitDiagram,
                              is_special_alternating, reduce_nugatory)
 from specalt import unknotting
-from specalt.moves import apply_r2plus, r1_sites, r2_sites, r2plus_sites
-from specalt.tables import data_path, load_table
+from specalt.moves import apply_r2plus, move_from_json, r1_sites, r2_sites, r2plus_sites
+from specalt.tables import KnotRecord, analyze, data_path, load_table
 from specalt.unknotting import (certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, reidemeister_simplify,
                                 replay_moves)
@@ -17,6 +19,11 @@ from specalt import families
 from conftest import TREFOIL_PD, connected_sum
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
+CERTIFICATES_JSON = Path(__file__).parent / "data" / "certificates_expected.json"
+# 12a880 changed at its witness and greedy-reduced: no R1 or R2 site, the
+# unknot's bracket, and the simplifier unknots it with two R3 moves first.
+NEEDS_R3_PD = ("X[20,16,1,15] X[17,2,18,3] X[19,4,20,5] X[1,18,2,19] X[3,16,4,17] "
+               "X[10,6,11,5] X[7,12,8,13] X[9,14,10,15] X[11,8,12,9] X[13,6,14,7]")
 
 
 def undone_by_greedy(cur, nxt):
@@ -158,6 +165,36 @@ class TestCertify:
 
         monkeypatch.setattr(unknotting, "certify_unlink", linking_first)
         assert rows() == shipped
+
+    def test_wrong_loop_count_raises(self, trefoil, monkeypatch):
+        """R1, R2, R2+ and R3 keep the link type, so a crossing-free result
+        with other than k free loops means a surgery miscounted them: both
+        the greedy pass and the simplifier raise instead of refuting, and a
+        table row reports the error."""
+        real_greedy, real_simplify = unknotting._greedy_reduce, unknotting.reidemeister_simplify
+
+        def one_loop_more(d):
+            return dataclasses.replace(d, free_loops=d.free_loops + 1)
+
+        def simplify_one_loop_more(d):
+            final, log = real_simplify(d)
+            return one_loop_more(final), log
+
+        unknot = change_crossings(trefoil, (0,))
+        needs_r3 = parse_pd(NEEDS_R3_PD)
+        assert certify_unlink(unknot).status == "certified"
+        assert certify_unlink(needs_r3).moves[0].kind == "r3"
+        with monkeypatch.context() as mp:
+            mp.setattr(unknotting, "_greedy_reduce",
+                       lambda d, log: one_loop_more(real_greedy(d, log)))
+            with pytest.raises(DiagramError, match="free loops"):
+                certify_unlink(unknot)
+            row = analyze(KnotRecord("3_1", TREFOIL_PD))
+            assert not row.ok and row.provenance.startswith("error:"), row.provenance
+        with monkeypatch.context() as mp:
+            mp.setattr(unknotting, "reidemeister_simplify", simplify_one_loop_more)
+            with pytest.raises(DiagramError, match="free loops"):
+                certify_unlink(needs_r3)
 
     def test_det_one_knot_refuted_by_bracket(self):
         # changing one crossing of 9_35's standard diagram sometimes gives
@@ -331,6 +368,37 @@ class TestDecide:
                 assert final.free_loops == searched.component_count, name
                 replayed += 1
         assert replayed >= 40
+
+    def test_certificates_match_expected(self, special_fixture_verdicts):
+        """Every certified verdict among the 116 special alternating
+        fixture, named and ``paper13`` rows keeps the move log and final
+        loop count stored in tests/data/certificates_expected.json, and each
+        stored log replays on the searched diagram changed at the witness to
+        k free loops.  Move sites index crossings, so this pins the crossing
+        order every surgery leaves; seven logs make R3 moves."""
+        with open(CERTIFICATES_JSON) as fh:
+            expected = json.load(fh)
+        verdicts = {name: v for name, v, _ in special_fixture_verdicts}
+        for path in (data_path("named_pd_codes.csv"), PAPER13_CSV):
+            records, errors = load_table(path)
+            assert not errors
+            for rec in records:
+                d = reduce_nugatory(rec.diagram)
+                if is_special_alternating(d):
+                    verdicts[rec.name] = decide_minimal_unlinking(d)
+        assert len(verdicts) == 116
+        got = [{"name": name, "moves": [m.to_json() for m in v.certificate.moves],
+                "final_loops": v.certificate.final_loops}
+               for name, v in verdicts.items() if v.certificate is not None]
+        assert len(got) == 111 and sum(len(row["moves"]) for row in got) == 837
+        assert sum(any(m["kind"] == "r3" for m in row["moves"]) for row in got) == 7
+        assert got == expected
+        for row in expected:
+            v = verdicts[row["name"]]
+            d = change_crossings(v.obstruction_verdict.lattice.coloring.diagram, v.witness)
+            final = replay_moves(d, [move_from_json(m) for m in row["moves"]])
+            assert final.n == 0, row["name"]
+            assert final.free_loops == row["final_loops"] == d.component_count, row["name"]
 
     def test_trefoil_sums_of_sharp_fixtures_stay_sharp(self, bundled, trefoil,
                                                        special_fixture_verdicts):
