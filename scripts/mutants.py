@@ -41,6 +41,7 @@ class Mutant:
 
 
 CERTIFICATES = "tests/test_unknotting.py::TestDecide::test_certificates_match_expected"
+PARENT_COMPONENTS = "tests/test_walks.py::test_changed_diagrams_keep_the_parent_components"
 
 MUTANTS = [
     Mutant("src/specalt/moves.py",
@@ -68,6 +69,33 @@ MUTANTS = [
            "    if False:\n",
            "tests/test_unknotting.py::TestCertify::test_wrong_loop_count_raises",
            "a crossing-free result with the wrong loop count is certified"),
+    Mutant("src/specalt/diagram.py",
+           "            a, b = comp[quad[0]], comp[quad[1]]\n",
+           "            a, b = comp[quad[0]], comp[quad[2]]\n",
+           PARENT_COMPONENTS,
+           "component_pairs reads the under strand twice: no crossing joins two "
+           "components"),
+    Mutant("src/specalt/diagram.py",
+           "        child.__dict__[\"component_pairs\"] = d.component_pairs\n",
+           "        child.__dict__[\"component_pairs\"] = d.component_pairs[::-1]\n",
+           PARENT_COMPONENTS,
+           "link children take the parent's component pairs in reversed crossing order"),
+    Mutant("src/specalt/invariants.py",
+           "    if (sigma + eta + k - 1) % 2:\n",
+           "    if False:\n",
+           "tests/test_invariants.py::TestLinkingAndBounds::test_half_integer_bound_raises",
+           "unlinking_lower_bound rounds a half-integer bound instead of raising"),
+    Mutant("src/specalt/unknotting.py",
+           "    want_det = 1 if k == 1 else 0\n",
+           "    want_det = 1\n",
+           "tests/test_unknotting.py::TestDecide::test_torus_links_attain_bound",
+           "certify_unlink wants determinant 1 of a link: every link child is refuted"),
+    Mutant("src/specalt/unknotting.py",
+           "    over_at_y = cur.mate((cb, (sb + 1) % 4)) == (ca, sa) and sa % 2 == 0\n",
+           "    over_at_y = False\n",
+           "tests/test_unknotting.py::TestSimplify::test_lens_skip_drops_only_undone_excursions",
+           "_lens_only misses the corner where B ends at A's dart: it skips an R2+ "
+           "excursion the greedy pass does not undo"),
 ]
 
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .diagram import reduce_nugatory, DiagramError
+from .diagram import _PD_TOKEN, reduce_nugatory, DiagramError
 from .tables import (KnotRecord, analyze, analyze_all, load_table, load_expected,
                      emit_tables, diff_tables, TableError,
                      bound_consistency_ok, data_path)
@@ -24,9 +24,9 @@ from .lattice import obstruction
 
 
 def _resolve(text: str) -> KnotRecord:
-    """A knot name from the bundled fixtures or the named 11a/12a table, or
-    a PD code."""
-    if "X" in text or "x" in text:
+    """A PD code when ``text`` holds a crossing token ``parse_pd`` reads,
+    else a knot name from the bundled fixtures or the named 11a/12a table."""
+    if _PD_TOKEN.search(text):
         return KnotRecord(name="input", pd=text)
     for table in ("fixtures.csv", "named_pd_codes.csv"):
         records, _ = load_table(data_path(table))

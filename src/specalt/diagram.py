@@ -181,6 +181,18 @@ class LinkDiagram:
         return {label: i for i, comp in enumerate(self._components) for label in comp}
 
     @cached_property
+    def component_pairs(self) -> tuple[tuple[int, int] | None, ...]:
+        """Per crossing, the sorted link components of its under strand
+        (slot 0) and over strand (slot 1), or None where a component
+        crosses itself."""
+        comp = self.component_of_edge
+        pairs = []
+        for quad in self.quads:
+            a, b = comp[quad[0]], comp[quad[1]]
+            pairs.append(None if a == b else (a, b) if a < b else (b, a))
+        return tuple(pairs)
+
+    @cached_property
     def _crossing_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying 4-valent graph, over the
         crossing adjacency of ``edge_ends``."""
@@ -565,7 +577,10 @@ def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
     The change keeps the 4-valent graph, its crossing indices and every
     label on its link component, so the child takes the parent's
     ``_crossing_components`` and ``component_count`` instead of flooding
-    and walking its own."""
+    and walking its own.  It rotates a quad by its odd over-in slot, so
+    slots 0 and 1 still hold one end of each strand: a link child also
+    takes the parent's ``component_pairs``.  A knot parent hands none, as
+    no knot child reads them."""
     chosen = set(subset)
     for c in chosen:
         if not (0 <= c < d.n):
@@ -578,6 +593,8 @@ def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
     child = LinkDiagram(tuple(quads), tuple(incs), d.free_loops)
     child.__dict__["_crossing_components"] = d._crossing_components
     child.__dict__["component_count"] = d.component_count
+    if d.component_count > 1:
+        child.__dict__["component_pairs"] = d.component_pairs
     return child
 
 

@@ -137,19 +137,14 @@ def determinant(d: LinkDiagram) -> int:
 
 
 def linking_matrix(d: LinkDiagram) -> dict[tuple[int, int], int]:
-    """Pairwise linking numbers lk(i, j) = half the signed count of
-    crossings between components i and j.  Two components cross an even
-    number of times, so each signed count is summed as an int and halved
-    exactly once."""
-    comp = d.component_of_edge
+    """Pairwise linking numbers lk(i, j) = half the signed count of the
+    crossings whose ``component_pairs`` entry is (i, j).  Two components
+    cross an even number of times, so each signed count is summed as an
+    int and halved exactly once."""
     counts: dict[tuple[int, int], int] = {}
-    for c, quad in enumerate(d.quads):
-        ca = comp[quad[0]]
-        cb = comp[quad[1]]
-        if ca == cb:
-            continue
-        key = (ca, cb) if ca < cb else (cb, ca)
-        counts[key] = counts.get(key, 0) + d.signs[c]
+    for key, sign in zip(d.component_pairs, d.signs):
+        if key is not None:
+            counts[key] = counts.get(key, 0) + sign
     return {key: total // 2 for key, total in counts.items()}
 
 

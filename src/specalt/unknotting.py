@@ -76,11 +76,18 @@ def reidemeister_simplify(d: LinkDiagram) -> tuple[LinkDiagram, list[Move]]:
     excursions of at most SIMPLIFY_EXTRA crossings, over at most
     SIMPLIFY_NODES states; returns the fewest-crossing diagram found and
     the move log reaching it."""
-    log0: list[Move] = []
-    start = _greedy_reduce(d, log0)
+    log: list[Move] = []
+    start = _greedy_reduce(d, log)
+    return _best_first(start, log, d.n + SIMPLIFY_EXTRA)
+
+
+def _best_first(start: LinkDiagram, log0: list[Move],
+                cap: int) -> tuple[LinkDiagram, list[Move]]:
+    """The search of ``reidemeister_simplify`` from ``start``, which the
+    greedy pass reached by ``log0``; an R2+ excursion takes no state above
+    ``cap`` crossings."""
     if start.n == 0:
         return start, log0
-    cap = d.n + SIMPLIFY_EXTRA
     counter = itertools.count()
     heap: list[tuple[int, int, LinkDiagram, tuple[Move, ...]]] = []
     heapq.heappush(heap, (start.n, next(counter), start, tuple(log0)))
@@ -162,7 +169,7 @@ def certify_unlink(d: LinkDiagram) -> UnlinkCertificate:
             if fb != unlink_normalized_bracket(k):
                 return UnlinkCertificate("refuted", invariant="bracket",
                                          value=_poly_str(fb))
-        final, log = reidemeister_simplify(d)
+        final, log = _best_first(final, log, d.n + SIMPLIFY_EXTRA)
         if final.n:
             return UnlinkCertificate("unknown")
     # R1, R2, R2+ and R3 keep the link type, so other than k free loops

@@ -106,21 +106,31 @@ def reference_simplify(d, max_nodes, extra, key=reference_key):
 
 
 def test_named_rows_simplify_as_reference(monkeypatch):
-    """Every simplifier call made while deciding the named rows."""
-    calls = []
+    """Every simplifier search made while deciding the named rows.
+    ``certify_unlink`` hands the search its own greedy result, log and
+    cap; they must give what the reference gives on the diagram it
+    received."""
+    received, calls = [], []
+    real_certify, real_search = unknotting.certify_unlink, unknotting._best_first
 
-    def recording(d):
-        out = reidemeister_simplify(d)
-        calls.append((d, out))
+    def certifying(d):
+        received.append(d)
+        return real_certify(d)
+
+    def recording(start, log0, cap):
+        out = real_search(start, log0, cap)
+        calls.append((received[-1], cap, out))
         return out
 
-    monkeypatch.setattr(unknotting, "reidemeister_simplify", recording)
+    monkeypatch.setattr(unknotting, "certify_unlink", certifying)
+    monkeypatch.setattr(unknotting, "_best_first", recording)
     records, errors = load_table(data_path("named_pd_codes.csv"))
     assert not errors and len(records) == 51
     for rec in records:
         assert analyze(rec).ok, rec.name
     assert calls
-    for d, out in calls:
+    for d, cap, out in calls:
+        assert cap == d.n + unknotting.SIMPLIFY_EXTRA
         assert out == reference_simplify(d, unknotting.SIMPLIFY_NODES,
                                          unknotting.SIMPLIFY_EXTRA)
 

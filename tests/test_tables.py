@@ -423,10 +423,15 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["u"] == "1"
 
-    @pytest.mark.parametrize("text", ["99a999", "4 6 2"], ids=["name", "dt_code"])
+    @pytest.mark.parametrize("text", ["99a999", "4 6 2", "mixed", "X", "x[1,2,3,4]"],
+                             ids=["name", "dt_code", "name_with_x", "bare_x", "lowercase_x"])
     def test_analyze_unknown_name(self, text, capsys):
+        """Only an X[...] or X(...) crossing token makes the text a PD code;
+        other text is a name, even one with an x in it."""
         rc = cli_main(["analyze", text])
-        assert rc == 2 and "unknown knot name" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert rc == 2 and f"unknown knot name {text!r}" in captured.err
+        assert "FAILED" not in captured.out
 
     def test_embed_json(self, capsys):
         rc = cli_main(["--json", "embed", "3_1"])

@@ -171,13 +171,13 @@ class TestCertify:
         with other than k free loops means a surgery miscounted them: both
         the greedy pass and the simplifier raise instead of refuting, and a
         table row reports the error."""
-        real_greedy, real_simplify = unknotting._greedy_reduce, unknotting.reidemeister_simplify
+        real_greedy, real_search = unknotting._greedy_reduce, unknotting._best_first
 
         def one_loop_more(d):
             return dataclasses.replace(d, free_loops=d.free_loops + 1)
 
-        def simplify_one_loop_more(d):
-            final, log = real_simplify(d)
+        def search_one_loop_more(start, log, cap):
+            final, log = real_search(start, log, cap)
             return one_loop_more(final), log
 
         unknot = change_crossings(trefoil, (0,))
@@ -192,7 +192,7 @@ class TestCertify:
             row = analyze(KnotRecord("3_1", TREFOIL_PD))
             assert not row.ok and row.provenance.startswith("error:"), row.provenance
         with monkeypatch.context() as mp:
-            mp.setattr(unknotting, "reidemeister_simplify", simplify_one_loop_more)
+            mp.setattr(unknotting, "_best_first", search_one_loop_more)
             with pytest.raises(DiagramError, match="free loops"):
                 certify_unlink(needs_r3)
 

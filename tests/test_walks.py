@@ -30,7 +30,8 @@ from specalt.moves import apply_r2plus, r1_sites, r2plus_sites
 from specalt.seifert import _in_ends, _smooth_out, seifert_circles
 from specalt.tables import data_path, load_bundled_fixtures, load_table
 
-from conftest import SPLIT_TREFOILS_PD, TREFOIL_KINK_PD, TREFOIL_MIRROR_PD, reflect_plane
+from conftest import (SPLIT_TREFOILS_PD, TREFOIL_KINK_PD, TREFOIL_MIRROR_PD, TREFOIL_PD,
+                      reflect_plane)
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
@@ -400,13 +401,24 @@ def test_change_crossings_rotates_as_reference():
             assert change_crossings(x, subset) == d, d.to_pd_text()
 
 
+def ref_component_pairs(d: LinkDiagram):
+    comp = ref_component_of_edge(d)
+    pairs = []
+    for quad in d.quads:
+        a, b = comp[quad[0]], comp[quad[1]]
+        pairs.append(None if a == b else tuple(sorted((a, b))))
+    return tuple(pairs)
+
+
 def test_changed_diagrams_keep_the_parent_components():
     """``change_crossings`` hands the child its parent's crossing
-    components and component count.  They, ``is_connected``, the
-    child's own edge-to-component map and its linking numbers must equal
-    those of a fresh diagram with the child's code: for every fixture,
-    named and ``paper13`` diagram, its mirror, seeded changes of 1 to 3
-    crossings of each, and the split codes, with and without free loops."""
+    components and component count, and a link parent's component pairs.
+    They, ``is_connected``, the child's own edge-to-component map and its
+    linking numbers must equal those of a fresh diagram with the child's
+    code: for every fixture, named and ``paper13`` diagram, its mirror,
+    seeded changes of 1 to 3 crossings of each, and the split codes, with
+    and without free loops.  A link child's linking numbers walk no
+    component; a knot parent's children carry no pairs."""
     rnd = random.Random(31)
     parents = []
     for path in (data_path("fixtures.csv"), data_path("named_pd_codes.csv"), PAPER13_CSV):
@@ -422,8 +434,16 @@ def test_changed_diagrams_keep_the_parent_components():
         children += [change_crossings(x, rnd.sample(range(x.n), rnd.randint(1, min(3, x.n))))
                      for x in (d, m) for _ in range(3)]
     assert len(children) > 900 and sum(not x.is_connected for x in children) >= 42
+    links = 0
     for x in children:
         fresh = LinkDiagram(x.quads, x.incoming, x.free_loops)
+        if x.component_count > 1:
+            links += 1
+            linking_matrix(x)
+            assert "_components" not in x.__dict__, x.to_pd_text()
+            assert "component_of_edge" not in x.__dict__, x.to_pd_text()
+        assert x.component_pairs == fresh.component_pairs, x.to_pd_text()
+        assert x.component_pairs == ref_component_pairs(x), x.to_pd_text()
         assert x._crossing_components == fresh._crossing_components, x.to_pd_text()
         assert x.is_connected == fresh.is_connected, x.to_pd_text()
         assert x.component_count == fresh.component_count, x.to_pd_text()
@@ -432,3 +452,8 @@ def test_changed_diagrams_keep_the_parent_components():
         assert edges == list(ref_component_of_edge(x).items()), x.to_pd_text()
         assert list(linking_matrix(x).items()) == list(linking_matrix(fresh).items()), \
             x.to_pd_text()
+    assert links >= 240
+    knot = parse_pd(TREFOIL_PD)
+    for x in (mirror(knot), change_crossings(knot, (0,)), change_crossings(knot, ())):
+        assert "component_pairs" not in x.__dict__, x.to_pd_text()
+        assert x.component_pairs == (None,) * x.n
