@@ -60,10 +60,15 @@ MUTANTS = [
            "tests/test_moves.py::TestR3::test_refuses_a_triangle_that_is_not_a_site",
            "R3 no longer checks its site"),
     Mutant("src/specalt/diagram.py",
-           "                    self.free_loops += 1\n",
-           "                    self.free_loops += 2\n",
+           "d.free_loops + loops))", "d.free_loops + 2 * loops))",
            "tests/test_moves.py",
            "delete_crossings counts each closed strand twice"),
+    Mutant("src/specalt/diagram.py",
+           "            r = 0 if inc[0] else 2\n",
+           "            r = 0\n",
+           "tests/test_diagram.py::TestReduceNugatory::test_tangle_flip_keeps_invariants",
+           "nugatory untwisting drops the tangle flip's rotate-by-two: a flipped "
+           "crossing can keep an outgoing slot 0"),
     Mutant("src/specalt/unknotting.py",
            "    if final.free_loops != k:\n",
            "    if False:\n",

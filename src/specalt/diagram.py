@@ -31,10 +31,14 @@ tables (see tests/test_diagram.py for the anchor checks):
   lies on the LEFT of the edge.
 
 Diagrams are immutable; every mutating operation returns a new value.
-``validate`` checks a code where its incidences are new (parsing,
-``_Builder`` surgery and the relabelling of an R3 move); crossing changes,
-mirrors, component splits and orientation reversals only rotate or select
-quadruples of a valid diagram, so they build without it.
+``validate`` checks a code where its incidences are new: parsing, the quad
+edits of R1, R2, R3 and nugatory untwisting, and ``_Builder.to_diagram``
+behind R2+ and ``families``.  Crossing changes, mirrors, component splits
+and orientation reversals only rotate or select quadruples of a valid
+diagram, so they build without it.  A quad edit keeps its parent's labels
+(``delete_crossings`` merges each strand's labels into the smallest), so
+labels need not run 1..2n: sites, faces, components and ``canonical_key``
+read no label names.
 """
 
 from __future__ import annotations
@@ -399,6 +403,8 @@ def _reverse_strands(d: LinkDiagram, components: tuple[int, ...]) -> LinkDiagram
     by_min = sorted(d._components, key=min)
     flips: set[End] = set()
     for i in components:
+        if not (0 <= i < len(by_min)):
+            raise DiagramError(f"component index {i} out of range")
         for label in by_min[i]:
             flips.update(d.edge_ends[label])
     new = [[d.incoming[c][s] ^ ((c, s) in flips) for s in range(4)]
@@ -454,9 +460,9 @@ def _resolve_orientations(
 
 
 class _Builder:
-    """Mutable mate/direction structure for the surgeries that delete or
-    insert crossings (R1, R2, R2+ and nugatory untwisting) and for building
-    diagrams from scratch.
+    """Mutable mate/direction structure for R2+, the one surgery that adds
+    crossings, and for building diagrams from scratch (``families`` and the
+    tests).  Deleting crossings edits quads instead (``delete_crossings``).
 
     Crossings are held in a dict keyed by arbitrary ids; slots (0, 2) hold
     the under strand and (1, 3) the over strand.  ``to_diagram`` rotates
@@ -490,36 +496,6 @@ class _Builder:
     def splice(self, a: End, b: End):
         self.mates[a] = b
         self.mates[b] = a
-
-    def delete_crossings(self, removed: set[int]):
-        """Remove crossings whose strands pass straight through them: each
-        strand is followed from slot s to slot s + 2 across them, each
-        surviving end is spliced to the surviving end its strand reaches,
-        and each strand that closes up inside them is one free loop."""
-        seen: set[End] = set()
-
-        def chase(end: End) -> End:
-            # marks the slots passed; stops at a surviving or a seen end
-            while end[0] in removed and end not in seen:
-                through = (end[0], (end[1] + 2) % 4)
-                seen.update((end, through))
-                end = self.mates[through]
-            return end
-
-        for x in [e for e, m in self.mates.items() if e[0] not in removed and m[0] in removed]:
-            if x not in seen:
-                y = chase(self.mates[x])
-                self.splice(x, y)
-                seen.update((x, y))
-        for c in removed:
-            for s in range(4):
-                if (c, s) not in seen:
-                    chase((c, s))
-                    self.free_loops += 1
-        for c in removed:
-            self.cids.remove(c)
-            for s in range(4):
-                del self.mates[c, s], self.inc[c, s]
 
     def insert_on_edge(self, target: End, approach_left: bool) -> tuple[int, End, End]:
         """Insert a crossing where a new OVER strand crosses the edge at
@@ -605,19 +581,45 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
 
 def split_components(d: LinkDiagram) -> list[LinkDiagram]:
     """Connected components of the underlying 4-valent graph, plus one
-    0-crossing diagram per free loop."""
+    0-crossing diagram per free loop; each part keeps ``d``'s labels."""
     out = []
     for comp in d._crossing_components:
-        quads = tuple(d.quads[c] for c in comp)
-        incs = tuple(d.incoming[c] for c in comp)
-        # relabel edges locally to keep labels tidy
-        labels = sorted({e for q in quads for e in q})
-        relab = {e: i + 1 for i, e in enumerate(labels)}
-        quads = tuple(tuple(relab[e] for e in q) for q in quads)
-        out.append(LinkDiagram(quads, incs, 0))
+        out.append(LinkDiagram(tuple(d.quads[c] for c in comp),
+                               tuple(d.incoming[c] for c in comp), 0))
     for _ in range(d.free_loops):
         out.append(LinkDiagram((), (), 1))
     return out
+
+
+def delete_crossings(d: LinkDiagram, removed) -> LinkDiagram:
+    """Remove crossings whose strands pass straight through them.
+
+    Each strand through a removed crossing joins the labels in its slots s
+    and s + 2, and each joined class takes its smallest label, so every
+    surviving end is paired with the surviving end its strand reaches.  The
+    other crossings keep their order, slots and directions; a class with no
+    surviving end is a strand closed up inside the removed crossings, one
+    free loop."""
+    gone = set(removed)
+    root: dict[int, int] = {}
+
+    def find(label: int) -> int:
+        while label in root:
+            label = root[label]
+        return label
+
+    for c in gone:
+        quad = d.quads[c]
+        for s in (0, 1):
+            a, b = find(quad[s]), find(quad[s + 2])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    kept = [c for c in range(d.n) if c not in gone]
+    quads = tuple(tuple(find(label) for label in d.quads[c]) for c in kept)
+    surviving = {label for quad in quads for label in quad}
+    loops = len({find(label) for c in gone for label in d.quads[c]} - surviving)
+    return validate(LinkDiagram(quads, tuple(d.incoming[c] for c in kept),
+                                d.free_loops + loops))
 
 
 def _nugatory_pattern(d: LinkDiagram, c: int) -> int | None:
@@ -630,50 +632,34 @@ def _nugatory_pattern(d: LinkDiagram, c: int) -> int | None:
     return None
 
 
-def _flip_tangle(b: _Builder, crossings: set[int]):
-    """Reflect a sub-tangle: reverse rotations and swap over/under.
-
-    New slot s corresponds to old slot 3 - s; strand directions are carried.
-    """
-    remap = {}
-    for c in crossings:
-        remap.update({(c, s): (c, 3 - s) for s in range(4)})
-    old_mates = dict(b.mates)
-    old_inc = dict(b.inc)
-    for c in crossings:
-        for s in range(4):
-            old = (c, 3 - s)
-            m = old_mates[old]
-            b.mates[(c, s)] = remap.get(m, m)
-            b.inc[(c, s)] = old_inc[old]
-    for end, m in list(b.mates.items()):
-        if end[0] not in crossings and m in remap:
-            b.mates[end] = remap[m]
-
-
 def reduce_nugatory(d: LinkDiagram) -> LinkDiagram:
-    """Untwist nugatory crossings until none remain; idempotent."""
+    """Untwist nugatory crossings until none remain; idempotent.
+
+    The tangle on one side of the first nugatory crossing is reflected in
+    place: each quad and its directions are reversed, so new slot s is old
+    slot 3 - s and over and under swap, then rotated by two where slot 0 is
+    outgoing.  The crossing itself is then deleted."""
     cur = d
     while True:
-        site = None
-        for c in range(cur.n):
-            if _nugatory_pattern(cur, c) is not None:
-                site = c
+        for site in range(cur.n):
+            pat = _nugatory_pattern(cur, site)
+            if pat is not None:
                 break
-        if site is None:
+        else:
             return cur
-        pat = _nugatory_pattern(cur, site)
-        b = _Builder.from_diagram(cur)
         # the tangle on the q1 side (pattern 0) or the q2 side (pattern 1):
         # the crossings reached from there without passing the site
         probe = (site, 1) if pat == 0 else (site, 2)
         mate = cur.mate
         tangle = flood(mate(probe)[0], lambda c: () if c == site else
                        [mate((c, s))[0] for s in range(4)]) - {site}
-        b.delete_crossings({site})
-        if tangle:
-            _flip_tangle(b, tangle)
-        cur = b.to_diagram()
+        quads, incs = list(cur.quads), list(cur.incoming)
+        for c in tangle:
+            quad, inc = cur.quads[c][::-1], cur.incoming[c][::-1]
+            r = 0 if inc[0] else 2
+            quads[c], incs[c] = quad[r:] + quad[:r], inc[r:] + inc[:r]
+        cur = delete_crossings(LinkDiagram(tuple(quads), tuple(incs), cur.free_loops),
+                               {site})
 
 
 # -- twist regions -----------------------------------------------------------

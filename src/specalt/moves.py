@@ -3,15 +3,16 @@
 Move sites are referenced by indices into the current diagram, so a logged
 move sequence replays deterministically.  All moves preserve the link type;
 the tests check determinant/bracket invariance along move logs.  R1 and R2
-delete crossings and R2+ inserts two, through ``_Builder``; R3 relabels its
-triangle's three crossings and builds no ``_Builder``.
+edit the parent's quads through ``diagram.delete_crossings`` and R3 relabels
+its triangle's three crossings; only R2+, which inserts two crossings, goes
+through ``_Builder``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, _Builder, DiagramError, validate
+from .diagram import LinkDiagram, _Builder, DiagramError, delete_crossings, validate
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,7 @@ def apply_r1(d: LinkDiagram, site: tuple) -> LinkDiagram:
     (c,) = site
     if (c,) not in r1_sites(d):
         raise DiagramError(f"no kink at crossing {c}")
-    b = _Builder.from_diagram(d)
-    b.delete_crossings({c})
-    return b.to_diagram()
+    return delete_crossings(d, {c})
 
 
 def r2_sites(d: LinkDiagram) -> list[tuple]:
@@ -79,9 +78,7 @@ def apply_r2(d: LinkDiagram, site: tuple) -> LinkDiagram:
         raise DiagramError("r2 needs two distinct crossings")
     if tuple(sorted((c, e))) not in r2_sites(d):
         raise DiagramError(f"crossings {c},{e} do not bound a reducible bigon")
-    b = _Builder.from_diagram(d)
-    b.delete_crossings({c, e})
-    return b.to_diagram()
+    return delete_crossings(d, {c, e})
 
 
 def r3_sites(d: LinkDiagram) -> list[tuple]:
@@ -160,8 +157,10 @@ def apply_r2plus(d: LinkDiagram, site: tuple) -> LinkDiagram:
     """Push the edge after dart_a over the edge after dart_b across their
     common face (reverse Reidemeister II)."""
     dart_a, dart_b = site
-    fa = d.face_index[dart_a]
-    if d.face_index[dart_b] != fa:
+    for dart in site:
+        if dart not in d.face_index:
+            raise DiagramError(f"dart {dart} is not a corner of the diagram")
+    if d.face_index[dart_b] != d.face_index[dart_a]:
         raise DiagramError("darts are not on a common face")
     ca, sa = dart_a
     cb, sb = dart_b

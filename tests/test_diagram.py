@@ -21,7 +21,7 @@ from conftest import TREFOIL_PD, reflect_plane
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
 # Codes whose nugatory untwisting flips a tangle, which leaves slot 0 of
-# some crossings outgoing until ``to_diagram`` normalises the rotations.
+# some crossings outgoing until the flip rotates them by two.
 NUG_A = ("X[14,5,1,6] X[4,13,5,4] X[12,3,13,14] X[6,11,7,12] X[10,7,11,8] "
          "X[2,9,3,10] X[8,1,9,2]")
 NUG_B = ("X[16,3,1,4] X[4,15,5,16] X[6,5,15,6] X[14,13,7,14] X[12,7,13,8] "
@@ -468,6 +468,13 @@ class TestOrientationOverride:
         assert d.component_of_edge[1] != d.component_of_edge[2] == 0
         assert ends(rev, 1) == {(c, not inc) for c, inc in ends(d, 1)}
         assert ends(rev, 2) == ends(d, 2)
+
+    @pytest.mark.parametrize("index", [1, 3, -1])
+    def test_reversal_index_out_of_range_raises(self, index):
+        """The trefoil has one component: index 1 or 3 names none, and -1
+        does not reverse the last one."""
+        with pytest.raises(DiagramError, match=f"component index {index} out of range"):
+            parse_pd(TREFOIL_PD, reverse_components=(index,))
 
     def test_full_reversal_preserves_linking_and_signature(self):
         from specalt.invariants import linking_matrix, signature_nullity

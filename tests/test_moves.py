@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from specalt.diagram import parse_pd, change_crossings, canonical_key, DiagramError
+from specalt.diagram import (LinkDiagram, parse_pd, change_crossings, canonical_key,
+                             delete_crossings, DiagramError)
 from specalt.moves import (Move, r1_sites, r2_sites, r3_sites, r2plus_sites, move_from_json,
                            apply_r1, apply_r2, apply_r3, apply_r2plus, apply_move)
 from specalt.bracket import normalized_bracket
@@ -46,6 +47,72 @@ class TestR2:
         assert out.n == 0 and out.free_loops == 2
 
 
+def ref_delete(d, removed):
+    """The surviving ends' mates, renumbered to the surviving crossings in
+    order, and the number of strands closed up inside ``removed``: each
+    surviving end follows ``d``'s mates from slot s to slot s + 2 through
+    the removed crossings, and each removed end it does not pass lies on a
+    closed strand."""
+    kept = [c for c in range(d.n) if c not in removed]
+    index = {c: i for i, c in enumerate(kept)}
+    passed = set()
+    mates = {}
+    for c in kept:
+        for s in range(4):
+            end = d.mate((c, s))
+            while end[0] in removed:
+                through = (end[0], (end[1] + 2) % 4)
+                passed.update((end, through))
+                end = d.mate(through)
+            mates[index[c], s] = (index[end[0]], end[1])
+    closed = 0
+    for c in sorted(removed):
+        for s in range(4):
+            end = (c, s)
+            if end in passed:
+                continue
+            closed += 1
+            while end not in passed:
+                through = (end[0], (end[1] + 2) % 4)
+                passed.update((end, through))
+                end = d.mate(through)
+    return mates, kept, closed
+
+
+class TestDeleteCrossings:
+    def test_matches_mate_chasing(self, bundled):
+        """Every R1 and R2 site met while greedily reducing seeded crossing
+        changes of the bundled rows: the deletion pairs each surviving end
+        with the end its strand reaches, keeps the surviving crossings'
+        order and directions, and counts the strands it closes up."""
+        rng = random.Random(26)
+        cases = r1_cases = loops = 0
+        for rec in bundled:
+            d = rec.diagram
+            for _ in range(4):
+                cur = change_crossings(d, rng.sample(range(d.n), rng.randint(1, min(3, d.n))))
+                while sites := r1_sites(cur) + r2_sites(cur):
+                    for site in sites:
+                        out = delete_crossings(cur, site)
+                        mates, kept, closed = ref_delete(cur, set(site))
+                        assert out.n == len(kept), (rec.name, site)
+                        assert {end: out.mate(end) for end in mates} == mates, (rec.name, site)
+                        assert out.incoming == tuple(cur.incoming[c] for c in kept)
+                        assert out.free_loops == cur.free_loops + closed, (rec.name, site)
+                        kind = "r1" if len(site) == 1 else "r2"
+                        assert apply_move(cur, Move(kind, site)) == out
+                        cases += 1
+                        r1_cases += kind == "r1"
+                        loops += closed
+                    cur = delete_crossings(cur, sites[0])
+        assert (cases, r1_cases, loops) == (1029, 267, 90)
+
+    def test_deleting_every_crossing_leaves_the_components(self, bundled):
+        for rec in bundled:
+            d = rec.diagram
+            assert delete_crossings(d, range(d.n)) == LinkDiagram((), (), d.component_count)
+
+
 class TestR2Plus:
     def test_all_sites_roundtrip(self, trefoil, figure_eight):
         for base in (trefoil, figure_eight):
@@ -56,6 +123,19 @@ class TestR2Plus:
                 assert invariants(dp) == inv
                 assert any(canonical_key(apply_r2(dp, b)) == canonical_key(base)
                            for b in r2_sites(dp))
+
+
+    def test_dart_outside_the_diagram_raises(self, trefoil):
+        """A logged R2+ move naming a corner the diagram does not have fails
+        with DiagramError, applied or replayed."""
+        from specalt.unknotting import replay_moves
+        logged = move_from_json({"kind": "r2plus", "site": [[9, 0], [0, 1]]})
+        with pytest.raises(DiagramError, match=r"dart \(9, 0\) is not a corner"):
+            apply_move(trefoil, logged)
+        with pytest.raises(DiagramError, match=r"dart \(9, 0\) is not a corner"):
+            replay_moves(trefoil, [logged])
+        with pytest.raises(DiagramError, match=r"dart \(0, 7\) is not a corner"):
+            apply_r2plus(trefoil, ((0, 1), (0, 7)))
 
 
 class TestR3:
