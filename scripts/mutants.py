@@ -42,6 +42,9 @@ class Mutant:
 
 CERTIFICATES = "tests/test_unknotting.py::TestDecide::test_certificates_match_expected"
 PARENT_COMPONENTS = "tests/test_walks.py::test_changed_diagrams_keep_the_parent_components"
+SCREEN_AGREES = ("tests/test_unknotting.py::TestLinkingScreen::"
+                 "test_screen_agrees_with_built_children")
+SCREEN_REPEATS = "tests/test_unknotting.py::TestLinkingScreen::test_repeated_index_hint_is_a_set"
 
 MUTANTS = [
     Mutant("src/specalt/moves.py",
@@ -101,6 +104,24 @@ MUTANTS = [
            "tests/test_unknotting.py::TestSimplify::test_lens_skip_drops_only_undone_excursions",
            "_lens_only misses the corner where B ends at A's dart: it skips an R2+ "
            "excursion the greedy pass does not undo"),
+    Mutant("src/specalt/unknotting.py",
+           "            changed[pairs[c]] -= signs[c]\n",
+           "            changed[pairs[c]] += signs[c]\n",
+           SCREEN_AGREES,
+           "the linking screen adds a changed crossing's sign instead of "
+           "subtracting it"),
+    Mutant("src/specalt/unknotting.py",
+           "    for c in chosen:\n        if pairs[c] is not None:\n",
+           "    for c in subset:\n        if pairs[c] is not None:\n",
+           f"{SCREEN_AGREES} {SCREEN_REPEATS}",
+           "the linking screen iterates the subset, not its set: a repeated "
+           "crossing counts twice"),
+    Mutant("src/specalt/unknotting.py",
+           "    chosen = _crossing_set(d, subset)\n    changed = dict(lk)\n",
+           "    chosen = set(subset)\n    changed = dict(lk)\n",
+           "tests/test_unknotting.py::TestLinkingScreen::test_out_of_range_hint_raises",
+           "the linking screen indexes a hint before checking its range: a "
+           "negative index wraps"),
 ]
 
 

@@ -547,6 +547,16 @@ class _Builder:
 # -- diagram operations ------------------------------------------------------
 
 
+def _crossing_set(d: LinkDiagram, subset) -> set[int]:
+    """The crossings of ``subset``, each once; DiagramError on an index
+    outside 0 … n − 1, checked before any is read."""
+    chosen = set(subset)
+    for c in chosen:
+        if not (0 <= c < d.n):
+            raise DiagramError(f"crossing index {c} out of range")
+    return chosen
+
+
 def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
     """Swap over/under at each crossing in ``subset``; involutive.
 
@@ -557,10 +567,7 @@ def change_crossings(d: LinkDiagram, subset) -> LinkDiagram:
     slots 0 and 1 still hold one end of each strand: a link child also
     takes the parent's ``component_pairs``.  A knot parent hands none, as
     no knot child reads them."""
-    chosen = set(subset)
-    for c in chosen:
-        if not (0 <= c < d.n):
-            raise DiagramError(f"crossing index {c} out of range")
+    chosen = _crossing_set(d, subset)
     quads, incs = list(d.quads), list(d.incoming)
     for c in chosen:
         r = d.over_in_slot(c)

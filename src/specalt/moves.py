@@ -47,8 +47,16 @@ def r1_sites(d: LinkDiagram) -> list[tuple]:
     return [(c,) for c in sorted({face[0][0] for face in d.faces if len(face) == 1})]
 
 
+def _site(site, size: int, kind: str) -> tuple:
+    """``site`` when it is a tuple of ``size`` entries; a logged or
+    replayed move of another shape raises DiagramError."""
+    if not isinstance(site, tuple) or len(site) != size:
+        raise DiagramError(f"{kind} site must have length {size}, got {site!r}")
+    return site
+
+
 def apply_r1(d: LinkDiagram, site: tuple) -> LinkDiagram:
-    (c,) = site
+    (c,) = _site(site, 1, "r1")
     if (c,) not in r1_sites(d):
         raise DiagramError(f"no kink at crossing {c}")
     return delete_crossings(d, {c})
@@ -73,7 +81,7 @@ def r2_sites(d: LinkDiagram) -> list[tuple]:
 
 
 def apply_r2(d: LinkDiagram, site: tuple) -> LinkDiagram:
-    c, e = site
+    c, e = _site(site, 2, "r2")
     if c == e:
         raise DiagramError("r2 needs two distinct crossings")
     if tuple(sorted((c, e))) not in r2_sites(d):
@@ -113,6 +121,7 @@ def apply_r3(d: LinkDiagram, site: tuple) -> LinkDiagram:
     The over-over strand's two crossings go last, the one on the under-under
     edge first: the order every recorded move log assumes.  Later move
     sites index crossings, so another order would change the logs."""
+    _site(site, 3, "r3")
     face = next((f for f in d.faces if len(f) == 3 and sorted(f) == sorted(site)), None)
     if face is None:
         raise DiagramError("no such triangle face")
@@ -156,7 +165,7 @@ def r2plus_sites(d: LinkDiagram) -> list[tuple]:
 def apply_r2plus(d: LinkDiagram, site: tuple) -> LinkDiagram:
     """Push the edge after dart_a over the edge after dart_b across their
     common face (reverse Reidemeister II)."""
-    dart_a, dart_b = site
+    dart_a, dart_b = _site(site, 2, "r2plus")
     for dart in site:
         if dart not in d.face_index:
             raise DiagramError(f"dart {dart} is not a corner of the diagram")

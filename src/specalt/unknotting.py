@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .diagram import (LinkDiagram, DiagramError, NotSpecialAlternating, SplitDiagram,
-                      canonical_key, change_crossings, _nugatory_pattern,
-                      is_special_alternating)
+                      canonical_key, change_crossings, _crossing_set,
+                      _nugatory_pattern, is_special_alternating)
 from . import moves as _moves
 from .moves import Move
 from .bracket import normalized_bracket, unlink_normalized_bracket
@@ -207,6 +207,24 @@ class SearchOutcome:
                 "subsets_tried": self.subsets_tried}
 
 
+def _linking_refutes(d: LinkDiagram, lk: dict[tuple[int, int], int],
+                     subset) -> bool:
+    """True when changing the crossings of ``subset`` in the link ``d``,
+    whose ``linking_matrix`` is ``lk``, leaves a non-zero linking number:
+    exactly when ``certify_unlink`` would refute the changed diagram by
+    one.  A change negates its crossing's sign and keeps its
+    ``component_pairs`` entry, so each lk(i, j) loses the sign of every
+    changed crossing between i and j.  ``subset`` is read as
+    ``change_crossings`` reads it."""
+    chosen = _crossing_set(d, subset)
+    changed = dict(lk)
+    pairs, signs = d.component_pairs, d.signs
+    for c in chosen:
+        if pairs[c] is not None:
+            changed[pairs[c]] -= signs[c]
+    return any(changed.values())
+
+
 def exhaustive_search(d: LinkDiagram, m: int,
                       first_subsets: tuple[tuple[int, ...], ...] = ()) -> SearchOutcome:
     """Try all C(n, m) crossing-change subsets once each; Some on the first
@@ -214,14 +232,21 @@ def exhaustive_search(d: LinkDiagram, m: int,
     subset is refuted, Inconclusive otherwise, listing the subsets the
     simplifier's budget left unknown.  The subsets stream: the sorted
     hints of size m, each once, then the other m-subsets in lexicographic
-    order."""
+    order.
+
+    On a link, a subset whose change leaves a non-zero linking number is
+    refuted from the parent's linking numbers and builds no diagram; it
+    still counts in ``subsets_tried``."""
     hints = list(dict.fromkeys(tuple(sorted(s)) for s in first_subsets if len(s) == m))
     skip = set(hints)
     rest = (s for s in itertools.combinations(range(d.n), m) if s not in skip)
+    lk = linking_matrix(d) if d.component_count > 1 else None
     unknown: list[tuple[int, ...]] = []
     tried = 0
     for subset in itertools.chain(hints, rest):
         tried += 1
+        if lk is not None and _linking_refutes(d, lk, subset):
+            continue
         cert = certify_unlink(change_crossings(d, subset))
         if cert.status == "certified":
             return SearchOutcome("some", (subset,), cert, (), tried)

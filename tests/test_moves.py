@@ -212,3 +212,19 @@ class TestReplay:
             cur = apply_move(cur, mv)
             assert determinant(cur) == det0
         assert cur == final
+
+
+class TestSiteShape:
+    @pytest.mark.parametrize("move", [Move("r1", (0, 1)), Move("r2", (0,)),
+                                      Move("r2plus", ((0, 1),)), Move("r3", ((0, 0),)),
+                                      Move("r1", 0)])
+    def test_wrong_length_site_raises(self, trefoil, move):
+        """A site of the wrong shape is refused as a bad move, applied,
+        read back from JSON or replayed."""
+        from specalt.unknotting import replay_moves
+        with pytest.raises(DiagramError, match="site must have length"):
+            apply_move(trefoil, move)
+        with pytest.raises(DiagramError, match="site must have length"):
+            apply_move(trefoil, move_from_json(json.loads(json.dumps(move.to_json()))))
+        with pytest.raises(DiagramError, match="site must have length"):
+            replay_moves(trefoil, [move])

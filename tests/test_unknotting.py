@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -13,13 +15,16 @@ from specalt.tables import KnotRecord, analyze, data_path, load_table
 from specalt.unknotting import (certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, reidemeister_simplify,
                                 replay_moves)
-from specalt.invariants import determinant
+from specalt.invariants import determinant, linking_matrix
+from specalt.lattice import obstruction
 from specalt import families
 
 from conftest import TREFOIL_PD, connected_sum
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
+PAPER13_EXPECTED_JSON = PAPER13_CSV.with_name("paper13_expected.json")
 CERTIFICATES_JSON = Path(__file__).parent / "data" / "certificates_expected.json"
+VERDICTS_CSV = Path(__file__).parent / "data" / "verdicts_expected.csv"
 # 12a880 changed at its witness and greedy-reduced: no R1 or R2 site, the
 # unknot's bracket, and the simplifier unknots it with two R3 moves first.
 NEEDS_R3_PD = ("X[20,16,1,15] X[17,2,18,3] X[19,4,20,5] X[1,18,2,19] X[3,16,4,17] "
@@ -274,6 +279,96 @@ class TestExhaustiveSearch:
         8_15 extends to a certifying 4-change subset."""
         assert exhaustive_search(knot_8_15, 2).status == "some"
         assert exhaustive_search(knot_8_15, 4).status == "some"
+
+
+def link_rows(bundled):
+    """(name, diagram) of every link among the fixtures, the ``paper13``
+    rows and ``torus_2q(2..6)``, reduced as the tables reduce them."""
+    records, errors = load_table(PAPER13_CSV)
+    assert not errors
+    rows = [(rec.name, reduce_nugatory(rec.diagram)) for rec in bundled + records]
+    rows += [(f"torus_2q({q})", families.torus_2q(q)) for q in range(2, 7)]
+    return [(name, d) for name, d in rows if d.component_count > 1]
+
+
+def screen_refutes(d, subset) -> bool:
+    return unknotting._linking_refutes(d, linking_matrix(d), subset)
+
+
+class TestLinkingScreen:
+    """``exhaustive_search`` refutes a link subset from the parent's linking
+    numbers before it builds the changed diagram."""
+
+    def test_screen_agrees_with_built_children(self, bundled):
+        """On every link row, for every subset of at most two crossings, a
+        repeated crossing included, the screen refutes exactly when the
+        built child has a non-zero linking number."""
+        rows = link_rows(bundled)
+        assert sum(name.startswith("s1") for name, _ in rows) == 10
+        refuted = kept = 0
+        for name, d in rows:
+            subsets = [()] + [s for size in (1, 2) for s in
+                              itertools.combinations_with_replacement(range(d.n), size)]
+            for subset in subsets:
+                child = linking_matrix(change_crossings(d, subset))
+                assert screen_refutes(d, subset) == any(child.values()), (name, subset)
+                refuted += any(child.values())
+                kept += not any(child.values())
+        assert refuted > 1000 and kept > 100
+
+    def test_stored_witnesses_pass_the_screen(self, bundled):
+        """Every link witness in verdicts_expected.csv and
+        paper13_expected.json passes the screen on the searched diagram."""
+        with open(VERDICTS_CSV, newline="") as fh:
+            witnesses = {row["name"]: tuple(int(c) for c in row["witness"].split(";"))
+                         for row in csv.DictReader(fh) if row["witness"]}
+        with open(PAPER13_EXPECTED_JSON) as fh:
+            witnesses.update((row["name"], tuple(row["witness"]))
+                             for row in json.load(fh)["rows"] if row["witness"])
+        checked = 0
+        for name, d in link_rows(bundled):
+            if name not in witnesses:
+                continue
+            searched = obstruction(d).lattice.coloring.diagram
+            assert not screen_refutes(searched, witnesses[name]), name
+            checked += 1
+        assert checked == 11 + 7
+
+    @pytest.mark.parametrize("name, m", [("c_4_1_4", 2), ("c_2_2_2_2_2", 3)])
+    def test_children_only_for_survivors(self, bundled, monkeypatch, name, m):
+        """The search builds a child for exactly the tried subsets whose
+        child has all-zero linking numbers."""
+        d = reduce_nugatory(next(rec.diagram for rec in bundled if rec.name == name))
+        built = []
+
+        def recording(parent, subset):
+            built.append(subset)
+            return change_crossings(parent, subset)
+
+        monkeypatch.setattr(unknotting, "change_crossings", recording)
+        out = exhaustive_search(d, m)
+        tried = list(itertools.combinations(range(d.n), m))[:out.subsets_tried]
+        survivors = [s for s in tried
+                     if not any(linking_matrix(change_crossings(d, s)).values())]
+        assert built == survivors and 0 < len(built) < len(tried)
+
+    @pytest.mark.parametrize("hint", [(-1, 0), (6, 0)])
+    def test_out_of_range_hint_raises(self, hint):
+        """Each change of ``torus_2q(6)`` at m = 2 leaves lk = 1, so the
+        screen refutes it: the indices are checked before that."""
+        with pytest.raises(DiagramError, match="out of range"):
+            exhaustive_search(families.torus_2q(6), 2, (hint,))
+
+    @pytest.mark.parametrize("q, expected", [
+        (2, {"status": "some", "witnesses": [[1, 1]], "unknown": [], "subsets_tried": 1}),
+        (4, {"status": "some", "witnesses": [[0, 1]], "unknown": [], "subsets_tried": 2}),
+        (6, {"status": "all_refuted", "witnesses": [], "unknown": [], "subsets_tried": 16}),
+    ])
+    def test_repeated_index_hint_is_a_set(self, q, expected):
+        """A hint that repeats a crossing changes it once, as
+        ``change_crossings`` reads it: these outcomes are the search's
+        before the screen."""
+        assert exhaustive_search(families.torus_2q(q), 2, ((1, 1),)).to_json() == expected
 
 
 @pytest.fixture(scope="module")
