@@ -10,8 +10,9 @@ in odd pairs and the change first in even ones.  The runs are written to
 runs per side, each run with ``correct``, ``attempted``, ``failed`` and
 every end-to-end metric.  For each workload and metric it then prints
 each side's median and quartiles, the pairs the change wins and the
-relative change of the medians.  Exits 1 when any run reads
-``correct: false`` or fails an operation.
+relative change of the medians; next to ``peak_rss_mb``, each side's
+median ``attempted``, since peak RSS grows with the passes a run fits in.
+Exits 1 when any run reads ``correct: false`` or fails an operation.
 """
 
 from __future__ import annotations
@@ -76,9 +77,14 @@ def summary(workloads: dict, end_to_end: list[dict]) -> list[str]:
             change = [run[key] for run in sides["change"]]
             wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
             (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-            lines.append(f"  {key:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
-                         f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
-                         f"wins {wins}/{len(change)}  {(cm - pm) / pm:+.1%}")
+            line = (f"  {key:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
+                    f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
+                    f"wins {wins}/{len(change)}  {(cm - pm) / pm:+.1%}")
+            if key == "peak_rss_mb":
+                pa, ca = (statistics.median(run["attempted"] for run in sides[side])
+                          for side in SIDES)
+                line += f"  attempted parent {pa:g} change {ca:g}"
+            lines.append(line)
     return lines
 
 

@@ -45,6 +45,9 @@ PARENT_COMPONENTS = "tests/test_walks.py::test_changed_diagrams_keep_the_parent_
 SCREEN_AGREES = ("tests/test_unknotting.py::TestLinkingScreen::"
                  "test_screen_agrees_with_built_children")
 SCREEN_REPEATS = "tests/test_unknotting.py::TestLinkingScreen::test_repeated_index_hint_is_a_set"
+COVER_ZERO_SLACK = "tests/test_lattice_kernel.py::test_cover_at_zero_slack"
+COVER_RANDOM = "tests/test_lattice_kernel.py::test_cover_on_random_grams"
+SAME_NODES = "tests/test_lattice_kernel.py::test_same_nodes_in_the_reference_order"
 
 MUTANTS = [
     Mutant("src/specalt/moves.py",
@@ -119,9 +122,37 @@ MUTANTS = [
     Mutant("src/specalt/unknotting.py",
            "    chosen = _crossing_set(d, subset)\n    changed = dict(lk)\n",
            "    chosen = set(subset)\n    changed = dict(lk)\n",
-           "tests/test_unknotting.py::TestLinkingScreen::test_out_of_range_hint_raises",
-           "the linking screen indexes a hint before checking its range: a "
-           "negative index wraps"),
+           "tests/test_unknotting.py::TestLinkingScreen::test_screen_checks_the_range",
+           "the linking screen indexes a subset before checking its range: a "
+           "negative index wraps (the search checks its hints' range first, so "
+           "only a direct call shows it)"),
+    Mutant("src/specalt/unknotting.py",
+           "if len(s) == m and len(_crossing_set(d, s)) == m))",
+           "if len(s) == m and _crossing_set(d, s)))",
+           SCREEN_REPEATS,
+           "a hint that repeats a crossing is kept: a witness at m makes fewer "
+           "than m changes"),
+    Mutant("src/specalt/lattice.py",
+           "        tops = [0 if 1 in col else 1 for col in cols]\n"
+           "        bottoms = [0 if -1 in col else -1 for col in cols]\n",
+           "        tops = [0 if -1 in col else 1 for col in cols]\n"
+           "        bottoms = [0 if 1 in col else -1 for col in cols]\n",
+           COVER_ZERO_SLACK,
+           "the unit cap's signs are swapped: a column may take two +1s and "
+           "never a +1 and a -1"),
+    Mutant("src/specalt/lattice.py",
+           "    unit = cover and sum(map(sum, gram)) + sum(gram[i][i] for i in range(r)) "
+           "== 2 * n\n",
+           "    unit = cover\n",
+           f"{COVER_ZERO_SLACK} {COVER_RANDOM}",
+           "the unit cap applies at positive slack: covering embeddings with an "
+           "entry of 2 are lost, and non-covering ones are yielded unfiltered"),
+    Mutant("src/specalt/lattice.py",
+           "                if a * a > rem2 * s:\n",
+           "                if False:\n",
+           SAME_NODES,
+           "the lattice's Cauchy-Schwarz prune is dropped: the classes are the "
+           "same, the walk visits more nodes"),
 ]
 
 

@@ -7,6 +7,16 @@ admitting p coordinate pairs with equal projections up to sign
 (condition ii).  Exhausting all embeddings up to signed column
 permutations therefore certifies a strict inequality.
 
+Only covering embeddings (condition i) are enumerated.  Each column of
+the full matrix (v_0 = -(v_1 + ... + v_r) on top) sums to 0, so a
+nonzero one has squared norm at least 2, and the squared norms add up to
+tr(G) + (sum of all entries of G), twice the number of crossings.  On a
+special alternating diagram, on its sigma <= 0 side, that is 2n: a
+covering embedding then has exactly one +1 and one -1 in each full
+column, so each row's walk is capped to entries in [-1, 1], at most 0
+under a placed +1 and at least 0 under a placed -1.  Where the sum
+exceeds 2n, the complete embeddings are filtered instead.
+
 The search places one Gram row at a time, most constrained first: next
 the unplaced row with the most nonzero Gram entries against the rows
 already placed, ties to the larger norm.  Each row's candidates come from
@@ -116,7 +126,8 @@ class _Stats:
 
 
 def _row_candidates(placed: list[tuple[int, ...]], diag: int,
-                    dots: list[int], n: int, stats: _Stats) -> list[tuple[int, ...]]:
+                    dots: list[int], n: int, stats: _Stats,
+                    unit: bool = False) -> list[tuple[int, ...]]:
     """All vectors v with |v|^2 = diag and v . placed[i] = dots[i], up to
     the residual signed-permutation symmetry of the placed columns.
 
@@ -127,8 +138,19 @@ def _row_candidates(placed: list[tuple[int, ...]], diag: int,
     Cauchy-Schwarz, need[i]^2 <= rem * |placed[i][j:]|^2 for every i;
     non-increasing entries within a block of equal placed columns; a
     non-negative entry on a zero placed column (the first row is placed
-    against none, so its entries come out non-negative and non-increasing)."""
+    against none, so its entries come out non-negative and non-increasing).
+
+    With ``unit``, only vectors that keep at most one +1 and at most one
+    -1 in each column of the placed rows, and no other nonzero entry: the
+    entry of column j is at most 0 once a placed row holds +1 there, at
+    least 0 once one holds -1, and within [-1, 1] otherwise."""
     cols = list(zip(*placed)) if placed else [()] * n
+    if unit:                         # bounds on the entry of each column
+        tops = [0 if 1 in col else 1 for col in cols]
+        bottoms = [0 if -1 in col else -1 for col in cols]
+    else:
+        top = isqrt(diag)
+        tops, bottoms = [top] * n, [-top] * n
     suffix = [()] * (n + 1)          # suffix[j][i] = |placed[i][j:]|^2
     acc = suffix[n] = (0,) * len(placed)
     for j in range(n - 1, -1, -1):
@@ -144,7 +166,11 @@ def _row_candidates(placed: list[tuple[int, ...]], diag: int,
         # v[:j] is a counted node that passed Cauchy-Schwarz
         nonlocal nodes
         hi = isqrt(rem)
-        lo = -hi                  # before the cap: only hi follows the block
+        lo = -hi                  # before the block cap: only hi follows the block
+        if tops[j] < hi:
+            hi = tops[j]          # the unit cap
+        if bottoms[j] > lo:
+            lo = bottoms[j]
         if capped[j] and v[j - 1] < hi:
             hi = v[j - 1]         # nonincreasing within a block
         if zero[j]:
@@ -192,14 +218,25 @@ def _row_order(gram) -> list[int]:
     return order
 
 
-def enumerate_embeddings(gram, n: int, stats: _Stats | None = None):
+def enumerate_embeddings(gram, n: int, stats: _Stats | None = None,
+                         cover: bool = False):
     """Yield one representative per signed-column-permutation class of
-    integer matrices X with X X^T = gram, exhaustively.
+    integer matrices X with X X^T = gram, exhaustively; with ``cover``,
+    only the classes that meet every coordinate (``condition_all_coords``).
 
     Rows are placed in ``_row_order``; each row's candidates come from
     ``_row_candidates`` against the rows placed before it.  A complete
     matrix whose ``canonical_matrix`` was already yielded is counted in
     ``stats.dedup`` and skipped.
+
+    The trace argument behind ``cover``: with v_0 = -(v_1 + ... + v_r),
+    every column of the full matrix sums to 0, so a nonzero one has
+    squared norm at least 2, and the column norms add up to
+    tr(gram) + (sum of all gram entries).  When that sum is 2n, a covering
+    X has exactly one +1 and one -1 in each full column, and any X of that
+    shape covers; so each row's walk is capped to it (``unit`` in
+    ``_row_candidates``), and no class it leaves out covers.  Otherwise
+    the complete matrices are filtered.
 
     Raises TargetTooSmall when n < rank; an unembeddable form simply yields
     nothing.
@@ -213,9 +250,12 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None):
     if stats is None:
         stats = _Stats()
     if r == 0:
-        yield LatticeEmbedding((), n)
+        if not cover or n == 0:
+            yield LatticeEmbedding((), n)
         return
     order = _row_order(gram)
+    unit = cover and sum(map(sum, gram)) + sum(gram[i][i] for i in range(r)) == 2 * n
+    screen = cover and not unit
     seen: set = set()
 
     placed: list[tuple[int, ...]] = []
@@ -231,11 +271,13 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None):
                 stats.dedup += 1
                 return
             seen.add(canon)
-            yield LatticeEmbedding(canon, n)
+            emb = LatticeEmbedding(canon, n)
+            if not screen or condition_all_coords(emb):
+                yield emb
             return
         i = order[k]
         dots = [gram[i][order[t]] for t in range(k)]
-        for v in _row_candidates(placed, gram[i][i], dots, n, stats):
+        for v in _row_candidates(placed, gram[i][i], dots, n, stats, unit):
             placed.append(v)
             yield from rec(k + 1)
             placed.pop()
@@ -295,9 +337,7 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
     p = unlinking_lower_bound(sigma, 0, d.component_count)[0]
     n_target = lat.rank - sigma
     stats = _Stats()
-    for emb in enumerate_embeddings(lat.gram, n_target, stats):
-        if not condition_all_coords(emb):
-            continue
+    for emb in enumerate_embeddings(lat.gram, n_target, stats, cover=True):
         pairing = find_pairing(emb, p)
         if pairing is not None:
             return ObstructionVerdict(True, p, n_target, lat, emb, pairing,

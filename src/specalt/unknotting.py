@@ -231,13 +231,16 @@ def exhaustive_search(d: LinkDiagram, m: int,
     subset whose change certifies as an unlink, AllRefuted when every
     subset is refuted, Inconclusive otherwise, listing the subsets the
     simplifier's budget left unknown.  The subsets stream: the sorted
-    hints of size m, each once, then the other m-subsets in lexicographic
-    order.
+    hints of m distinct crossings, each once, then the other m-subsets in
+    lexicographic order.  A hint of another size, or one that repeats a
+    crossing, is dropped; an index out of range in a hint of length m
+    raises DiagramError first.
 
     On a link, a subset whose change leaves a non-zero linking number is
     refuted from the parent's linking numbers and builds no diagram; it
     still counts in ``subsets_tried``."""
-    hints = list(dict.fromkeys(tuple(sorted(s)) for s in first_subsets if len(s) == m))
+    hints = list(dict.fromkeys(tuple(sorted(s)) for s in first_subsets
+                               if len(s) == m and len(_crossing_set(d, s)) == m))
     skip = set(hints)
     rest = (s for s in itertools.combinations(range(d.n), m) if s not in skip)
     lk = linking_matrix(d) if d.component_count > 1 else None

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import pytest
 
-from specalt.diagram import LinkDiagram, _Builder, is_special_alternating, parse_pd
+from specalt.diagram import (LinkDiagram, _Builder, is_special_alternating, parse_pd,
+                             reduce_nugatory)
 from specalt import families
+
+PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 # Split links, each with (sigma, eta, k) = (-4, 1, 2), (-2, 1, 2), (0, 1, 2):
@@ -37,6 +42,23 @@ def bundled():
     records, errors = load_bundled_fixtures()
     assert not errors
     return records
+
+
+@pytest.fixture(scope="session")
+def special_rows():
+    """(name, diagram) for the 116 reduced special alternating diagrams of
+    the fixtures, the named 11a/12a table and ``paper13``."""
+    from specalt.tables import data_path, load_table
+    rows = []
+    for path in (data_path("fixtures.csv"), data_path("named_pd_codes.csv"), PAPER13_CSV):
+        records, errors = load_table(path)
+        assert not errors
+        for rec in records:
+            d = reduce_nugatory(rec.diagram)
+            if d.is_connected and is_special_alternating(d):
+                rows.append((rec.name, d))
+    assert len(rows) == 116
+    return rows
 
 
 def reflect_plane(d: LinkDiagram) -> LinkDiagram:

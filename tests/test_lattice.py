@@ -273,13 +273,12 @@ class TestObstruction:
             counts.add(len(list(enumerate_embeddings(g2, 4))))
         assert len(counts) == 1
 
-    def test_claim1_on_admissible_special_fixtures(self, bundled):
-        from specalt.diagram import is_special_alternating
+    def test_claim1_on_admissible_special_fixtures(self, special_rows):
+        """Every admissible verdict of the 116 special alternating rows of
+        the fixtures, the named table and ``paper13`` covers and has
+        Claim 1's column structure."""
         checked = 0
-        for rec in bundled:
-            d = parse_pd(rec.pd)
-            if not is_special_alternating(d) or d.n == 0 or d.n > 10:
-                continue
+        for name, d in special_rows:
             v = obstruction(d)
             if v.admissible:
                 lat = v.lattice
@@ -287,9 +286,9 @@ class TestObstruction:
                 assert len(g) == lat.rank + 1
                 assert sum(g[i][i] for i in range(len(g))) == 2 * d.n
                 assert condition_all_coords(v.embedding)
-                assert claim1_structure(v.embedding), rec.name
+                assert claim1_structure(v.embedding), name
                 checked += 1
-        assert checked >= 5
+        assert checked == 28
 
 
 class TestClaspCandidates:

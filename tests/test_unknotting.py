@@ -359,16 +359,25 @@ class TestLinkingScreen:
         with pytest.raises(DiagramError, match="out of range"):
             exhaustive_search(families.torus_2q(6), 2, (hint,))
 
+    @pytest.mark.parametrize("subset", [(-1, 0), (6, 0)])
+    def test_screen_checks_the_range(self, subset):
+        """The screen itself reads a subset as ``change_crossings`` does,
+        for callers other than the search, which checks its hints first."""
+        with pytest.raises(DiagramError, match="out of range"):
+            screen_refutes(families.torus_2q(6), subset)
+
     @pytest.mark.parametrize("q, expected", [
-        (2, {"status": "some", "witnesses": [[1, 1]], "unknown": [], "subsets_tried": 1}),
-        (4, {"status": "some", "witnesses": [[0, 1]], "unknown": [], "subsets_tried": 2}),
-        (6, {"status": "all_refuted", "witnesses": [], "unknown": [], "subsets_tried": 16}),
+        (2, {"status": "all_refuted", "witnesses": [], "unknown": [], "subsets_tried": 1}),
+        (4, {"status": "some", "witnesses": [[0, 1]], "unknown": [], "subsets_tried": 1}),
+        (6, {"status": "all_refuted", "witnesses": [], "unknown": [], "subsets_tried": 15}),
     ])
     def test_repeated_index_hint_is_a_set(self, q, expected):
-        """A hint that repeats a crossing changes it once, as
-        ``change_crossings`` reads it: these outcomes are the search's
-        before the screen."""
-        assert exhaustive_search(families.torus_2q(q), 2, ((1, 1),)).to_json() == expected
+        """A hint that repeats a crossing is read as a set, one crossing
+        short of m, and dropped like a hint of another size: the outcomes
+        are the hintless ones, and no witness makes fewer than m changes."""
+        d = families.torus_2q(q)
+        assert exhaustive_search(d, 2, ((1, 1),)).to_json() == expected
+        assert exhaustive_search(d, 2).to_json() == expected
 
 
 @pytest.fixture(scope="module")
