@@ -48,6 +48,7 @@ SCREEN_REPEATS = "tests/test_unknotting.py::TestLinkingScreen::test_repeated_ind
 COVER_ZERO_SLACK = "tests/test_lattice_kernel.py::test_cover_at_zero_slack"
 COVER_RANDOM = "tests/test_lattice_kernel.py::test_cover_on_random_grams"
 SAME_NODES = "tests/test_lattice_kernel.py::test_same_nodes_in_the_reference_order"
+AGREE_AT_P = "tests/test_acceptance.py::test_certificates_agree_at_p"
 
 MUTANTS = [
     Mutant("src/specalt/moves.py",
@@ -102,11 +103,12 @@ MUTANTS = [
            "tests/test_unknotting.py::TestDecide::test_torus_links_attain_bound",
            "certify_unlink wants determinant 1 of a link: every link child is refuted"),
     Mutant("src/specalt/unknotting.py",
-           "    over_at_y = cur.mate((cb, (sb + 1) % 4)) == (ca, sa) and sa % 2 == 0\n",
-           "    over_at_y = False\n",
-           "tests/test_unknotting.py::TestSimplify::test_lens_skip_drops_only_undone_excursions",
-           "_lens_only misses the corner where B ends at A's dart: it skips an R2+ "
-           "excursion the greedy pass does not undo"),
+           "        if cur.n + 2 <= cap:\n"
+           "            nodes = min(SIMPLIFY_NODES, nodes + len(_moves.r2plus_sites(cur)))\n",
+           "",
+           "tests/test_simplify_kernel.py::test_fixture_changes_simplify_as_reference",
+           "R2+ candidates are not charged to the budget: a search pops states "
+           "the budget should have stopped"),
     Mutant("src/specalt/unknotting.py",
            "            changed[pairs[c]] -= signs[c]\n",
            "            changed[pairs[c]] += signs[c]\n",
@@ -153,6 +155,21 @@ MUTANTS = [
            SAME_NODES,
            "the lattice's Cauchy-Schwarz prune is dropped: the classes are the "
            "same, the walk visits more nodes"),
+    Mutant("src/specalt/lattice.py",
+           "    if not is_twist_reduced(d, tw):\n        return ()\n",
+           "    return ()\n",
+           AGREE_AT_P,
+           "clasp_candidates returns nothing: the search at p starts without a hint"),
+    Mutant("src/specalt/unknotting.py",
+           "    hints = (clasp_candidates(ob),) if ob.admissible else ()\n",
+           "    hints = ()\n",
+           AGREE_AT_P,
+           "decide drops the clasp hint: the first witness found is another subset"),
+    Mutant("src/specalt/unknotting.py",
+           "for s in first_subsets", "for s in ()",
+           AGREE_AT_P,
+           "exhaustive_search ignores its first subsets and tries them in "
+           "lexicographic order"),
 ]
 
 

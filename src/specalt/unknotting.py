@@ -49,33 +49,12 @@ def _greedy_reduce(d: LinkDiagram, log: list[Move]) -> LinkDiagram:
         return d
 
 
-def _lens_only(cur: LinkDiagram, site: tuple) -> bool:
-    """True when the greedy pass would first take out the lens of
-    ``r2plus(cur, site)`` and so give back ``cur``, whose key is already
-    seen; read from ``cur`` before any surgery.  ``cur`` is greedy-reduced.
-
-    Pushing edge A (after ``site[0]``) over edge B (after ``site[1]``)
-    across their face F adds the lens bigon of the two new crossings,
-    reducible since A is over at both, and changes only F and the faces
-    beside A and B.  Those beside gain two corners each.  F splits into
-    two pieces, and a piece is a bigon only where A and B meet at a corner
-    x of F; that bigon is reducible exactly when A passes over at x, as it
-    is over at the new crossing.  So the lens is the only R1/R2 site
-    unless A passes over at such a corner."""
-    (ca, sa), (cb, sb) = site
-    # A meets B at a corner of F when A ends at B's dart (entering at slot
-    # sb) or B ends at A's dart (A leaving at slot sa + 1); A passes over
-    # there when that slot is odd.
-    over_at_x = cur.mate((ca, (sa + 1) % 4)) == (cb, sb) and sb % 2 == 1
-    over_at_y = cur.mate((cb, (sb + 1) % 4)) == (ca, sa) and sa % 2 == 0
-    return not (over_at_x or over_at_y)
-
-
 def reidemeister_simplify(d: LinkDiagram) -> tuple[LinkDiagram, list[Move]]:
-    """Best-first search over R1/R2 reductions, R3 transits and reverse-R2
-    excursions of at most SIMPLIFY_EXTRA crossings, over at most
-    SIMPLIFY_NODES states; returns the fewest-crossing diagram found and
-    the move log reaching it."""
+    """Best-first search over R1/R2 reductions and R3 transits, over at
+    most SIMPLIFY_NODES states; returns the fewest-crossing diagram found
+    and the move log reaching it.  A reverse-R2 excursion of at most
+    SIMPLIFY_EXTRA crossings is charged to the budget but not built: the
+    greedy pass would give back the state it was pushed from."""
     log: list[Move] = []
     start = _greedy_reduce(d, log)
     return _best_first(start, log, d.n + SIMPLIFY_EXTRA)
@@ -84,8 +63,9 @@ def reidemeister_simplify(d: LinkDiagram) -> tuple[LinkDiagram, list[Move]]:
 def _best_first(start: LinkDiagram, log0: list[Move],
                 cap: int) -> tuple[LinkDiagram, list[Move]]:
     """The search of ``reidemeister_simplify`` from ``start``, which the
-    greedy pass reached by ``log0``; an R2+ excursion takes no state above
-    ``cap`` crossings."""
+    greedy pass reached by ``log0``.  Each popped state builds its R3
+    candidates and charges one node per R2+ candidate, while it has at
+    most ``cap - 2`` crossings, without building any."""
     if start.n == 0:
         return start, log0
     counter = itertools.count()
@@ -97,16 +77,11 @@ def _best_first(start: LinkDiagram, log0: list[Move],
     while heap and nodes < SIMPLIFY_NODES:
         n_cur, _, cur, log = heapq.heappop(heap)
         nodes += 1
-        candidates: list[Move] = []
-        candidates += [Move("r3", s) for s in _moves.r3_sites(cur)]
-        if cur.n + 2 <= cap:
-            candidates += [Move("r2plus", s) for s in _moves.r2plus_sites(cur)]
-        for mv in candidates:
+        for site in _moves.r3_sites(cur):
             if nodes >= SIMPLIFY_NODES:
                 break
             nodes += 1
-            if mv.kind == "r2plus" and _lens_only(cur, mv.site):
-                continue
+            mv = Move("r3", site)
             try:
                 nxt = _moves.apply_move(cur, mv)
             except DiagramError:
@@ -123,6 +98,10 @@ def _best_first(start: LinkDiagram, log0: list[Move],
                     return best, list(best_log)
             if nxt.n + 2 <= cap or _moves.r3_sites(nxt):
                 heapq.heappush(heap, (nxt.n, next(counter), nxt, tuple(sublog)))
+        # Each R2+ candidate, once greedy-reduced, is ``cur`` again (README,
+        # Conventions): it is charged to the budget and not built.
+        if cur.n + 2 <= cap:
+            nodes = min(SIMPLIFY_NODES, nodes + len(_moves.r2plus_sites(cur)))
     return best, list(best_log)
 
 

@@ -1,16 +1,19 @@
-"""The simplifier's R2+ skip and the early-abort canonical code agree with
-the simplifier and the full-walk code they replaced, kept below as the
-reference.
+"""The simplifier's R2+ charge and the early-abort canonical code agree
+with the simplifier and the full-walk code they replaced, kept below as
+the reference.
 
-``reidemeister_simplify`` now drops an R2+ candidate whose two new
-crossings the greedy pass would take straight out again, before it reduces
-or keys it, and ``canonical_key`` stops a root's walk at the first row
-above the best code so far.  Both must leave the search unchanged: the
-same best diagram and the same move log on every simplifier call made
-while deciding the named 11a/12a rows, on the heaviest witness of the
-``paper13`` benchmark set, and, under a small budget that leaves most of
-them unknown, on every one- and two-crossing change of the bundled
-fixtures with at most 9 crossings, whose keys must agree state by state."""
+``reidemeister_simplify`` now charges each R2+ candidate to its node
+budget without building it, because the greedy pass would give back the
+state it was pushed from, and ``canonical_key`` stops a root's walk at
+the first row above the best code so far.  Both must leave the search
+unchanged: the same best diagram and the same move log on every
+simplifier call made while deciding the named 11a/12a rows, on the
+heaviest witness of the ``paper13`` benchmark set, and, under budgets of
+3 and 7 nodes that leave most of them unknown, on every one- and
+two-crossing change of the bundled fixtures with at most 9 crossings,
+whose keys must agree state by state.  ``reference_simplify`` builds,
+reduces and keys every candidate, so it is the oracle for "same
+search"."""
 
 import csv
 import heapq
@@ -137,7 +140,8 @@ def test_named_rows_simplify_as_reference(monkeypatch):
 
 def test_paper13_witness_simplifies_as_reference():
     """s13_1 changed at its witness (0, 1, 2, 4): the one searched
-    certificate of the ``paper13`` set, 267 keyed states before the skip."""
+    certificate of the ``paper13`` set, where the reference keys 267
+    states and the simplifier 7."""
     with open(PAPER13_CSV, newline="") as fh:
         pd = next(row["pd"] for row in csv.DictReader(fh) if row["name"] == "s13_1")
     d = change_crossings(reduce_nugatory(parse_pd(pd)), (0, 1, 2, 4))
@@ -159,22 +163,24 @@ def _small_fixture_changes():
 
 
 def test_fixture_changes_simplify_as_reference(monkeypatch):
-    """Under a 3-node budget most outcomes end unknown; the keys of every
-    state the reference visits, skipped R2+ excursions included, agree."""
-    monkeypatch.setattr(unknotting, "SIMPLIFY_NODES", 3)
-
+    """Under budgets of 3 and 7 nodes most outcomes end unknown, the
+    budget running out among the start state's R3 candidates or inside its
+    R2+ charge; the keys of every state the reference visits, R2+
+    excursions included, agree."""
     def both_keys(x):
         k = reference_key(x)
         assert canonical_key(x) == k
         return k
 
-    unknown = 0
     for name, subset, d in _small_fixture_changes():
         assert canonical_key(reflect_plane(d)) == reference_canonical_code(d, True), \
             (name, subset)
-        out = reidemeister_simplify(d)
-        assert out == reference_simplify(d, 3, unknotting.SIMPLIFY_EXTRA, both_keys), \
-            (name, subset)
-        unknown += out[0].n > 0
-    assert unknown > 0
-
+    for budget in (3, 7):
+        monkeypatch.setattr(unknotting, "SIMPLIFY_NODES", budget)
+        unknown = 0
+        for name, subset, d in _small_fixture_changes():
+            out = reidemeister_simplify(d)
+            assert out == reference_simplify(d, budget, unknotting.SIMPLIFY_EXTRA,
+                                             both_keys), (name, subset, budget)
+            unknown += out[0].n > 0
+        assert unknown > 0

@@ -1,14 +1,17 @@
 import csv
 import dataclasses
+import heapq
 import itertools
 import json
+import random
+import types
 from pathlib import Path
 
 import pytest
 
-from specalt.diagram import (parse_pd, change_crossings, mirror, LinkDiagram,
-                             DiagramError, NotSpecialAlternating, SplitDiagram,
-                             is_special_alternating, reduce_nugatory)
+from specalt.diagram import (parse_pd, canonical_key, change_crossings, mirror,
+                             LinkDiagram, DiagramError, NotSpecialAlternating,
+                             SplitDiagram, is_special_alternating, reduce_nugatory)
 from specalt import unknotting
 from specalt.moves import apply_r2plus, move_from_json, r1_sites, r2_sites, r2plus_sites
 from specalt.tables import KnotRecord, analyze, data_path, load_table
@@ -29,17 +32,6 @@ VERDICTS_CSV = Path(__file__).parent / "data" / "verdicts_expected.csv"
 # unknot's bracket, and the simplifier unknots it with two R3 moves first.
 NEEDS_R3_PD = ("X[20,16,1,15] X[17,2,18,3] X[19,4,20,5] X[1,18,2,19] X[3,16,4,17] "
                "X[10,6,11,5] X[7,12,8,13] X[9,14,10,15] X[11,8,12,9] X[13,6,14,7]")
-
-
-def undone_by_greedy(cur, nxt):
-    """True when the greedy pass on ``nxt = r2plus(cur)`` first takes out
-    the lens of the two added crossings (``to_diagram`` numbers them
-    ``cur.n`` and ``cur.n + 1``).  That gives back ``cur`` up to
-    relabelling, and the pass stops there when ``cur`` is greedy-reduced."""
-    if r1_sites(nxt):
-        return False
-    sites = r2_sites(nxt)
-    return bool(sites) and sites[0] == (cur.n, cur.n + 1)
 
 
 class TestSimplify:
@@ -67,46 +59,68 @@ class TestSimplify:
         final, _ = reidemeister_simplify(d)
         assert final.n == 0
 
-    def test_lens_skip_drops_only_undone_excursions(self):
-        """Every state the simplifier pops while deciding the 116 special
-        alternating fixture, named and ``paper13`` rows is greedy-reduced,
-        and every R2+ candidate on it that ``_lens_only`` marks fails to
-        build or builds a diagram the greedy pass gives back as the popped
-        state, so skipping it unbuilt loses nothing."""
-        states = []
+    def test_r2plus_candidates_reduce_to_the_popped_state(self, special_rows):
+        """The simplifier charges R2+ candidates without building them.
+        Every state it pops, while deciding the 116 special alternating
+        rows and on a seeded sample of crossing changes of them under a
+        300-node budget, is greedy-reduced; each of its R2+ candidates
+        fails to build or greedy-reduces back to the popped state's key.
+        Some reductions start at the lens of the two new crossings and
+        some at the bigon where the pushed edge meets the other at a
+        corner of their face."""
+        popped = []
 
-        def recording(d):
-            states.append(d)
-            return r2plus_sites(d)
-        rows = 0
+        def popping(heap):
+            item = heapq.heappop(heap)
+            popped.append(item[2])
+            return item
+        rnd = random.Random(29)
+        runs = 0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(unknotting._moves, "r2plus_sites", recording)
-            for path in (data_path("fixtures.csv"), data_path("named_pd_codes.csv"),
-                         PAPER13_CSV):
-                records, errors = load_table(path)
-                assert not errors
-                for rec in records:
-                    d = reduce_nugatory(rec.diagram)
-                    if d.is_connected and is_special_alternating(d):
-                        decide_minimal_unlinking(d)
-                        rows += 1
-        assert rows == 116
-        marked = shared = 0
-        for cur in states:
+            mp.setattr(unknotting, "heapq", types.SimpleNamespace(
+                heappush=heapq.heappush, heappop=popping))
+            for _, d in special_rows:
+                decide_minimal_unlinking(d)
+            deciding = len(popped)
+            mp.setattr(unknotting, "SIMPLIFY_NODES", 300)
+            while runs < 40:
+                _, d = rnd.choice(special_rows)
+                changed = change_crossings(d, rnd.sample(range(d.n), rnd.randint(1, 3)))
+                if unknotting._greedy_reduce(changed, []).n <= 12:
+                    reidemeister_simplify(changed)
+                    runs += 1
+        assert deciding >= 20 and len(popped) > deciding
+        lens = corner = 0
+        for cur in popped:
             assert not r1_sites(cur) and not r2_sites(cur), cur.to_pd_text()
+            key = canonical_key(cur)
             for site in r2plus_sites(cur):
-                if not unknotting._lens_only(cur, site):
-                    continue
-                marked += 1
-                (ca, sa), (cb, sb) = site
-                shared += bool({ca, cur.mate((ca, (sa + 1) % 4))[0]} &
-                               {cb, cur.mate((cb, (sb + 1) % 4))[0]})
                 try:
                     nxt = apply_r2plus(cur, site)
                 except DiagramError:
                     continue
-                assert undone_by_greedy(cur, nxt), (cur.to_pd_text(), site)
-        assert marked > 1000 and 0 < shared < marked
+                first = (r1_sites(nxt) + r2_sites(nxt))[0]
+                lens += first == (cur.n, cur.n + 1)
+                corner += first != (cur.n, cur.n + 1)
+                reduced = unknotting._greedy_reduce(nxt, [])
+                assert canonical_key(reduced) == key, (cur.to_pd_text(), site)
+        assert lens > 1000 and corner > 1000
+
+    def test_simplifier_builds_no_r2plus_candidate(self, monkeypatch):
+        """With ``apply_r2plus`` raising, the simplifier still certifies
+        ``s13_1`` changed at its witness (0, 1, 2, 4) by its stored
+        12-move log."""
+        def refusing(d, site):
+            raise RuntimeError("the simplifier built an R2+ candidate")
+        monkeypatch.setattr(unknotting._moves, "apply_r2plus", refusing)
+        with open(PAPER13_CSV, newline="") as fh:
+            pd = next(row["pd"] for row in csv.DictReader(fh) if row["name"] == "s13_1")
+        with open(CERTIFICATES_JSON) as fh:
+            stored = next(row for row in json.load(fh) if row["name"] == "s13_1")
+        d = change_crossings(reduce_nugatory(parse_pd(pd)), (0, 1, 2, 4))
+        final, log = reidemeister_simplify(d)
+        assert final.n == 0 and len(log) == 12
+        assert [m.to_json() for m in log] == stored["moves"]
 
 
 class TestCertify:

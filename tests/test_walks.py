@@ -12,7 +12,8 @@ over ``edge_ends`` (the link components' label walk in one pass over
 checkerboard, ``_Builder.from_diagram``, ``r1_sites`` and
 ``change_crossings`` are also checked on every diagram the
 crossing-change search and the simplifier build from the small fixtures
-and from ``s13_1``."""
+and from ``s13_1``, and on the R2+ excursions the simplifier charges
+there unbuilt."""
 
 import csv
 import itertools
@@ -310,39 +311,38 @@ def small_fixture_changes():
 def s13_1_scans():
     """``s13_1`` changed at its witness (0, 1, 2, 4); every diagram the
     simplifier scans for kinks while certifying it, then the R2+ excursions
-    it skips unbuilt (``_lens_only``), built here, and their mirrors; and
-    every diagram it keys."""
+    it charges unbuilt, built here, and their mirrors; and the 7 diagrams
+    it keys, then those excursions greedy-reduced."""
     with open(PAPER13_CSV, newline="") as fh:
         pd = next(row["pd"] for row in csv.DictReader(fh) if row["name"] == "s13_1")
     d = change_crossings(reduce_nugatory(parse_pd(pd)), (0, 1, 2, 4))
-    scanned, skipped, keyed = [], [], []
-    lens_only = unknotting._lens_only
+    scanned, charged, keyed = [], [], []
 
     def scanning(x):
         scanned.append(x)
         return r1_sites(x)
 
-    def skipping(cur, site):
-        lens = lens_only(cur, site)
-        if lens:
-            skipped.append(apply_r2plus(cur, site))
-        return lens
+    def charging(x):
+        sites = r2plus_sites(x)
+        charged.extend(apply_r2plus(x, site) for site in sites)
+        return sites
 
     def keying(x):
         keyed.append(x)
         return canonical_key(x)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(unknotting._moves, "r1_sites", scanning)
-        mp.setattr(unknotting, "_lens_only", skipping)
+        mp.setattr(unknotting._moves, "r2plus_sites", charging)
         mp.setattr(unknotting, "canonical_key", keying)
         final, log = unknotting.reidemeister_simplify(d)
-    assert final.n == 0 and len(log) == 12
-    return d, scanned + skipped + [mirror(x) for x in skipped], keyed
+    assert final.n == 0 and len(log) == 12 and len(keyed) == 7
+    reduced = [unknotting._greedy_reduce(x, []) for x in charged]
+    return d, scanned + charged + [mirror(x) for x in charged], keyed + reduced
 
 
 def test_changed_and_simplified_walks_match_plain_loops(s13_1_scans):
     d, _, keyed = s13_1_scans
-    assert len(keyed) == 95
+    assert len(keyed) == 267
     inputs = small_fixture_changes() + [d] + keyed
     assert len(inputs) > 4000
     for x in inputs:
