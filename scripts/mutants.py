@@ -103,12 +103,17 @@ MUTANTS = [
            "tests/test_unknotting.py::TestDecide::test_torus_links_attain_bound",
            "certify_unlink wants determinant 1 of a link: every link child is refuted"),
     Mutant("src/specalt/unknotting.py",
-           "        if cur.n + 2 <= cap:\n"
-           "            nodes = min(SIMPLIFY_NODES, nodes + len(_moves.r2plus_sites(cur)))\n",
-           "",
+           "            nodes += 1\n            mv = Move(\"r3\", site)\n",
+           "            mv = Move(\"r3\", site)\n",
            "tests/test_simplify_kernel.py::test_fixture_changes_simplify_as_reference",
-           "R2+ candidates are not charged to the budget: a search pops states "
-           "the budget should have stopped"),
+           "R3 candidates are not charged to the budget: a search builds "
+           "candidates and pops states the budget should have stopped"),
+    Mutant("src/specalt/seifert.py",
+           "        if ca != cb and sa == sb:\n",
+           "        if ca != cb:\n",
+           "tests/test_seifert.py::TestVogelRobustness::test_vogel_moves_within_bound",
+           "the Vogel site drops its same-side test: a move between coherent "
+           "circles does not bring the diagram closer to braid form"),
     Mutant("src/specalt/unknotting.py",
            "            changed[pairs[c]] -= signs[c]\n",
            "            changed[pairs[c]] += signs[c]\n",

@@ -5,7 +5,9 @@ move sequence replays deterministically.  All moves preserve the link type;
 the tests check determinant/bracket invariance along move logs.  R1 and R2
 edit the parent's quads through ``diagram.delete_crossings`` and R3 relabels
 its triangle's three crossings; only R2+, which inserts two crossings, goes
-through ``_Builder``.
+through ``_Builder``.  The simplifier tries no R2+: the greedy R1/R2 pass
+takes each one back to the diagram it was pushed from.  The Seifert
+oracle's Vogel moves are R2+ moves at sites of ``r2plus_sites``.
 """
 
 from __future__ import annotations

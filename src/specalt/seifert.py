@@ -100,26 +100,17 @@ def _is_chain(sides) -> bool:
 
 
 def _vogel_site(d: LinkDiagram, circle_of):
-    """A pair of darts on one face whose edges lie on two different circles
+    """The first R2+ site whose two edges lie on two different circles
     seen from the same side (Vogel's incoherent configuration)."""
-    for face in d.faces:
-        if len(face) < 2:
-            continue
-        items = []
-        for (c, s) in face:
-            lab = d.quads[c][(s + 1) % 4]
-            circ = circle_of[lab]
-            # this face holds the edge's outgoing dart at c, which is on
-            # the edge's left side exactly when the edge flows out of c
-            side = "L" if not d.incoming[c][(s + 1) % 4] else "R"
-            items.append(((c, s), circ, side))
-        for i in range(len(items)):
-            for j in range(len(items)):
-                if i == j:
-                    continue
-                (da, ca, sa), (db, cb, sb) = items[i], items[j]
-                if ca != cb and sa == sb:
-                    return (da, db)
+    def circle_and_side(dart):
+        c, s = dart
+        # the site's face holds the edge's outgoing dart at c, which is on
+        # the edge's left side exactly when the edge flows out of c
+        return circle_of[d.quads[c][(s + 1) % 4]], not d.incoming[c][(s + 1) % 4]
+    for da, db in _moves.r2plus_sites(d):
+        (ca, sa), (cb, sb) = circle_and_side(da), circle_and_side(db)
+        if ca != cb and sa == sb:
+            return (da, db)
     return None
 
 

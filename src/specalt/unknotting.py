@@ -24,10 +24,9 @@ from .lattice import obstruction, clasp_candidates, ObstructionVerdict
 # Searches above p that look for an upper bound once p is ruled out.
 EXTRA_SEARCHES = 2
 
-# The simplifier's one budget, read at call time: at most SIMPLIFY_EXTRA
-# crossings above the input diagram and SIMPLIFY_NODES explored states.
-# A subset it leaves undecided is reported unknown, not retried.
-SIMPLIFY_EXTRA = 2
+# The simplifier's one budget, read at call time: at most SIMPLIFY_NODES
+# explored states.  A subset it leaves undecided is reported unknown, not
+# retried.
 SIMPLIFY_NODES = 1_000_000
 
 
@@ -50,22 +49,13 @@ def _greedy_reduce(d: LinkDiagram, log: list[Move]) -> LinkDiagram:
 
 
 def reidemeister_simplify(d: LinkDiagram) -> tuple[LinkDiagram, list[Move]]:
-    """Best-first search over R1/R2 reductions and R3 transits, over at
-    most SIMPLIFY_NODES states; returns the fewest-crossing diagram found
-    and the move log reaching it.  A reverse-R2 excursion of at most
-    SIMPLIFY_EXTRA crossings is charged to the budget but not built: the
-    greedy pass would give back the state it was pushed from."""
-    log: list[Move] = []
-    start = _greedy_reduce(d, log)
-    return _best_first(start, log, d.n + SIMPLIFY_EXTRA)
-
-
-def _best_first(start: LinkDiagram, log0: list[Move],
-                cap: int) -> tuple[LinkDiagram, list[Move]]:
-    """The search of ``reidemeister_simplify`` from ``start``, which the
-    greedy pass reached by ``log0``.  Each popped state builds its R3
-    candidates and charges one node per R2+ candidate, while it has at
-    most ``cap - 2`` crossings, without building any."""
+    """Best-first search from the greedy reduction of ``d`` over R3
+    transits, each followed by the greedy R1/R2 pass, over at most
+    SIMPLIFY_NODES states; returns the fewest-crossing diagram found and
+    the move log reaching it.  No R2+ is tried: greedy-reduced, each
+    candidate is the state it was pushed from again (README, Conventions)."""
+    log0: list[Move] = []
+    start = _greedy_reduce(d, log0)
     if start.n == 0:
         return start, log0
     counter = itertools.count()
@@ -75,7 +65,7 @@ def _best_first(start: LinkDiagram, log0: list[Move],
     best, best_log = start, tuple(log0)
     nodes = 0
     while heap and nodes < SIMPLIFY_NODES:
-        n_cur, _, cur, log = heapq.heappop(heap)
+        _, _, cur, log = heapq.heappop(heap)
         nodes += 1
         for site in _moves.r3_sites(cur):
             if nodes >= SIMPLIFY_NODES:
@@ -96,12 +86,7 @@ def _best_first(start: LinkDiagram, log0: list[Move],
                 best, best_log = nxt, tuple(sublog)
                 if best.n == 0:
                     return best, list(best_log)
-            if nxt.n + 2 <= cap or _moves.r3_sites(nxt):
-                heapq.heappush(heap, (nxt.n, next(counter), nxt, tuple(sublog)))
-        # Each R2+ candidate, once greedy-reduced, is ``cur`` again (README,
-        # Conventions): it is charged to the budget and not built.
-        if cur.n + 2 <= cap:
-            nodes = min(SIMPLIFY_NODES, nodes + len(_moves.r2plus_sites(cur)))
+            heapq.heappush(heap, (nxt.n, next(counter), nxt, tuple(sublog)))
     return best, list(best_log)
 
 
@@ -148,7 +133,8 @@ def certify_unlink(d: LinkDiagram) -> UnlinkCertificate:
             if fb != unlink_normalized_bracket(k):
                 return UnlinkCertificate("refuted", invariant="bracket",
                                          value=_poly_str(fb))
-        final, log = _best_first(final, log, d.n + SIMPLIFY_EXTRA)
+        final, more = reidemeister_simplify(final)
+        log += more
         if final.n:
             return UnlinkCertificate("unknown")
     # R1, R2, R2+ and R3 keep the link type, so other than k free loops

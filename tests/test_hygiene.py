@@ -52,11 +52,6 @@ TEST_ONLY_PUBLIC = {
     # replays emitted certificates without search (ROADMAP.md, item 5) is
     # its first caller outside the tests.
     "move_from_json",
-    # The simplifier's entry for a diagram not yet greedy-reduced, exported
-    # by the package; ``certify_unlink`` has greedy-reduced its diagram
-    # already and calls the search behind it directly.  ``perfbench``
-    # traces this name as a string, which the scan above does not read.
-    "reidemeister_simplify",
 }
 
 

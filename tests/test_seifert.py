@@ -1,5 +1,6 @@
 import random
 
+from specalt import seifert
 from specalt.diagram import parse_pd, change_crossings, mirror, LinkDiagram
 from specalt.seifert import (seifert_circles, seifert_matrix, signature_nullity,
                              isotope_to_braid_form)
@@ -102,3 +103,21 @@ class TestVogelRobustness:
     def test_braid_form_is_stable(self, trefoil):
         braided = isotope_to_braid_form(trefoil)
         assert braided == isotope_to_braid_form(braided)
+
+    def test_vogel_moves_within_bound(self, bundled, monkeypatch):
+        """Vogel's algorithm braids a diagram with s Seifert circles in at
+        most (s - 1)(s - 2) / 2 moves, each adding two crossings and
+        keeping the circles' count.  With the loop capped one above that
+        bound, every bundled fixture reaches braid form, 44 of them by at
+        least one move."""
+        moved = 0
+        for rec in bundled:
+            d = parse_pd(rec.pd)
+            s = len(seifert_circles(d))
+            bound = (s - 1) * (s - 2) // 2
+            monkeypatch.setattr(seifert, "MAX_VOGEL_MOVES", bound + 1)
+            braided = isotope_to_braid_form(d)
+            assert braided.n <= d.n + 2 * bound, rec.name
+            assert len(seifert_circles(braided)) == s, rec.name
+            moved += braided.n > d.n
+        assert moved == 44

@@ -1,15 +1,14 @@
-"""The simplifier's R2+ charge and the early-abort canonical code agree
-with the simplifier and the full-walk code they replaced, kept below as
-the reference.
+"""The simplifier without R2+ moves and the early-abort canonical code
+agree with a simplifier that tries every R2+ excursion and with the
+full-walk code, kept below as the reference.
 
-``reidemeister_simplify`` now charges each R2+ candidate to its node
-budget without building it, because the greedy pass would give back the
-state it was pushed from, and ``canonical_key`` stops a root's walk at
-the first row above the best code so far.  Both must leave the search
-unchanged: the same best diagram and the same move log on every
-simplifier call made while deciding the named 11a/12a rows, on the
-heaviest witness of the ``paper13`` benchmark set, and, under budgets of
-3 and 7 nodes that leave most of them unknown, on every one- and
+``reidemeister_simplify`` tries no R2+ candidate, because the greedy pass
+would give back the state it was pushed from, and ``canonical_key`` stops
+a root's walk at the first row above the best code so far.  Both must
+leave the search unchanged: the same best diagram and the same move log
+on every simplifier call made while deciding the named 11a/12a rows, on
+the heaviest witness of the ``paper13`` benchmark set, and, under budgets
+of 3 and 7 nodes that leave most of them unknown, on every one- and
 two-crossing change of the bundled fixtures with at most 9 crossings,
 whose keys must agree state by state.  ``reference_simplify`` builds,
 reduces and keys every candidate, so it is the oracle for "same
@@ -65,15 +64,16 @@ def reference_key(d):
     return reference_canonical_code(d, False)
 
 
-def reference_simplify(d, max_nodes, extra, key=reference_key):
-    """Best-first search that reduces and keys every candidate, R2+
-    excursions the greedy pass undoes included, over at most ``max_nodes``
-    states and ``extra`` crossings above ``d``."""
+def reference_simplify(d, max_nodes, key=reference_key):
+    """Best-first search that reduces and keys every candidate, the R2+
+    excursions of each popped state included, over at most ``max_nodes``
+    states.  An R3 candidate costs one node and an R2+ candidate, of at
+    most ``d.n + 2`` crossings, none: an excursion that reached a new state
+    would push it here and make the two searches differ."""
     log0 = []
     start = _greedy_reduce(d, log0)
     if start.n == 0:
         return start, log0
-    cap = d.n + extra
     counter = itertools.count()
     heap = [(start.n, next(counter), start, tuple(log0))]
     seen = {key(start)}
@@ -82,13 +82,13 @@ def reference_simplify(d, max_nodes, extra, key=reference_key):
     while heap and nodes < max_nodes:
         _, _, cur, log = heapq.heappop(heap)
         nodes += 1
-        candidates = [Move("r3", s) for s in _moves.r3_sites(cur)]
-        if cur.n + 2 <= cap:
-            candidates += [Move("r2plus", s) for s in _moves.r2plus_sites(cur)]
+        candidates = ([Move("r3", s) for s in _moves.r3_sites(cur)]
+                      + [Move("r2plus", s) for s in _moves.r2plus_sites(cur)])
         for mv in candidates:
-            if nodes >= max_nodes:
-                break
-            nodes += 1
+            if mv.kind == "r3":
+                if nodes >= max_nodes:
+                    continue
+                nodes += 1
             try:
                 nxt = _moves.apply_move(cur, mv)
             except DiagramError:
@@ -103,39 +103,40 @@ def reference_simplify(d, max_nodes, extra, key=reference_key):
                 best, best_log = nxt, tuple(sublog)
                 if best.n == 0:
                     return best, list(best_log)
-            if nxt.n + 2 <= cap or _moves.r3_sites(nxt):
-                heapq.heappush(heap, (nxt.n, next(counter), nxt, tuple(sublog)))
+            heapq.heappush(heap, (nxt.n, next(counter), nxt, tuple(sublog)))
     return best, list(best_log)
 
 
 def test_named_rows_simplify_as_reference(monkeypatch):
     """Every simplifier search made while deciding the named rows.
-    ``certify_unlink`` hands the search its own greedy result, log and
-    cap; they must give what the reference gives on the diagram it
-    received."""
+    ``certify_unlink`` hands the simplifier its own greedy result; that
+    greedy log and the simplifier's log must together be what the
+    reference gives on the changed diagram it received."""
     received, calls = [], []
-    real_certify, real_search = unknotting.certify_unlink, unknotting._best_first
+    real_certify, real_search = (unknotting.certify_unlink,
+                                 unknotting.reidemeister_simplify)
 
     def certifying(d):
         received.append(d)
         return real_certify(d)
 
-    def recording(start, log0, cap):
-        out = real_search(start, log0, cap)
-        calls.append((received[-1], cap, out))
+    def recording(start):
+        out = real_search(start)
+        calls.append((received[-1], start, out))
         return out
 
     monkeypatch.setattr(unknotting, "certify_unlink", certifying)
-    monkeypatch.setattr(unknotting, "_best_first", recording)
+    monkeypatch.setattr(unknotting, "reidemeister_simplify", recording)
     records, errors = load_table(data_path("named_pd_codes.csv"))
     assert not errors and len(records) == 51
     for rec in records:
         assert analyze(rec).ok, rec.name
     assert calls
-    for d, cap, out in calls:
-        assert cap == d.n + unknotting.SIMPLIFY_EXTRA
-        assert out == reference_simplify(d, unknotting.SIMPLIFY_NODES,
-                                         unknotting.SIMPLIFY_EXTRA)
+    for d, start, (final, log) in calls:
+        greedy_log = []
+        assert _greedy_reduce(d, greedy_log) == start
+        assert (final, greedy_log + log) == reference_simplify(
+            d, unknotting.SIMPLIFY_NODES)
 
 
 def test_paper13_witness_simplifies_as_reference():
@@ -147,8 +148,7 @@ def test_paper13_witness_simplifies_as_reference():
     d = change_crossings(reduce_nugatory(parse_pd(pd)), (0, 1, 2, 4))
     final, log = reidemeister_simplify(d)
     assert final.n == 0 and len(log) == 12
-    assert (final, log) == reference_simplify(d, unknotting.SIMPLIFY_NODES,
-                                              unknotting.SIMPLIFY_EXTRA)
+    assert (final, log) == reference_simplify(d, unknotting.SIMPLIFY_NODES)
 
 
 def _small_fixture_changes():
@@ -164,9 +164,9 @@ def _small_fixture_changes():
 
 def test_fixture_changes_simplify_as_reference(monkeypatch):
     """Under budgets of 3 and 7 nodes most outcomes end unknown, the
-    budget running out among the start state's R3 candidates or inside its
-    R2+ charge; the keys of every state the reference visits, R2+
-    excursions included, agree."""
+    budget running out among the R3 candidates of the first states popped;
+    the keys of every state the reference visits, R2+ excursions included,
+    agree."""
     def both_keys(x):
         k = reference_key(x)
         assert canonical_key(x) == k
@@ -180,7 +180,6 @@ def test_fixture_changes_simplify_as_reference(monkeypatch):
         unknown = 0
         for name, subset, d in _small_fixture_changes():
             out = reidemeister_simplify(d)
-            assert out == reference_simplify(d, budget, unknotting.SIMPLIFY_EXTRA,
-                                             both_keys), (name, subset, budget)
+            assert out == reference_simplify(d, budget, both_keys), (name, subset, budget)
             unknown += out[0].n > 0
         assert unknown > 0

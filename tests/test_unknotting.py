@@ -54,14 +54,12 @@ class TestSimplify:
 
     def test_budget_zero_nodes_still_greedy(self, trefoil, monkeypatch):
         monkeypatch.setattr(unknotting, "SIMPLIFY_NODES", 0)
-        monkeypatch.setattr(unknotting, "SIMPLIFY_EXTRA", 0)
         d = change_crossings(trefoil, {0})
         final, _ = reidemeister_simplify(d)
         assert final.n == 0
 
     def test_r2plus_candidates_reduce_to_the_popped_state(self, special_rows):
-        """The simplifier charges R2+ candidates without building them.
-        Every state it pops, while deciding the 116 special alternating
+        """The simplifier tries no R2+ candidate.  Every state it pops, while deciding the 116 special alternating
         rows and on a seeded sample of crossing changes of them under a
         300-node budget, is greedy-reduced; each of its R2+ candidates
         fails to build or greedy-reduces back to the popped state's key.
@@ -146,6 +144,23 @@ class TestCertify:
         final = replay_moves(d, cert.moves)
         assert final.n == 0 and final.free_loops == 1
 
+    def test_certify_searches_through_the_simplifier(self, monkeypatch):
+        """A changed diagram that only R3 unknots is certified by one call
+        of ``reidemeister_simplify`` on its greedy result, so a trace of
+        that name sees every simplifier search."""
+        real = unknotting.reidemeister_simplify
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(unknotting, "reidemeister_simplify", counted)
+        d = parse_pd(NEEDS_R3_PD)
+        cert = certify_unlink(d)
+        assert cert.status == "certified" and cert.moves[0].kind == "r3"
+        assert calls == [unknotting._greedy_reduce(d, [])]
+
     def test_knot_search_skips_linking_numbers(self, knot_8_15, knot_9_35,
                                                monkeypatch):
         real = unknotting.linking_matrix
@@ -190,13 +205,14 @@ class TestCertify:
         with other than k free loops means a surgery miscounted them: both
         the greedy pass and the simplifier raise instead of refuting, and a
         table row reports the error."""
-        real_greedy, real_search = unknotting._greedy_reduce, unknotting._best_first
+        real_greedy, real_search = (unknotting._greedy_reduce,
+                                    unknotting.reidemeister_simplify)
 
         def one_loop_more(d):
             return dataclasses.replace(d, free_loops=d.free_loops + 1)
 
-        def search_one_loop_more(start, log, cap):
-            final, log = real_search(start, log, cap)
+        def search_one_loop_more(d):
+            final, log = real_search(d)
             return one_loop_more(final), log
 
         unknot = change_crossings(trefoil, (0,))
@@ -211,7 +227,7 @@ class TestCertify:
             row = analyze(KnotRecord("3_1", TREFOIL_PD))
             assert not row.ok and row.provenance.startswith("error:"), row.provenance
         with monkeypatch.context() as mp:
-            mp.setattr(unknotting, "_best_first", search_one_loop_more)
+            mp.setattr(unknotting, "reidemeister_simplify", search_one_loop_more)
             with pytest.raises(DiagramError, match="free loops"):
                 certify_unlink(needs_r3)
 

@@ -12,12 +12,14 @@ over ``edge_ends`` (the link components' label walk in one pass over
 checkerboard, ``_Builder.from_diagram``, ``r1_sites`` and
 ``change_crossings`` are also checked on every diagram the
 crossing-change search and the simplifier build from the small fixtures
-and from ``s13_1``, and on the R2+ excursions the simplifier charges
-there unbuilt."""
+and from ``s13_1``, and on the R2+ excursions of the states the
+simplifier pops there, which it never builds."""
 
 import csv
+import heapq
 import itertools
 import random
+import types
 from pathlib import Path
 
 import pytest
@@ -311,33 +313,37 @@ def small_fixture_changes():
 def s13_1_scans():
     """``s13_1`` changed at its witness (0, 1, 2, 4); every diagram the
     simplifier scans for kinks while certifying it, then the R2+ excursions
-    it charges unbuilt, built here, and their mirrors; and the 7 diagrams
-    it keys, then those excursions greedy-reduced."""
+    of the states it pops and moves on from, which it never builds, built
+    here, and their mirrors; and the 7 diagrams it keys, then those
+    excursions greedy-reduced."""
     with open(PAPER13_CSV, newline="") as fh:
         pd = next(row["pd"] for row in csv.DictReader(fh) if row["name"] == "s13_1")
     d = change_crossings(reduce_nugatory(parse_pd(pd)), (0, 1, 2, 4))
-    scanned, charged, keyed = [], [], []
+    scanned, popped, keyed = [], [], []
 
     def scanning(x):
         scanned.append(x)
         return r1_sites(x)
 
-    def charging(x):
-        sites = r2plus_sites(x)
-        charged.extend(apply_r2plus(x, site) for site in sites)
-        return sites
+    def popping(heap):
+        item = heapq.heappop(heap)
+        popped.append(item[2])
+        return item
 
     def keying(x):
         keyed.append(x)
         return canonical_key(x)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(unknotting._moves, "r1_sites", scanning)
-        mp.setattr(unknotting._moves, "r2plus_sites", charging)
+        mp.setattr(unknotting, "heapq", types.SimpleNamespace(
+            heappush=heapq.heappush, heappop=popping))
         mp.setattr(unknotting, "canonical_key", keying)
         final, log = unknotting.reidemeister_simplify(d)
     assert final.n == 0 and len(log) == 12 and len(keyed) == 7
-    reduced = [unknotting._greedy_reduce(x, []) for x in charged]
-    return d, scanned + charged + [mirror(x) for x in charged], keyed + reduced
+    # the search returns inside the last popped state's R3 candidates
+    excursions = [apply_r2plus(x, site) for x in popped[:-1] for site in r2plus_sites(x)]
+    reduced = [unknotting._greedy_reduce(x, []) for x in excursions]
+    return d, scanned + excursions + [mirror(x) for x in excursions], keyed + reduced
 
 
 def test_changed_and_simplified_walks_match_plain_loops(s13_1_scans):
