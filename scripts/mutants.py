@@ -46,7 +46,8 @@ SCREEN_AGREES = ("tests/test_unknotting.py::TestLinkingScreen::"
                  "test_screen_agrees_with_built_children")
 SCREEN_REPEATS = "tests/test_unknotting.py::TestLinkingScreen::test_repeated_index_hint_is_a_set"
 COVER_ZERO_SLACK = "tests/test_lattice_kernel.py::test_cover_at_zero_slack"
-COVER_RANDOM = "tests/test_lattice_kernel.py::test_cover_on_random_grams"
+COVER_POSITIVE = "tests/test_lattice_kernel.py::test_cover_at_zero_slack_with_a_positive_entry"
+OBSTRUCTED_9_35 = "tests/test_lattice.py::TestObstruction::test_9_35_obstructed"
 SAME_NODES = "tests/test_lattice_kernel.py::test_same_nodes_in_the_reference_order"
 AGREE_AT_P = "tests/test_acceptance.py::test_certificates_agree_at_p"
 
@@ -140,20 +141,23 @@ MUTANTS = [
            "a hint that repeats a crossing is kept: a witness at m makes fewer "
            "than m changes"),
     Mutant("src/specalt/lattice.py",
-           "        tops = [0 if 1 in col else 1 for col in cols]\n"
-           "        bottoms = [0 if -1 in col else -1 for col in cols]\n",
-           "        tops = [0 if -1 in col else 1 for col in cols]\n"
-           "        bottoms = [0 if 1 in col else -1 for col in cols]\n",
-           COVER_ZERO_SLACK,
-           "the unit cap's signs are swapped: a column may take two +1s and "
-           "never a +1 and a -1"),
+           "        if any(full[i][j] > 0 for i, j in pairs):\n            return\n",
+           "",
+           COVER_POSITIVE,
+           "a zero-slack gram with a positive entry is read as a multigraph: "
+           "an embedding with too few columns is yielded"),
     Mutant("src/specalt/lattice.py",
-           "    unit = cover and sum(map(sum, gram)) + sum(gram[i][i] for i in range(r)) "
-           "== 2 * n\n",
-           "    unit = cover\n",
-           f"{COVER_ZERO_SLACK} {COVER_RANDOM}",
-           "the unit cap applies at positive slack: covering embeddings with an "
-           "entry of 2 are lost, and non-covering ones are yielded unfiltered"),
+           "for i in range(r + 1) for j in range(i + 1, r + 1)]",
+           "for i in range(1, r + 1) for j in range(i + 1, r + 1)]",
+           COVER_ZERO_SLACK,
+           "v_0's row is left out of the multiplicities: the edges to v_0 "
+           "lose their columns"),
+    Mutant("src/specalt/lattice.py",
+           "        for t in range(len(members) // 2):\n",
+           "        for t in range(-(-len(members) // 2)):\n",
+           OBSTRUCTED_9_35,
+           "find_pairing takes ceil(m/2) pairs from a class of m equal columns: "
+           "an odd class pairs a column with none"),
     Mutant("src/specalt/lattice.py",
            "                if a * a > rem2 * s:\n",
            "                if False:\n",

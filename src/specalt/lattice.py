@@ -13,9 +13,12 @@ nonzero one has squared norm at least 2, and the squared norms add up to
 tr(G) + (sum of all entries of G), twice the number of crossings.  On a
 special alternating diagram, on its sigma <= 0 side, that is 2n: a
 covering embedding then has exactly one +1 and one -1 in each full
-column, so each row's walk is capped to entries in [-1, 1], at most 0
-under a placed +1 and at least 0 under a placed -1.  Where the sum
-exceeds 2n, the complete embeddings are filtered instead.
+column, so it is the signed incidence matrix of a multigraph on
+v_0, ..., v_r whose Laplacian is the full Gram matrix.  A Laplacian fixes
+every edge multiplicity, so that embedding is read off the Gram matrix
+and is unique up to signed column permutation; no search is made.  Where
+the sum exceeds 2n, which happens only on diagrams that are not special
+alternating, the complete embeddings are searched for and filtered.
 
 The search places one Gram row at a time, most constrained first: next
 the unplaced row with the most nonzero Gram entries against the rows
@@ -126,8 +129,7 @@ class _Stats:
 
 
 def _row_candidates(placed: list[tuple[int, ...]], diag: int,
-                    dots: list[int], n: int, stats: _Stats,
-                    unit: bool = False) -> list[tuple[int, ...]]:
+                    dots: list[int], n: int, stats: _Stats) -> list[tuple[int, ...]]:
     """All vectors v with |v|^2 = diag and v . placed[i] = dots[i], up to
     the residual signed-permutation symmetry of the placed columns.
 
@@ -138,19 +140,8 @@ def _row_candidates(placed: list[tuple[int, ...]], diag: int,
     Cauchy-Schwarz, need[i]^2 <= rem * |placed[i][j:]|^2 for every i;
     non-increasing entries within a block of equal placed columns; a
     non-negative entry on a zero placed column (the first row is placed
-    against none, so its entries come out non-negative and non-increasing).
-
-    With ``unit``, only vectors that keep at most one +1 and at most one
-    -1 in each column of the placed rows, and no other nonzero entry: the
-    entry of column j is at most 0 once a placed row holds +1 there, at
-    least 0 once one holds -1, and within [-1, 1] otherwise."""
+    against none, so its entries come out non-negative and non-increasing)."""
     cols = list(zip(*placed)) if placed else [()] * n
-    if unit:                         # bounds on the entry of each column
-        tops = [0 if 1 in col else 1 for col in cols]
-        bottoms = [0 if -1 in col else -1 for col in cols]
-    else:
-        top = isqrt(diag)
-        tops, bottoms = [top] * n, [-top] * n
     suffix = [()] * (n + 1)          # suffix[j][i] = |placed[i][j:]|^2
     acc = suffix[n] = (0,) * len(placed)
     for j in range(n - 1, -1, -1):
@@ -167,10 +158,6 @@ def _row_candidates(placed: list[tuple[int, ...]], diag: int,
         nonlocal nodes
         hi = isqrt(rem)
         lo = -hi                  # before the block cap: only hi follows the block
-        if tops[j] < hi:
-            hi = tops[j]          # the unit cap
-        if bottoms[j] > lo:
-            lo = bottoms[j]
         if capped[j] and v[j - 1] < hi:
             hi = v[j - 1]         # nonincreasing within a block
         if zero[j]:
@@ -232,11 +219,14 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None,
     The trace argument behind ``cover``: with v_0 = -(v_1 + ... + v_r),
     every column of the full matrix sums to 0, so a nonzero one has
     squared norm at least 2, and the column norms add up to
-    tr(gram) + (sum of all gram entries).  When that sum is 2n, a covering
-    X has exactly one +1 and one -1 in each full column, and any X of that
-    shape covers; so each row's walk is capped to it (``unit`` in
-    ``_row_candidates``), and no class it leaves out covers.  Otherwise
-    the complete matrices are filtered.
+    tr(gram) + (sum of all gram entries), the trace of the full gram F
+    (v_0's row and column are minus the gram's column sums).  When that
+    trace is 2n, a covering X has exactly one +1 and one -1 in each full
+    column, so X X^T = F is the Laplacian of a multigraph on v_0..v_r with
+    -F[i][j] edges between v_i and v_j.  That fixes X up to signed column
+    permutation: one class, yielded without a walk, and none when an
+    off-diagonal entry of F is positive.  Otherwise the complete matrices
+    are filtered.
 
     Raises TargetTooSmall when n < rank; an unembeddable form simply yields
     nothing.
@@ -253,9 +243,17 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None,
         if not cover or n == 0:
             yield LatticeEmbedding((), n)
         return
+    full = [[sum(map(sum, gram))] + [-sum(col) for col in zip(*gram)]]
+    full += [[full[0][i + 1], *row] for i, row in enumerate(gram)]
+    if cover and sum(full[i][i] for i in range(r + 1)) == 2 * n:
+        pairs = [(i, j) for i in range(r + 1) for j in range(i + 1, r + 1)]
+        if any(full[i][j] > 0 for i, j in pairs):
+            return
+        cols = [tuple((t == i) - (t == j) for t in range(1, r + 1))
+                for i, j in pairs for _ in range(-full[i][j])]
+        yield LatticeEmbedding(canonical_matrix(tuple(zip(*cols))), n)
+        return
     order = _row_order(gram)
-    unit = cover and sum(map(sum, gram)) + sum(gram[i][i] for i in range(r)) == 2 * n
-    screen = cover and not unit
     seen: set = set()
 
     placed: list[tuple[int, ...]] = []
@@ -272,12 +270,12 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None,
                 return
             seen.add(canon)
             emb = LatticeEmbedding(canon, n)
-            if not screen or condition_all_coords(emb):
+            if not cover or condition_all_coords(emb):
                 yield emb
             return
         i = order[k]
         dots = [gram[i][order[t]] for t in range(k)]
-        for v in _row_candidates(placed, gram[i][i], dots, n, stats, unit):
+        for v in _row_candidates(placed, gram[i][i], dots, n, stats):
             placed.append(v)
             yield from rec(k + 1)
             placed.pop()

@@ -114,16 +114,14 @@ def _vogel_site(d: LinkDiagram, circle_of):
     return None
 
 
-# Cap on reverse-R2 moves before the Vogel iteration is declared stuck.
-MAX_VOGEL_MOVES = 400
-
-
 def isotope_to_braid_form(d: LinkDiagram) -> LinkDiagram:
     """Apply reverse-R2 moves until the Seifert circles are coherently
-    nested (region tree is a directed chain)."""
-    cur = d
-    for _ in range(MAX_VOGEL_MOVES):
-        circles = seifert_circles(cur)
+    nested (region tree is a directed chain).  Each move keeps the number
+    s of circles, and Vogel's bound of (s - 1)(s - 2)/2 moves caps the
+    loop."""
+    cur, circles = d, seifert_circles(d)
+    s = len(circles)
+    for _ in range((s - 1) * (s - 2) // 2 + 1):
         regions = _regions(cur)
         sides = _circle_sides(cur, circles, regions)
         if _is_chain(sides):
@@ -133,6 +131,7 @@ def isotope_to_braid_form(d: LinkDiagram) -> LinkDiagram:
         if site is None:
             raise SeifertError("no Vogel move available but circles not nested")
         cur = _moves.apply_r2plus(cur, site)
+        circles = seifert_circles(cur)
     raise SeifertError("Vogel iteration did not stabilize")
 
 

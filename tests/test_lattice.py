@@ -14,6 +14,7 @@ from specalt.lattice import (LatticeEmbedding, enumerate_embeddings,
                              canonical_matrix, TargetTooSmall)
 
 from paper_claims import claim1_structure
+from test_lattice_kernel import filtered_obstruction, verdict_key
 
 
 def fig2_matrix():
@@ -240,10 +241,14 @@ class TestObstruction:
                    for perm in itertools.permutations(range(5)))
 
     def test_9_35_obstructed(self, knot_9_35):
+        """Exhausted, as the full enumeration filtered by (i) and (ii) says:
+        the white regions' pairs carry fewer than p disjoint clasps."""
         v = obstruction(knot_9_35)
         assert not v.admissible
         assert v.reason == "exhausted"
-        assert v.nodes > 0
+        assert verdict_key(v) == filtered_obstruction(knot_9_35)[0]
+        _, g = _goeritz_form(v.lattice.coloring.diagram, v.lattice.coloring)
+        assert sum(-g[i][j] // 2 for i in range(len(g)) for j in range(i)) < v.p
 
     def test_non_integer_p_raises(self, trefoil, monkeypatch):
         """sigma = k - 1 (mod 2) on a connected alternating diagram, so an

@@ -196,7 +196,8 @@ def test_obstruction_verdicts_match_reference(monkeypatch):
 
 
 def slack(gram, n):
-    """2n - tr(G) - (sum of all entries of G): 0 where the cap applies."""
+    """2n - tr(G) - (sum of all entries of G): 0 where the covering
+    embedding is read off the Gram matrix."""
     return 2 * n - sum(map(sum, gram)) - sum(gram[i][i] for i in range(len(gram)))
 
 
@@ -224,25 +225,33 @@ def unit_column_grams(seed, count):
     return out
 
 
-def covering_classes(gram, n, stats=None):
+def covering_classes(gram, n):
     """The full enumeration's classes that meet every coordinate."""
-    return [e.images for e in enumerate_embeddings(gram, n, stats)
+    return [e.images for e in enumerate_embeddings(gram, n)
             if condition_all_coords(e)]
 
 
 @pytest.mark.parametrize("gram, rows", unit_column_grams(28, 40))
 def test_cover_at_zero_slack(gram, rows):
-    """At zero slack the capped walk yields the full enumeration's covering
-    classes, in the same order, the generating matrix among them, and
-    visits no more nodes.  One dimension up the slack is 2, no embedding
-    covers, and the filter yields none."""
+    """At zero slack the covering enumeration is the generating matrix's
+    class alone, read off the Gram matrix at no node, and it is the full
+    enumeration's only covering class.  One dimension up the slack is 2,
+    no embedding covers, and the filter yields none."""
     n = len(rows[0])
-    capped, full = _Stats(), _Stats()
-    got = [e.images for e in enumerate_embeddings(gram, n, capped, cover=True)]
-    assert got == covering_classes(gram, n, full)
-    assert canonical_matrix(rows) in got
-    assert capped.nodes <= full.nodes
+    stats = _Stats()
+    got = [e.images for e in enumerate_embeddings(gram, n, stats, cover=True)]
+    assert got == covering_classes(gram, n) == [canonical_matrix(rows)]
+    assert stats.nodes == 0
     assert list(enumerate_embeddings(gram, n + 1, cover=True)) == []
+
+
+def test_cover_at_zero_slack_with_a_positive_entry():
+    """((2, 1), (1, 2)) at n = 5 has zero slack, but v_1 . v_2 = 1 > 0,
+    which no two rows of a one-+1-one--1 matrix can have: nothing covers."""
+    gram = ((2, 1), (1, 2))
+    assert slack(gram, 5) == 0
+    assert list(enumerate_embeddings(gram, 5, cover=True)) == []
+    assert covering_classes(gram, 5) == []
 
 
 @pytest.mark.parametrize("gram, n", random_grams(2026, 40))

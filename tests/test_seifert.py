@@ -1,6 +1,8 @@
 import random
 
-from specalt import seifert
+import pytest
+
+from specalt import moves, seifert
 from specalt.diagram import parse_pd, change_crossings, mirror, LinkDiagram
 from specalt.seifert import (seifert_circles, seifert_matrix, signature_nullity,
                              isotope_to_braid_form)
@@ -104,20 +106,40 @@ class TestVogelRobustness:
         braided = isotope_to_braid_form(trefoil)
         assert braided == isotope_to_braid_form(braided)
 
-    def test_vogel_moves_within_bound(self, bundled, monkeypatch):
+    def test_vogel_moves_within_bound(self, bundled):
         """Vogel's algorithm braids a diagram with s Seifert circles in at
         most (s - 1)(s - 2) / 2 moves, each adding two crossings and
-        keeping the circles' count.  With the loop capped one above that
-        bound, every bundled fixture reaches braid form, 44 of them by at
-        least one move."""
+        keeping the circles' count.  The loop is capped one above that
+        bound, and every bundled fixture reaches braid form, 44 of them by
+        at least one move."""
         moved = 0
         for rec in bundled:
             d = parse_pd(rec.pd)
             s = len(seifert_circles(d))
             bound = (s - 1) * (s - 2) // 2
-            monkeypatch.setattr(seifert, "MAX_VOGEL_MOVES", bound + 1)
             braided = isotope_to_braid_form(d)
             assert braided.n <= d.n + 2 * bound, rec.name
             assert len(seifert_circles(braided)) == s, rec.name
             moved += braided.n > d.n
         assert moved == 44
+
+    def test_a_site_that_never_converges_stops_at_the_bound(self, knot_8_15,
+                                                              monkeypatch):
+        """A site on one circle is not Vogel's: its move leaves the circles
+        unnested.  Picking it every time, the loop gives up after
+        (s - 1)(s - 2) / 2 + 1 sites."""
+        picked = []
+
+        def one_circle_site(d, circle_of):
+            picked.append(d)
+            for da, db in moves.r2plus_sites(d):
+                if circle_of[d.quads[da[0]][(da[1] + 1) % 4]] == \
+                        circle_of[d.quads[db[0]][(db[1] + 1) % 4]]:
+                    return (da, db)
+            return None
+
+        monkeypatch.setattr(seifert, "_vogel_site", one_circle_site)
+        s = len(seifert_circles(knot_8_15))
+        with pytest.raises(seifert.SeifertError, match="did not stabilize"):
+            isotope_to_braid_form(knot_8_15)
+        assert len(picked) == (s - 1) * (s - 2) // 2 + 1 == 7
