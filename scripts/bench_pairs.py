@@ -12,6 +12,11 @@ every end-to-end metric.  For each workload and metric it then prints
 each side's median and quartiles, the pairs the change wins and the
 relative change of the medians; next to ``peak_rss_mb``, each side's
 median ``attempted``, since peak RSS grows with the passes a run fits in.
+Each line also says whether a gain may be claimed on it: at least ten
+pairs ran, the change wins at least nine tenths of them, and its median
+is better than the parent's by more than the parent's interquartile range.  A line whose
+median is worse than the parent's by more than the metric's bound in
+``BENCHMARK.json`` (0.12 for ``peak_rss_mb``) is flagged ``OVER BOUND``.
 Exits 1 when any run reads ``correct: false`` or fails an operation.
 """
 
@@ -77,9 +82,15 @@ def summary(workloads: dict, end_to_end: list[dict]) -> list[str]:
             change = [run[key] for run in sides["change"]]
             wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
             (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+            gain = pm - cm if lower else cm - pm
+            claim = (len(change) >= 10 and 10 * wins >= 9 * len(change)
+                     and gain > p3 - p1)
             line = (f"  {key:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
                     f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
-                    f"wins {wins}/{len(change)}  {(cm - pm) / pm:+.1%}")
+                    f"wins {wins}/{len(change)}  {(cm - pm) / pm:+.1%}  "
+                    f"claim {'holds' if claim else 'no'}")
+            if -gain > metric["bound"] * pm:
+                line += f"  OVER BOUND {metric['bound']:g}"
             if key == "peak_rss_mb":
                 pa, ca = (statistics.median(run["attempted"] for run in sides[side])
                           for side in SIDES)

@@ -50,6 +50,10 @@ COVER_POSITIVE = "tests/test_lattice_kernel.py::test_cover_at_zero_slack_with_a_
 OBSTRUCTED_9_35 = "tests/test_lattice.py::TestObstruction::test_9_35_obstructed"
 SAME_NODES = "tests/test_lattice_kernel.py::test_same_nodes_in_the_reference_order"
 AGREE_AT_P = "tests/test_acceptance.py::test_certificates_agree_at_p"
+FACE_PASS = "tests/test_goeritz_reader.py::test_face_pass_reads_the_corner_pair_form"
+EULER_COUNT = ("tests/test_goeritz_reader.py::"
+               "test_euler_count_per_component_is_the_face_index_count")
+PAIRING = "tests/test_lattice.py::TestPairingBruteForce::test_matches_disjoint_pair_search"
 
 MUTANTS = [
     Mutant("src/specalt/moves.py",
@@ -141,7 +145,7 @@ MUTANTS = [
            "a hint that repeats a crossing is kept: a witness at m makes fewer "
            "than m changes"),
     Mutant("src/specalt/lattice.py",
-           "        if any(full[i][j] > 0 for i, j in pairs):\n            return\n",
+           "    if any(full[i][j] > 0 for i, j in pairs):\n        return []\n",
            "",
            COVER_POSITIVE,
            "a zero-slack gram with a positive entry is read as a multigraph: "
@@ -158,6 +162,28 @@ MUTANTS = [
            OBSTRUCTED_9_35,
            "find_pairing takes ceil(m/2) pairs from a class of m equal columns: "
            "an odd class pairs a column with none"),
+    Mutant("src/specalt/lattice.py",
+           "    if len(pairs) < p:\n",
+           "    if len(pairs) < p - 1:\n",
+           PAIRING,
+           "find_pairing accepts p - 1 pairs: condition (ii) is one clasp short"),
+    Mutant("src/specalt/lattice.py",
+           "    if len(pairs) < p:\n",
+           "    if len(pairs) < p + 1:\n",
+           PAIRING,
+           "find_pairing demands p + 1 pairs: condition (ii) asks one clasp too many"),
+    Mutant("src/specalt/invariants.py",
+           "(face[0][1] % 2 == 0) == (mu[face[0][0]] == 1)",
+           "(face[0][1] % 2 == 0) != (mu[face[0][0]] == 1)",
+           FACE_PASS,
+           "the Goeritz reader's white-face parity is flipped: it reads the "
+           "black faces"),
+    Mutant("src/specalt/diagram.py",
+           "Counter(of[face[0][0]] for face in d.faces if face)",
+           "Counter(of[face[0][0]] if face else 0 for face in d.faces)",
+           EULER_COUNT,
+           "the Euler count puts the free loops' faces in the first crossing "
+           "component: a diagram with crossings and free loops is rejected"),
     Mutant("src/specalt/lattice.py",
            "                if a * a > rem2 * s:\n",
            "                if False:\n",

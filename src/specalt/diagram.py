@@ -44,6 +44,7 @@ read no label names.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -266,12 +267,13 @@ def validate(d: LinkDiagram) -> LinkDiagram:
     for e, (a, b) in ends.items():
         if d.incoming[a[0]][a[1]] == d.incoming[b[0]][b[1]]:
             raise DiagramError(f"edge {e} has inconsistent direction")
-    # Planarity per connected component: faces close up with Euler count
-    # n_i + 2 on the sphere.
-    for comp in d._crossing_components:
-        n_faces = len({d.face_index[(c, s)] for c in comp for s in range(4)})
-        if n_faces != len(comp) + 2:
-            raise DiagramError("face count violates Euler formula; non-planar code")
+    # Planarity per connected component: its faces, each counted at the
+    # component of its first corner, close up with Euler count n_i + 2.
+    comps = d._crossing_components
+    of = {c: i for i, comp in enumerate(comps) for c in comp}
+    count = Counter(of[face[0][0]] for face in d.faces if face)
+    if any(count[i] != len(comp) + 2 for i, comp in enumerate(comps)):
+        raise DiagramError("face count violates Euler formula; non-planar code")
     return d
 
 
@@ -283,19 +285,6 @@ class Checkerboard:
 
     diagram: LinkDiagram
     incidence: tuple[int, ...]        # mu(c) per crossing
-
-    def white_corner_pair(self, c: int) -> tuple[int, int]:
-        """Face indices of the two white corners at crossing c (q-order)."""
-        s = 0 if self.incidence[c] == 1 else 1
-        return self.diagram.face_index[(c, s)], self.diagram.face_index[(c, s + 2)]
-
-    def white_faces(self) -> list[int]:
-        """White face indices in index order; a crossing-free diagram has
-        face 0 as its only white face."""
-        d = self.diagram
-        if not d.n:
-            return [0] if d.faces else []
-        return sorted({f for c in range(d.n) for f in self.white_corner_pair(c)})
 
 
 def checkerboard(d: LinkDiagram) -> Checkerboard:

@@ -31,36 +31,44 @@ class GoeritzLattice:
     """Positive-definite Goeritz form of an alternating diagram.
 
     ``gram`` is the pairing on the white regions v_1..v_r after deleting
-    v_0 (the white face with the smallest face index).  ``sigma`` is the signature of the diagram's link, rank - n_plus, and
-    ``coloring`` the checkerboard the form was read from.
+    v_0 (the white face with the smallest face index), and ``edges`` the
+    white Tait graph.  ``sigma`` is the signature of the diagram's link,
+    rank - n_plus, and ``coloring`` the checkerboard the form was read from.
     """
 
     rank: int
     gram: tuple[tuple[int, ...], ...]
     white_order: tuple[int, ...]          # face indices v_0, v_1, ..., v_r
+    edges: tuple[tuple[int, int], ...]    # per crossing, its white corners' rows
     sigma: int
     coloring: Checkerboard
 
 
-def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list[int], list[list[int]]]:
-    """White faces in index order and the unquotiented Goeritz form with
-    incidence signs: a crossing between distinct white regions a, b adds
-    mu to g[a][b] and g[b][a] and subtracts it from g[a][a] and g[b][b]; a
-    crossing with both white corners in one region contributes nothing."""
-    whites = c.white_faces()
-    pos = {f: i for i, f in enumerate(whites)}
+def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list, list, list]:
+    """White faces in index order, each crossing's white Tait-graph edge and
+    the unquotiented Goeritz form with incidence signs, from one pass over
+    ``faces``: a face is white when its first corner (c, s) has s even
+    exactly when mu(c) = +1 (face 0 alone on a crossing-free diagram), and
+    crossing c's edge holds the positions of its white corners q_s, q_{s+2}.
+    A crossing between distinct white regions a, b adds mu to g[a][b] and
+    g[b][a] and subtracts it from g[a][a] and g[b][b]; one with both white
+    corners in one region adds nothing."""
+    mu = c.incidence
+    whites = [] if d.n or not d.faces else [0]
+    edges = [[0, 0] for _ in mu]
+    for f, face in enumerate(d.faces):
+        if face and (face[0][1] % 2 == 0) == (mu[face[0][0]] == 1):
+            for cr, s in face:
+                edges[cr][s >> 1] = len(whites)
+            whites.append(f)
     g = [[0] * len(whites) for _ in whites]
-    for cr in range(d.n):
-        fa, fb = c.white_corner_pair(cr)
-        ia, ib = pos[fa], pos[fb]
-        if ia == ib:
-            continue
-        mu = c.incidence[cr]
-        g[ia][ib] += mu
-        g[ib][ia] += mu
-        g[ia][ia] -= mu
-        g[ib][ib] -= mu
-    return whites, g
+    for (ia, ib), m in zip(edges, mu):
+        if ia != ib:
+            g[ia][ib] += m
+            g[ib][ia] += m
+            g[ia][ia] -= m
+            g[ib][ib] -= m
+    return whites, edges, g
 
 
 def _gl_correction(d: LinkDiagram, c: Checkerboard) -> int:
@@ -81,14 +89,15 @@ def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
         raise SplitDiagram("goeritz needs a non-split diagram")
     if any(mu != -1 for mu in c.incidence):
         raise DegenerateColoring("coloring must have incidence -1 at every crossing")
-    if any(fa == fb for fa, fb in map(c.white_corner_pair, range(d.n))):
+    whites, edges, g = _goeritz_form(d, c)
+    if any(a == b for a, b in edges):
         raise DiagramError("crossing with both white corners in one region; "
                            "diagram is not reduced")
-    whites, g = _goeritz_form(d, c)
     return GoeritzLattice(
         rank=len(whites) - 1,
         gram=tuple(tuple(row[1:]) for row in g[1:]),
         white_order=tuple(whites),
+        edges=tuple(map(tuple, edges)),
         sigma=len(whites) - 1 + _gl_correction(d, c),
         coloring=c,
     )
@@ -109,20 +118,28 @@ class ClassicalInvariants:
     seifert_genus_report: int | None   # |sigma|/2 on special alternating knots
 
 
-def signature_nullity(d: LinkDiagram) -> tuple[int, int]:
-    """(sigma, eta) by Gordon-Litherland on each split part's quotient
-    Goeritz form; eta gains one per extra split part."""
+def _gl_invariants(d: LinkDiagram) -> tuple[int, int, int]:
+    """(sigma, eta, |det|) by Gordon-Litherland, from one checkerboard and
+    one quotient Goeritz form per split part; eta gains one per extra split
+    part, and |det| is 0 on a split link."""
     parts = split_components(d) if not d.is_connected else [d]
     sigma, eta = 0, len(parts) - 1
+    det = int(d.component_count == 1) if not d.n else 0
     for part in parts:
-        if part.n == 0:
-            continue
-        c = checkerboard(part)
-        _, g = _goeritz_form(part, c)
-        s, nl = symmetric_signature_nullity([row[1:] for row in g[1:]])
-        sigma += s + _gl_correction(part, c)
-        eta += nl
-    return sigma, eta
+        if part.n:
+            c = checkerboard(part)
+            q = [row[1:] for row in _goeritz_form(part, c)[2][1:]]
+            s, nl = symmetric_signature_nullity(q)
+            sigma += s + _gl_correction(part, c)
+            eta += nl
+            if part is d:
+                det = abs(det_bareiss(q))
+    return sigma, eta, det
+
+
+def signature_nullity(d: LinkDiagram) -> tuple[int, int]:
+    """(sigma, eta) of ``_gl_invariants``."""
+    return _gl_invariants(d)[:2]
 
 
 def determinant(d: LinkDiagram) -> int:
@@ -132,7 +149,7 @@ def determinant(d: LinkDiagram) -> int:
         return 1 if d.component_count == 1 else 0
     if not d.is_connected:
         return 0
-    _, g = _goeritz_form(d, checkerboard(d))
+    g = _goeritz_form(d, checkerboard(d))[2]
     return abs(det_bareiss([row[1:] for row in g[1:]]))
 
 
@@ -164,8 +181,7 @@ def unlinking_lower_bound(sigma: int, eta: int, k: int) -> tuple[int, int]:
 
 
 def classical_invariants(d: LinkDiagram) -> ClassicalInvariants:
-    sigma, eta = signature_nullity(d)
-    det = determinant(d)
+    sigma, eta, det = _gl_invariants(d)
     genus = None
     if is_special_alternating(d) and d.component_count == 1 and d.n > 0:
         # first Betti number of the Seifert-side checkerboard surface over

@@ -205,6 +205,31 @@ def _row_order(gram) -> list[int]:
     return order
 
 
+def _covering_class(gram, n: int) -> list[LatticeEmbedding] | None:
+    """The covering classes of a positive-definite ``gram`` in Z^n at zero
+    slack; None at any other slack.  The gram is not checked.
+
+    With v_0 = -(v_1 + ... + v_r), every column of the full matrix sums to
+    0, so a nonzero one has squared norm at least 2, and the column norms
+    add up to the trace of the full gram F (v_0's row and column are minus
+    the gram's column sums).  When that trace is 2n (zero slack), a
+    covering X has one +1 and one -1 in each full column, so X X^T = F is
+    the Laplacian of a multigraph on v_0..v_r with -F[i][j] edges between
+    v_i and v_j.  That fixes X up to signed column permutation: one class,
+    and none when an off-diagonal entry of F is positive."""
+    r = len(gram)
+    full = [[sum(map(sum, gram))] + [-sum(col) for col in zip(*gram)]]
+    full += [[full[0][i + 1], *row] for i, row in enumerate(gram)]
+    if sum(full[i][i] for i in range(r + 1)) != 2 * n:
+        return None
+    pairs = [(i, j) for i in range(r + 1) for j in range(i + 1, r + 1)]
+    if any(full[i][j] > 0 for i, j in pairs):
+        return []
+    cols = [tuple((t == i) - (t == j) for t in range(1, r + 1))
+            for i, j in pairs for _ in range(-full[i][j])]
+    return [LatticeEmbedding(canonical_matrix(tuple(zip(*cols))), n)]
+
+
 def enumerate_embeddings(gram, n: int, stats: _Stats | None = None,
                          cover: bool = False):
     """Yield one representative per signed-column-permutation class of
@@ -214,19 +239,9 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None,
     Rows are placed in ``_row_order``; each row's candidates come from
     ``_row_candidates`` against the rows placed before it.  A complete
     matrix whose ``canonical_matrix`` was already yielded is counted in
-    ``stats.dedup`` and skipped.
-
-    The trace argument behind ``cover``: with v_0 = -(v_1 + ... + v_r),
-    every column of the full matrix sums to 0, so a nonzero one has
-    squared norm at least 2, and the column norms add up to
-    tr(gram) + (sum of all gram entries), the trace of the full gram F
-    (v_0's row and column are minus the gram's column sums).  When that
-    trace is 2n, a covering X has exactly one +1 and one -1 in each full
-    column, so X X^T = F is the Laplacian of a multigraph on v_0..v_r with
-    -F[i][j] edges between v_i and v_j.  That fixes X up to signed column
-    permutation: one class, yielded without a walk, and none when an
-    off-diagonal entry of F is positive.  Otherwise the complete matrices
-    are filtered.
+    ``stats.dedup`` and skipped.  With ``cover`` at zero slack the classes
+    are ``_covering_class``'s, found without a walk; otherwise the complete
+    matrices are filtered.
 
     Raises TargetTooSmall when n < rank; an unembeddable form simply yields
     nothing.
@@ -237,22 +252,11 @@ def enumerate_embeddings(gram, n: int, stats: _Stats | None = None,
         raise TargetTooSmall(f"target dimension {n} below rank {r}")
     if not is_positive_definite(gram):
         raise ValueError("gram matrix must be positive definite")
+    if cover and (covering := _covering_class(gram, n)) is not None:
+        yield from covering
+        return
     if stats is None:
         stats = _Stats()
-    if r == 0:
-        if not cover or n == 0:
-            yield LatticeEmbedding((), n)
-        return
-    full = [[sum(map(sum, gram))] + [-sum(col) for col in zip(*gram)]]
-    full += [[full[0][i + 1], *row] for i, row in enumerate(gram)]
-    if cover and sum(full[i][i] for i in range(r + 1)) == 2 * n:
-        pairs = [(i, j) for i in range(r + 1) for j in range(i + 1, r + 1)]
-        if any(full[i][j] > 0 for i, j in pairs):
-            return
-        cols = [tuple((t == i) - (t == j) for t in range(1, r + 1))
-                for i, j in pairs for _ in range(-full[i][j])]
-        yield LatticeEmbedding(canonical_matrix(tuple(zip(*cols))), n)
-        return
     order = _row_order(gram)
     seen: set = set()
 
@@ -335,7 +339,11 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
     p = unlinking_lower_bound(sigma, 0, d.component_count)[0]
     n_target = lat.rank - sigma
     stats = _Stats()
-    for emb in enumerate_embeddings(lat.gram, n_target, stats, cover=True):
+    # a goeritz gram is positive definite by construction: no check here
+    found = _covering_class(lat.gram, n_target)
+    if found is None:
+        found = enumerate_embeddings(lat.gram, n_target, stats, cover=True)
+    for emb in found:
         pairing = find_pairing(emb, p)
         if pairing is not None:
             return ObstructionVerdict(True, p, n_target, lat, emb, pairing,
@@ -357,15 +365,13 @@ def clasp_candidates(v: ObstructionVerdict) -> tuple[int, ...]:
     empty."""
     if not v.admissible:
         raise DiagramError("clasp extraction needs an admissible verdict")
-    cb = v.lattice.coloring
-    d = cb.diagram
+    d = v.lattice.coloring.diagram
     if not is_special_alternating(d):
         raise DiagramError("clasp extraction needs a special alternating diagram")
     tw = twist_regions(d)
     if not is_twist_reduced(d, tw):
         return ()
-    full = v.embedding.full_matrix
-    faces_of_rows = v.lattice.white_order        # face of each full-matrix row
+    full = v.embedding.full_matrix      # row i is white region white_order[i]
     marked: dict[tuple[int, int], int] = {}
     for (a, b, eps) in v.pairing.pairs:
         rows_a = [i for i, row in enumerate(full) if row[a] != 0]
@@ -373,14 +379,13 @@ def clasp_candidates(v: ObstructionVerdict) -> tuple[int, ...]:
         if len(rows_a) != 2 or set(rows_a) != set(rows_b):
             raise MarkedRegionsNotAdjacent(
                 f"columns {a},{b} do not mark a single region pair")
-        pair = (faces_of_rows[rows_a[0]], faces_of_rows[rows_a[1]])
-        key = (min(pair), max(pair))
+        key = (rows_a[0], rows_a[1])
         marked[key] = marked.get(key, 0) + 1
     bigons = {tuple(sorted(pair)) for pair in _bigon_pairs(d)}
     chosen: list[int] = []
-    for (f1, f2), count in sorted(marked.items()):
-        between = [c for c in range(d.n)
-                   if tuple(sorted(cb.white_corner_pair(c))) == (f1, f2)]
+    for pair, count in sorted(marked.items()):
+        between = [c for c, edge in enumerate(v.lattice.edges)
+                   if tuple(sorted(edge)) == pair]
         if len(between) < 2 * count:
             raise MarkedRegionsNotAdjacent(
                 f"only {len(between)} crossings between marked regions, "

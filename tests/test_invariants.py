@@ -37,7 +37,7 @@ class TestGoeritz:
         # trefoil blocks exactly
         assert lat.gram == ((3, 0), (0, 3))
         assert abs(det_bareiss(lat.gram)) == 9
-        _, g = _goeritz_form(d, checkerboard_negative(d))
+        g = _goeritz_form(d, checkerboard_negative(d))[2]
         assert sorted(g[i][i] for i in range(3)) == [3, 3, 6]
 
     def test_degenerate_coloring_rejected(self, trefoil):
@@ -49,7 +49,7 @@ class TestGoeritz:
     def test_diag_sum_is_twice_crossings(self, bundled):
         for rec in bundled:
             d = parse_pd(rec.pd)
-            _, g = _goeritz_form(d, checkerboard_negative(d))
+            g = _goeritz_form(d, checkerboard_negative(d))[2]
             assert sum(g[i][i] for i in range(len(g))) == 2 * d.n, rec.name
 
     def test_positive_definite_everywhere(self, bundled):
@@ -59,7 +59,7 @@ class TestGoeritz:
             assert is_positive_definite(lat.gram), rec.name
 
     def test_unquotiented_rows_sum_zero(self, knot_9_35):
-        _, g = _goeritz_form(knot_9_35, checkerboard_negative(knot_9_35))
+        g = _goeritz_form(knot_9_35, checkerboard_negative(knot_9_35))[2]
         for row in g:
             assert sum(row) == 0
 
@@ -131,13 +131,11 @@ class TestDeterminant:
         checked = 0
         for name, d in special_rows:
             c = checkerboard(d)
-            whites, _ = _goeritz_form(d, c)
-            pos = {f: i for i, f in enumerate(whites)}
+            whites, edges, _ = _goeritz_form(d, c)
             for m in (1, 2):
                 for subset in itertools.combinations(range(d.n), m):
                     g = [[0] * len(whites) for _ in whites]
-                    for cr in range(d.n):
-                        a, b = (pos[f] for f in c.white_corner_pair(cr))
+                    for cr, (a, b) in enumerate(edges):
                         mu = -c.incidence[cr] if cr in subset else c.incidence[cr]
                         g[a][b] += mu
                         g[b][a] += mu

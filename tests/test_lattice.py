@@ -247,7 +247,7 @@ class TestObstruction:
         assert not v.admissible
         assert v.reason == "exhausted"
         assert verdict_key(v) == filtered_obstruction(knot_9_35)[0]
-        _, g = _goeritz_form(v.lattice.coloring.diagram, v.lattice.coloring)
+        g = _goeritz_form(v.lattice.coloring.diagram, v.lattice.coloring)[2]
         assert sum(-g[i][j] // 2 for i in range(len(g)) for j in range(i)) < v.p
 
     def test_non_integer_p_raises(self, trefoil, monkeypatch):
@@ -287,7 +287,7 @@ class TestObstruction:
             v = obstruction(d)
             if v.admissible:
                 lat = v.lattice
-                _, g = _goeritz_form(lat.coloring.diagram, lat.coloring)
+                g = _goeritz_form(lat.coloring.diagram, lat.coloring)[2]
                 assert len(g) == lat.rank + 1
                 assert sum(g[i][i] for i in range(len(g))) == 2 * d.n
                 assert condition_all_coords(v.embedding)

@@ -104,13 +104,13 @@ class TestAnalyze:
         even on the classical-bounds-only path, instead of being rounded."""
         from specalt import invariants
         from specalt.families import rational_link
-        real = invariants.signature_nullity
+        real = invariants._gl_invariants
 
         def shifted(d):
-            sigma, eta = real(d)
-            return sigma + 1, eta
+            sigma, eta, det = real(d)
+            return sigma + 1, eta, det
 
-        monkeypatch.setattr(invariants, "signature_nullity", shifted)
+        monkeypatch.setattr(invariants, "_gl_invariants", shifted)
         row = analyze(KnotRecord("4_1", rational_link([2, 2]).to_pd_text()))
         assert not row.ok
         assert "not an integer" in row.provenance
@@ -276,13 +276,13 @@ class TestCertificateChecks:
         lattice sigma, from the all-(-1) coloring, are checked against
         each other."""
         from specalt import invariants
-        real = invariants.signature_nullity
+        real = invariants._gl_invariants
 
         def shifted(d):
-            sigma, eta = real(d)
-            return sigma + 2, eta
+            sigma, eta, det = real(d)
+            return sigma + 2, eta, det
 
-        monkeypatch.setattr(invariants, "signature_nullity", shifted)
+        monkeypatch.setattr(invariants, "_gl_invariants", shifted)
         row = analyze(KnotRecord("3_1", TREFOIL_PD))
         assert not row.ok
         assert "Goeritz-route sigma" in row.provenance
@@ -313,14 +313,14 @@ class TestCertificateChecks:
         before = analyze_all(subset, jobs=1)
         bad = canonical_key(reduce_nugatory(
             parse_pd(next(r.pd for r in subset if r.name == "7_4"))))
-        real = invariants.signature_nullity
+        real = invariants._gl_invariants
 
         def flaky(d):
             if canonical_key(d) == bad:
                 raise DiagramError("injected signature failure")
             return real(d)
 
-        monkeypatch.setattr(invariants, "signature_nullity", flaky)
+        monkeypatch.setattr(invariants, "_gl_invariants", flaky)
         after = analyze_all(subset, jobs=1)
         assert len(after) == len(subset)
         for old, new in zip(before, after):
