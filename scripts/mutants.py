@@ -48,7 +48,7 @@ SCREEN_REPEATS = "tests/test_unknotting.py::TestLinkingScreen::test_repeated_ind
 COVER_ZERO_SLACK = "tests/test_lattice_kernel.py::test_cover_at_zero_slack"
 COVER_POSITIVE = "tests/test_lattice_kernel.py::test_cover_at_zero_slack_with_a_positive_entry"
 OBSTRUCTED_9_35 = "tests/test_lattice.py::TestObstruction::test_9_35_obstructed"
-SAME_NODES = "tests/test_lattice_kernel.py::test_same_nodes_in_the_reference_order"
+REFUSES = "tests/test_lattice_kernel.py::test_obstruction_refuses_what_is_not_special_alternating"
 AGREE_AT_P = "tests/test_acceptance.py::test_certificates_agree_at_p"
 FACE_PASS = "tests/test_goeritz_reader.py::test_face_pass_reads_the_corner_pair_form"
 EULER_COUNT = ("tests/test_goeritz_reader.py::"
@@ -185,11 +185,19 @@ MUTANTS = [
            "the Euler count puts the free loops' faces in the first crossing "
            "component: a diagram with crossings and free loops is rejected"),
     Mutant("src/specalt/lattice.py",
-           "                if a * a > rem2 * s:\n",
-           "                if False:\n",
-           SAME_NODES,
-           "the lattice's Cauchy-Schwarz prune is dropped: the classes are the "
-           "same, the walk visits more nodes"),
+           "    if found is None:\n"
+           "        raise NotSpecialAlternating(\"obstruction needs a special alternating diagram\")\n",
+           "    found = found or []\n",
+           REFUSES,
+           "obstruction drops its slack gate: a diagram that is not special "
+           "alternating is called obstructed"),
+    Mutant("src/specalt/lattice.py",
+           "        groups.setdefault(_sign_normal(col), []).append(j)\n",
+           "        groups.setdefault(next((i for i, x in enumerate(col) if x), -1), "
+           "[]).append(j)\n",
+           OBSTRUCTED_9_35,
+           "find_pairing keys the multiplicities by one region, the column's "
+           "first nonzero row, instead of by the pair"),
     Mutant("src/specalt/lattice.py",
            "    if not is_twist_reduced(d, tw):\n        return ()\n",
            "    return ()\n",

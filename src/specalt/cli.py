@@ -2,6 +2,7 @@
 
     specalt analyze <name|pd>      invariants, obstruction, decision
     specalt embed <name|pd>        lattice embedding witness / obstruction
+                                   (special alternating input only)
     specalt search <name|pd> --changes m    subset search at m changes
     specalt tables <csv> [--diff expected.csv]   full table run
 
@@ -64,13 +65,13 @@ def cmd_embed(args) -> int:
         return 0
     if verdict.admissible:
         print(f"{rec.name}: admissible embedding into Z^{verdict.target_dim} "
-              f"(p={verdict.p}, nodes={verdict.nodes})")
+              f"(p={verdict.p})")
         for row in verdict.embedding.full_matrix:
             print("  ", list(row))
         print("  pairs:", list(verdict.pairing.pairs))
     else:
         print(f"{rec.name}: obstructed ({verdict.reason}; p={verdict.p}, "
-              f"target Z^{verdict.target_dim}, nodes={verdict.nodes})")
+              f"target Z^{verdict.target_dim})")
     return 0
 
 

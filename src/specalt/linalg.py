@@ -85,8 +85,3 @@ def det_bareiss(mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def is_positive_definite(mat) -> bool:
-    sig, nul = symmetric_signature_nullity(mat)
-    return nul == 0 and sig == len(mat)

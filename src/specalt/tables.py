@@ -230,7 +230,7 @@ def analyze(record: KnotRecord) -> ReportRow:
                                         f"recorded {recorded}",
                              seconds=time.monotonic() - start)
         return replace(row, seconds=time.monotonic() - start)
-    except ValueError as exc:   # DiagramError, TargetTooSmall, linalg errors
+    except ValueError as exc:   # DiagramError, linalg errors
         return ReportRow(record.name, False, provenance=f"error: {exc}",
                          seconds=time.monotonic() - start)
 

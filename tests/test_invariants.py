@@ -9,12 +9,13 @@ from specalt.invariants import (goeritz, _goeritz_form, gl_signature,
                                 signature_nullity, determinant, linking_matrix,
                                 unlinking_lower_bound, classical_invariants,
                                 DegenerateColoring)
-from specalt.linalg import det_bareiss, is_positive_definite
+from specalt.linalg import det_bareiss
 from specalt import families, seifert
 
 from conftest import (TREFOIL_PD, SPLIT_TREFOILS_PD, TREFOIL_KINK_PD,
                       TREFOIL_MIRROR_PD, connected_sum)
 from paper_claims import euler_check, PreconditionViolated
+from test_lattice_kernel import is_positive_definite
 
 
 class TestGoeritz:

@@ -1,32 +1,56 @@
-"""The flat candidate kernel and most-constrained-first row order of
-``lattice.enumerate_embeddings`` agree with the nested-generator kernel
-and diagonal-only order they replaced, kept below as the reference.
+"""The one embedding walk: ``reference_enumerate_embeddings``, the full
+nested-generator enumeration that the package's obstruction is compared
+against.  The package reads its embedding off the Goeritz gram
+(``lattice._covering_class``) and walks none.
 
-Both are compared on seeded random positive-definite Gram matrices of
-rank at most 4, class by class, and through ``lattice.obstruction`` on
-every special alternating row of the bundled fixtures and the named
-11a/12a table.  The covering enumeration (``cover=True``) is compared
-with the full one filtered by condition (i), on the same grams, on
+The walk is checked against brute force on seeded random positive-definite
+Gram matrices of rank at most 4.  The zero-slack reading is compared with
+the walk's classes filtered by condition (i) on the same grams and on
 grams of matrices with one +1 and one -1 per full column, and through
-``obstruction`` on the 116 special alternating rows of the fixtures, the
-named table and ``paper13``, and their mirrors."""
+``obstruction`` on every special alternating row of the bundled fixtures,
+the named 11a/12a table and ``paper13``, and their mirrors.  The other
+alternating rows of the fixtures have nonzero slack, and ``obstruction``
+refuses them."""
 
+import itertools
 import random
 from math import isqrt
 
 import pytest
 
 from specalt import families, lattice
-from specalt.diagram import (checkerboard_negative, is_special_alternating, mirror,
-                             reduce_nugatory)
+from specalt.diagram import (NotSpecialAlternating, checkerboard_negative,
+                             is_special_alternating, mirror, reduce_nugatory)
 from specalt.invariants import goeritz, unlinking_lower_bound
-from specalt.lattice import (LatticeEmbedding, TargetTooSmall, _Stats,
-                             canonical_matrix, condition_all_coords,
-                             enumerate_embeddings, find_pairing, obstruction)
-from specalt.linalg import is_positive_definite
+from specalt.lattice import (LatticeEmbedding, canonical_matrix, find_pairing,
+                             obstruction)
+from specalt.linalg import symmetric_signature_nullity
 from specalt.tables import data_path, load_table
 
 from conftest import connected_sum
+
+
+class Stats:
+    """What the walk counts: prefixes visited and complete matrices skipped
+    as a class already yielded."""
+    __slots__ = ("nodes", "dedup")
+
+    def __init__(self):
+        self.nodes = 0
+        self.dedup = 0
+
+
+def is_positive_definite(mat) -> bool:
+    sig, nul = symmetric_signature_nullity(mat)
+    return nul == 0 and sig == len(mat)
+
+
+def condition_all_coords(e: LatticeEmbedding) -> bool:
+    """Theorem condition (i): the image meets every coordinate axis,
+    i.e. no column of the images is identically zero."""
+    if not e.images:
+        return e.target_dim == 0
+    return all(any(row[j] for row in e.images) for j in range(e.target_dim))
 
 
 def reference_row_candidates(placed, diag, dots, n, stats):
@@ -81,21 +105,19 @@ def diagonal_order(gram):
     return sorted(range(len(gram)), key=lambda i: -gram[i][i])
 
 
-def reference_enumerate_embeddings(gram, n, stats=None, cover=False):
+def reference_enumerate_embeddings(gram, n, stats=None):
     """One representative per signed-column-permutation class of integer
-    matrices X with X X^T = gram, rows placed in ``diagonal_order``; with
-    ``cover``, only those that meet every coordinate."""
+    matrices X with X X^T = gram, exhaustively, rows placed in
+    ``diagonal_order``.  Raises ValueError when n < rank; an unembeddable
+    form simply yields nothing."""
     gram = tuple(tuple(row) for row in gram)
     r = len(gram)
     if n < r:
-        raise TargetTooSmall(f"target dimension {n} below rank {r}")
+        raise ValueError(f"target dimension {n} below rank {r}")
     if not is_positive_definite(gram):
         raise ValueError("gram matrix must be positive definite")
     if stats is None:
-        stats = _Stats()
-    if r == 0:
-        yield LatticeEmbedding((), n)
-        return
+        stats = Stats()
     order = diagonal_order(gram)
     seen = set()
     placed = []
@@ -110,9 +132,7 @@ def reference_enumerate_embeddings(gram, n, stats=None, cover=False):
                 stats.dedup += 1
                 return
             seen.add(canon)
-            emb = LatticeEmbedding(canon, n)
-            if not cover or condition_all_coords(emb):
-                yield emb
+            yield LatticeEmbedding(canon, n)
             return
         i = order[k]
         dots = [gram[i][order[t]] for t in range(k)]
@@ -122,6 +142,30 @@ def reference_enumerate_embeddings(gram, n, stats=None, cover=False):
             placed.pop()
 
     yield from rec(0)
+
+
+def naive_solutions(gram, n):
+    """All integer matrices X with X X^T = gram and |entries| <= sqrt(max
+    diagonal), by unpruned row-wise product."""
+    r = len(gram)
+    out = []
+    cands = []
+    for i in range(r):
+        b = isqrt(gram[i][i])
+        cands.append([v for v in itertools.product(range(-b, b + 1), repeat=n)
+                      if sum(x * x for x in v) == gram[i][i]])
+
+    def rec(k, rows):
+        if k == r:
+            out.append(tuple(rows))
+            return
+        for v in cands[k]:
+            if all(sum(a * b for a, b in zip(v, rows[j])) == gram[k][j]
+                   for j in range(k)):
+                rec(k + 1, rows + [v])
+
+    rec(0, [])
+    return out
 
 
 def random_grams(seed, count):
@@ -144,23 +188,23 @@ def random_grams(seed, count):
 
 @pytest.mark.parametrize("gram, n", random_grams(2026, 40))
 def test_same_classes_as_reference(gram, n):
-    reps = [canonical_matrix(e.images) for e in enumerate_embeddings(gram, n)]
-    want = [canonical_matrix(e.images)
-            for e in reference_enumerate_embeddings(gram, n)]
+    """The reference yields each class once, and its classes are those of
+    brute force over every integer matrix."""
+    reps = [canonical_matrix(e.images) for e in reference_enumerate_embeddings(gram, n)]
     assert len(reps) == len(set(reps))
-    assert set(reps) == set(want)
+    assert set(reps) == {canonical_matrix(m) for m in naive_solutions(gram, n)}
 
 
 @pytest.mark.parametrize("gram, n", random_grams(17, 40))
-def test_same_nodes_in_the_reference_order(gram, n, monkeypatch):
-    """Placed in the same order, the two kernels visit the same prefixes:
-    the prunes are the same."""
-    monkeypatch.setattr(lattice, "_row_order", diagonal_order)
-    new, ref = _Stats(), _Stats()
-    got = list(enumerate_embeddings(gram, n, new))
-    want = list(reference_enumerate_embeddings(gram, n, ref))
-    assert [e.images for e in got] == [e.images for e in want]
-    assert (new.nodes, new.dedup) == (ref.nodes, ref.dedup)
+def test_same_nodes_in_the_reference_order(gram, n):
+    """The classes do not depend on how the generators are numbered: with
+    the gram's rows and columns reversed, the reference's classes are the
+    same, rows reversed."""
+    rev = tuple(row[::-1] for row in gram[::-1])
+    want = {canonical_matrix(e.images) for e in reference_enumerate_embeddings(gram, n)}
+    got = {canonical_matrix(e.images[::-1])
+           for e in reference_enumerate_embeddings(rev, n)}
+    assert got == want
 
 
 def special_alternating_rows():
@@ -190,7 +234,7 @@ def test_obstruction_verdicts_match_reference():
     rows = special_alternating_rows()
     assert len(rows) == 92
     got = {name: verdict_key(obstruction(d)) for name, d in rows}
-    want = {name: filtered_obstruction(d, reference_enumerate_embeddings)[0]
+    want = {name: filtered_obstruction(d)[0]
             for name, d in rows}
     assert got == want
     assert sum(admissible for admissible, *_ in got.values()) > 0
@@ -229,22 +273,26 @@ def unit_column_grams(seed, count):
 
 def covering_classes(gram, n):
     """The full enumeration's classes that meet every coordinate."""
-    return [e.images for e in enumerate_embeddings(gram, n)
+    return [e.images for e in reference_enumerate_embeddings(gram, n)
             if condition_all_coords(e)]
+
+
+def read_classes(gram, n):
+    """The package's zero-slack reading, as images; None at nonzero slack."""
+    found = lattice._covering_class(gram, n)
+    return None if found is None else [e.images for e in found]
 
 
 @pytest.mark.parametrize("gram, rows", unit_column_grams(28, 40))
 def test_cover_at_zero_slack(gram, rows):
-    """At zero slack the covering enumeration is the generating matrix's
-    class alone, read off the Gram matrix at no node, and it is the full
-    enumeration's only covering class.  One dimension up the slack is 2,
-    no embedding covers, and the filter yields none."""
+    """At zero slack the reading is the generating matrix's class alone,
+    and it is the full enumeration's only covering class.  One dimension
+    up the slack is 2: the package reads nothing, and no embedding
+    covers."""
     n = len(rows[0])
-    stats = _Stats()
-    got = [e.images for e in enumerate_embeddings(gram, n, stats, cover=True)]
-    assert got == covering_classes(gram, n) == [canonical_matrix(rows)]
-    assert stats.nodes == 0
-    assert list(enumerate_embeddings(gram, n + 1, cover=True)) == []
+    assert read_classes(gram, n) == covering_classes(gram, n) == [canonical_matrix(rows)]
+    assert read_classes(gram, n + 1) is None
+    assert covering_classes(gram, n + 1) == []
 
 
 def test_cover_at_zero_slack_with_a_positive_entry():
@@ -252,25 +300,28 @@ def test_cover_at_zero_slack_with_a_positive_entry():
     which no two rows of a one-+1-one--1 matrix can have: nothing covers."""
     gram = ((2, 1), (1, 2))
     assert slack(gram, 5) == 0
-    assert list(enumerate_embeddings(gram, 5, cover=True)) == []
+    assert read_classes(gram, 5) == []
     assert covering_classes(gram, 5) == []
 
 
 @pytest.mark.parametrize("gram, n", random_grams(2026, 40))
 def test_cover_on_random_grams(gram, n):
-    """On the random grams, zero slack or not, the covering enumeration is
-    the full one filtered by condition (i), and so is the reference's."""
+    """On the random grams the reading at zero slack is the full
+    enumeration filtered by condition (i).  At positive slack the filter
+    finds nothing, as the column norms cannot reach 2n; at any nonzero
+    slack the package reads nothing."""
     want = covering_classes(gram, n)
-    assert [e.images for e in enumerate_embeddings(gram, n, cover=True)] == want
-    assert {canonical_matrix(e.images)
-            for e in reference_enumerate_embeddings(gram, n, cover=True)} == set(want)
+    s = slack(gram, n)
+    assert read_classes(gram, n) == (want if s == 0 else None)
+    if s > 0:
+        assert want == []
 
 
 def test_cover_of_the_empty_form():
     """Rank 0 embeds once into any Z^n, and covers only Z^0."""
-    assert len(list(enumerate_embeddings((), 2))) == 1
-    assert list(enumerate_embeddings((), 2, cover=True)) == []
-    assert [e.images for e in enumerate_embeddings((), 0, cover=True)] == [()]
+    assert len(list(reference_enumerate_embeddings((), 2))) == 1
+    assert read_classes((), 2) is None and covering_classes((), 2) == []
+    assert read_classes((), 0) == covering_classes((), 0) == [()]
 
 
 def test_random_grams_span_every_slack_sign():
@@ -279,17 +330,16 @@ def test_random_grams_span_every_slack_sign():
     assert signs == {-1, 0, 1}
 
 
-def filtered_obstruction(d, embeddings=enumerate_embeddings):
-    """``obstruction`` read off the full enumeration ``embeddings``, this
-    module's reference or the package's: the σ ≤ 0 side, then the first
-    class that meets conditions (i) and (ii)."""
+def filtered_obstruction(d):
+    """``obstruction`` read off the full enumeration: the σ ≤ 0 side, then
+    the first class that meets conditions (i) and (ii)."""
     lat = goeritz(d, checkerboard_negative(d))
     if lat.sigma > 0:
         d = mirror(d)
         lat = goeritz(d, checkerboard_negative(d))
     p = unlinking_lower_bound(lat.sigma, 0, d.component_count)[0]
-    stats = _Stats()
-    for emb in embeddings(lat.gram, lat.rank - lat.sigma, stats):
+    stats = Stats()
+    for emb in reference_enumerate_embeddings(lat.gram, lat.rank - lat.sigma, stats):
         pairing = condition_all_coords(emb) and find_pairing(emb, p)
         if pairing:
             return (True, "witness", emb.images, pairing.pairs), stats.nodes
@@ -311,6 +361,22 @@ def test_obstruction_is_the_filtered_enumeration(special_rows):
     assert fewer > 100
 
 
+def test_obstruction_refuses_what_is_not_special_alternating():
+    """The 17 reduced alternating fixture rows that are not special
+    alternating have nonzero slack on both sides of the mirror, and
+    ``obstruction`` refuses all 34 sides."""
+    records, errors = load_table(data_path("fixtures.csv"))
+    assert not errors
+    rows = [reduce_nugatory(rec.diagram) for rec in records]
+    rows = [d for d in rows if d.is_connected and d.is_alternating
+            and not is_special_alternating(d)]
+    assert len(rows) == 17
+    for d in rows:
+        for side in (d, mirror(d)):
+            with pytest.raises(NotSpecialAlternating):
+                obstruction(side)
+
+
 SIZE_NODES = 3000
 
 
@@ -324,9 +390,9 @@ def named_by_name():
 @pytest.mark.parametrize("k", [6, 7, 8, 9, 10, None],
                          ids=lambda k: f"ladder({k})" if k else "11a299 # 11a320")
 def test_size_guard(k, named_by_name):
-    """At 16 to 28 crossings the capped walk stays in the low thousands of
-    nodes (the full one visits 8,595 to 483,213) and keeps the full
-    enumeration's verdict: a lost cap fails a count, not a timing."""
+    """At 16 to 28 crossings ``obstruction`` gives the full enumeration's
+    verdict at 0 nodes, where the full one visits 14,001 to 847,180: a
+    search back on the decision path fails a count, not a timing."""
     d = families.ladder(k) if k else connected_sum(named_by_name["11a299"],
                                                    named_by_name["11a320"])
     v = obstruction(d)

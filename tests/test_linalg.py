@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specalt.linalg import symmetric_signature_nullity, det_bareiss, is_positive_definite
+from specalt.linalg import symmetric_signature_nullity, det_bareiss
+
+from test_lattice_kernel import is_positive_definite
 
 
 def test_signature_basics():

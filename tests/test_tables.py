@@ -334,11 +334,9 @@ class TestCertificateChecks:
         assert "| 7_4 | ? | ? | ? |  |" in emit_tables(after, "markdown")
 
     def test_value_error_fails_only_its_row(self, bundled, monkeypatch):
-        """A plain ``ValueError`` from the lattice step, such as
-        ``TargetTooSmall`` out of ``enumerate_embeddings``, fails its own
-        row and leaves every other bundled row unchanged."""
+        """A plain ``ValueError`` from the lattice step fails its own row
+        and leaves every other bundled row unchanged."""
         from specalt import unknotting
-        from specalt.lattice import TargetTooSmall
         before = analyze_all(bundled, jobs=1)
         bad = canonical_key(reduce_nugatory(
             parse_pd(next(r.pd for r in bundled if r.name == "8_15"))))
@@ -346,7 +344,7 @@ class TestCertificateChecks:
 
         def small_target(d):
             if canonical_key(d) == bad:
-                raise TargetTooSmall("injected: target dimension 0 below rank 2")
+                raise ValueError("injected: target dimension 0 below rank 2")
             return real(d)
 
         monkeypatch.setattr(unknotting, "obstruction", small_target)
@@ -446,6 +444,14 @@ class TestCLI:
         assert rc == 0
         assert (out["name"], out["sigma"], out["u"]) == ("11a291", -6, "4")
         assert out["obstruction"] == "obstructed"
+
+    def test_embed_refuses_what_is_not_special_alternating(self, capsys):
+        """``embed`` exits 2 on 4_1, as ``decide`` refuses it too: the error
+        goes to stderr and nothing to stdout."""
+        rc = cli_main(["embed", "4_1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: obstruction needs a special alternating diagram\n"
 
     def test_embed_named_table_knot(self, capsys):
         rc = cli_main(["embed", "11a291"])
