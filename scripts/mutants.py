@@ -45,8 +45,9 @@ PARENT_COMPONENTS = "tests/test_walks.py::test_changed_diagrams_keep_the_parent_
 SCREEN_AGREES = ("tests/test_unknotting.py::TestLinkingScreen::"
                  "test_screen_agrees_with_built_children")
 SCREEN_REPEATS = "tests/test_unknotting.py::TestLinkingScreen::test_repeated_index_hint_is_a_set"
-COVER_ZERO_SLACK = "tests/test_lattice_kernel.py::test_cover_at_zero_slack"
-COVER_POSITIVE = "tests/test_lattice_kernel.py::test_cover_at_zero_slack_with_a_positive_entry"
+ONE_LATTICE = ("tests/test_lattice_kernel.py::"
+               "test_obstruction_builds_one_lattice_of_the_positive_diagram")
+MATCH_REFERENCE = "tests/test_lattice_kernel.py::test_obstruction_verdicts_match_reference"
 OBSTRUCTED_9_35 = "tests/test_lattice.py::TestObstruction::test_9_35_obstructed"
 REFUSES = "tests/test_lattice_kernel.py::test_obstruction_refuses_what_is_not_special_alternating"
 AGREE_AT_P = "tests/test_acceptance.py::test_certificates_agree_at_p"
@@ -54,6 +55,8 @@ FACE_PASS = "tests/test_goeritz_reader.py::test_face_pass_reads_the_corner_pair_
 EULER_COUNT = ("tests/test_goeritz_reader.py::"
                "test_euler_count_per_component_is_the_face_index_count")
 PAIRING = "tests/test_lattice.py::TestPairingBruteForce::test_matches_disjoint_pair_search"
+KEY_PARTITIONS = "tests/test_diagram.py::TestIsomorphism::test_key_partitions_small_codes_exactly"
+KEY_REBUILDS = "tests/test_diagram.py::TestIsomorphism::test_key_rebuilds_the_diagram"
 
 MUTANTS = [
     Mutant("src/specalt/moves.py",
@@ -145,17 +148,16 @@ MUTANTS = [
            "a hint that repeats a crossing is kept: a witness at m makes fewer "
            "than m changes"),
     Mutant("src/specalt/lattice.py",
-           "    if any(full[i][j] > 0 for i, j in pairs):\n        return []\n",
-           "",
-           COVER_POSITIVE,
-           "a zero-slack gram with a positive entry is read as a multigraph: "
-           "an embedding with too few columns is yielded"),
+           "    if d.n and d.signs[0] < 0:\n",
+           "    if d.n and d.signs[0] > 0:\n",
+           ONE_LATTICE,
+           "obstruction mirrors the positive diagram instead of the negative "
+           "one: every special alternating diagram is refused"),
     Mutant("src/specalt/lattice.py",
-           "for i in range(r + 1) for j in range(i + 1, r + 1)]",
-           "for i in range(1, r + 1) for j in range(i + 1, r + 1)]",
-           COVER_ZERO_SLACK,
-           "v_0's row is left out of the multiplicities: the edges to v_0 "
-           "lose their columns"),
+           "(t == a) - (t == b)", "(t == a) + (t == b)",
+           MATCH_REFERENCE,
+           "an edge column is built as e_a + e_b: the embedding is not the "
+           "Tait graph's incidence matrix"),
     Mutant("src/specalt/lattice.py",
            "        for t in range(len(members) // 2):\n",
            "        for t in range(-(-len(members) // 2)):\n",
@@ -185,12 +187,12 @@ MUTANTS = [
            "the Euler count puts the free loops' faces in the first crossing "
            "component: a diagram with crossings and free loops is rejected"),
     Mutant("src/specalt/lattice.py",
-           "    if found is None:\n"
+           "    if -1 in d.signs:\n"
            "        raise NotSpecialAlternating(\"obstruction needs a special alternating diagram\")\n",
-           "    found = found or []\n",
+           "",
            REFUSES,
-           "obstruction drops its slack gate: a diagram that is not special "
-           "alternating is called obstructed"),
+           "obstruction drops its sign refusal: a diagram with crossings of "
+           "both signs gets a verdict"),
     Mutant("src/specalt/lattice.py",
            "        groups.setdefault(_sign_normal(col), []).append(j)\n",
            "        groups.setdefault(next((i for i, x in enumerate(col) if x), -1), "
@@ -213,6 +215,18 @@ MUTANTS = [
            AGREE_AT_P,
            "exhaustive_search ignores its first subsets and tries them in "
            "lexicographic order"),
+    Mutant("src/specalt/diagram.py",
+           "            row: list = [over_in[c]]\n",
+           "            row: list = [False]\n",
+           KEY_PARTITIONS,
+           "canonical_key drops the direction bit: diagrams that differ only "
+           "in their strands' directions share a key"),
+    Mutant("src/specalt/diagram.py",
+           "                row += (ids[mc], ms)\n",
+           "                row += (ids[mc], 0)\n",
+           KEY_REBUILDS,
+           "canonical_key drops the mate slot: the key no longer says which "
+           "slot of the mate crossing an edge enters"),
 ]
 
 

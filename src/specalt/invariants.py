@@ -38,7 +38,6 @@ class GoeritzLattice:
 
     rank: int
     gram: tuple[tuple[int, ...], ...]
-    white_order: tuple[int, ...]          # face indices v_0, v_1, ..., v_r
     edges: tuple[tuple[int, int], ...]    # per crossing, its white corners' rows
     sigma: int
     coloring: Checkerboard
@@ -96,7 +95,6 @@ def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
     return GoeritzLattice(
         rank=len(whites) - 1,
         gram=tuple(tuple(row[1:]) for row in g[1:]),
-        white_order=tuple(whites),
         edges=tuple(map(tuple, edges)),
         sigma=len(whites) - 1 + _gl_correction(d, c),
         coloring=c,

@@ -7,13 +7,12 @@ into Z^n (n = rank - sigma) meeting every coordinate (condition i) and
 admitting p coordinate pairs with equal projections up to sign
 (condition ii).  No such embedding certifies a strict inequality.
 
-On the sigma <= 0 side of a special alternating diagram the only covering
-embedding is the signed incidence matrix of the Tait graph on the white
-regions, read off the Gram matrix by ``_covering_class`` with no search.
-Two of its columns are equal up to sign exactly when their crossings join
-the same two white regions, so condition (ii) counts disjoint clasps.  A
-lattice of nonzero slack proves the diagram is not special alternating,
-and ``obstruction`` refuses it.
+The sigma <= 0 side of a special alternating diagram is its positive
+diagram, where n = rank - sigma is the crossing count: zero slack.  There
+the only covering embedding is the signed incidence matrix of the white
+Tait graph (``GoeritzLattice.edges``), read with no search.  Two of its
+columns are equal up to sign exactly when their crossings join the same
+two white regions, so condition (ii) counts disjoint clasps.
 """
 
 from __future__ import annotations
@@ -101,41 +100,13 @@ def canonical_matrix(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*normed)) if normed else ()
 
 
-def _covering_class(gram, n: int) -> list[LatticeEmbedding] | None:
-    """The covering classes of a positive-definite ``gram`` in Z^n at zero
-    slack; None at any other slack.  The gram is not checked.
-
-    With v_0 = -(v_1 + ... + v_r), every column of the full matrix sums to
-    0, so a nonzero one has squared norm at least 2, and the column norms
-    add up to the trace of the full gram F (v_0's row and column are minus
-    the gram's column sums).  When that trace is 2n (zero slack), a
-    covering X has one +1 and one -1 in each full column, so X X^T = F is
-    the Laplacian of a multigraph on v_0..v_r with -F[i][j] edges between
-    v_i and v_j.  That fixes X up to signed column permutation: one class,
-    and none when an off-diagonal entry of F is positive."""
-    r = len(gram)
-    full = [[sum(map(sum, gram))] + [-sum(col) for col in zip(*gram)]]
-    full += [[full[0][i + 1], *row] for i, row in enumerate(gram)]
-    if sum(full[i][i] for i in range(r + 1)) != 2 * n:
-        return None
-    pairs = [(i, j) for i in range(r + 1) for j in range(i + 1, r + 1)]
-    if any(full[i][j] > 0 for i, j in pairs):
-        return []
-    cols = [tuple((t == i) - (t == j) for t in range(1, r + 1))
-            for i, j in pairs for _ in range(-full[i][j])]
-    return [LatticeEmbedding(canonical_matrix(tuple(zip(*cols))), n)]
-
-
 def find_pairing(e: LatticeEmbedding, p: int) -> CoordinatePairing | None:
     """Theorem condition (ii): p disjoint column pairs equal up to sign.
 
     Groups columns into {+-column} classes and takes floor(size/2) pairs
     per class; None exactly when fewer than p pairs exist.
     """
-    if p == 0:
-        return CoordinatePairing(())
-    cols = list(zip(*e.full_matrix)) if e.images else \
-        [tuple()] * e.target_dim
+    cols = list(zip(*e.full_matrix))
     groups: dict[tuple, list[int]] = {}
     for j, col in enumerate(cols):
         groups.setdefault(_sign_normal(col), []).append(j)
@@ -155,31 +126,29 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
     """Decide whether the Goeritz lattice admits an embedding satisfying
     conditions (i) and (ii); Obstructed certifies c4 > p.
 
-    The signature comes from the same lattice.  Only here is a diagram of
-    positive signature replaced by its mirror; the verdict's lattice names
-    the diagram decided on.  A diagram whose lattice has nonzero slack is
-    not special alternating and raises NotSpecialAlternating."""
+    Only here is a diagram replaced by its mirror: a negative diagram has
+    sigma = rank > 0, so the positive diagram is decided, and the verdict's
+    lattice names it.  A diagram with crossings of both signs is not
+    special alternating and raises NotSpecialAlternating.  The embedding
+    has one column e_a - e_b per crossing, its Tait-graph edge (a, b), in
+    Z^n with n = rank - sigma = n_plus: zero slack."""
     if not d.is_connected:
         raise SplitDiagram("obstruction needs a non-split diagram")
     if d.n and not d.is_alternating:
         raise NotAlternating("obstruction needs an alternating diagram")
-    lat = goeritz(d, checkerboard_negative(d))
-    if lat.sigma > 0:
+    if d.n and d.signs[0] < 0:
         d = mirror(d)
-        lat = goeritz(d, checkerboard_negative(d))
-    sigma = lat.sigma
-    p = unlinking_lower_bound(sigma, 0, d.component_count)[0]
-    n_target = lat.rank - sigma
-    # a goeritz gram is positive definite by construction: no check here
-    found = _covering_class(lat.gram, n_target)
-    if found is None:
+    if -1 in d.signs:
         raise NotSpecialAlternating("obstruction needs a special alternating diagram")
-    for emb in found:
-        pairing = find_pairing(emb, p)
-        if pairing is not None:
-            return ObstructionVerdict(True, p, n_target, lat, emb, pairing,
-                                      reason="witness")
-    return ObstructionVerdict(False, p, n_target, lat, reason="exhausted")
+    lat = goeritz(d, checkerboard_negative(d))
+    p = unlinking_lower_bound(lat.sigma, 0, d.component_count)[0]
+    cols = [tuple((t == a) - (t == b) for t in range(1, lat.rank + 1))
+            for a, b in lat.edges]
+    emb = LatticeEmbedding(canonical_matrix(tuple(zip(*cols))), d.n)
+    pairing = find_pairing(emb, p)
+    if pairing is None:
+        return ObstructionVerdict(False, p, d.n, lat, reason="exhausted")
+    return ObstructionVerdict(True, p, d.n, lat, emb, pairing, reason="witness")
 
 
 class MarkedRegionsNotAdjacent(DiagramError):
@@ -201,7 +170,7 @@ def clasp_candidates(v: ObstructionVerdict) -> tuple[int, ...]:
     tw = twist_regions(d)
     if not is_twist_reduced(d, tw):
         return ()
-    full = v.embedding.full_matrix      # row i is white region white_order[i]
+    full = v.embedding.full_matrix      # row i: the region lattice.edges numbers i
     marked: dict[tuple[int, int], int] = {}
     for (a, b, eps) in v.pairing.pairs:
         rows_a = [i for i, row in enumerate(full) if row[a] != 0]

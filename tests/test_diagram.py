@@ -419,6 +419,25 @@ class TestIsomorphism:
         assert all(len(brute) == 1 for brute in classes.values())
         assert len({_brute_key(d) for d in codes}) == len(classes) == 107
 
+    def test_key_rebuilds_the_diagram(self, bundled):
+        """A connected key is its diagram up to relabeling: each row, one
+        per crossing id, holds the direction bit and then the (mate id,
+        mate slot) of slots 0..3, and reading those back into a code gives
+        a valid diagram with the same key."""
+        for rec in bundled:
+            for d in (rec.diagram, reflect_plane(rec.diagram)):
+                if not d.n or not d.is_connected:
+                    continue
+                _, loops, rows = canonical_key(d)
+                edges = [[frozenset({(c, s), row[1 + 2 * s: 3 + 2 * s]}) for s in range(4)]
+                         for c, row in enumerate(rows)]
+                labels: dict = {}
+                quads = tuple(tuple(labels.setdefault(e, len(labels) + 1) for e in quad)
+                              for quad in edges)
+                incoming = tuple((True, row[0], False, not row[0]) for row in rows)
+                rebuilt = validate(LinkDiagram(quads, incoming, loops))
+                assert canonical_key(rebuilt) == canonical_key(d), rec.name
+
     def test_reversed_component_changes_key(self):
         """Reversing one component of this two-component diagram keeps
         every quad and flips every sign; the two are not isomorphic even

@@ -1,16 +1,18 @@
 """The one embedding walk: ``reference_enumerate_embeddings``, the full
 nested-generator enumeration that the package's obstruction is compared
-against.  The package reads its embedding off the Goeritz gram
-(``lattice._covering_class``) and walks none.
+against.  The package reads its embedding off the positive diagram's
+Tait graph and walks none.
 
 The walk is checked against brute force on seeded random positive-definite
-Gram matrices of rank at most 4.  The zero-slack reading is compared with
-the walk's classes filtered by condition (i) on the same grams and on
-grams of matrices with one +1 and one -1 per full column, and through
+Gram matrices of rank at most 4.  The argument for the Tait-graph reading
+is checked on the walk's classes filtered by condition (i), on the same
+grams and on grams of matrices with one +1 and one -1 per full column: at
+zero slack there is at most one covering class, and it has that
+structure.  The reading itself is compared with the filtered walk through
 ``obstruction`` on every special alternating row of the bundled fixtures,
 the named 11a/12a table and ``paper13``, and their mirrors.  The other
-alternating rows of the fixtures have nonzero slack, and ``obstruction``
-refuses them."""
+alternating rows of the fixtures have crossings of both signs, and
+``obstruction`` refuses them."""
 
 import itertools
 import random
@@ -19,7 +21,7 @@ from math import isqrt
 import pytest
 
 from specalt import families, lattice
-from specalt.diagram import (NotSpecialAlternating, checkerboard_negative,
+from specalt.diagram import (LinkDiagram, NotSpecialAlternating, checkerboard_negative,
                              is_special_alternating, mirror, reduce_nugatory)
 from specalt.invariants import goeritz, unlinking_lower_bound
 from specalt.lattice import (LatticeEmbedding, canonical_matrix, find_pairing,
@@ -28,6 +30,7 @@ from specalt.linalg import symmetric_signature_nullity
 from specalt.tables import data_path, load_table
 
 from conftest import connected_sum
+from paper_claims import claim1_structure
 
 
 class Stats:
@@ -242,8 +245,9 @@ def test_obstruction_verdicts_match_reference():
 
 
 def slack(gram, n):
-    """2n - tr(G) - (sum of all entries of G): 0 where the covering
-    embedding is read off the Gram matrix."""
+    """2n - tr(G) - (sum of all entries of G), that is 2n minus the trace
+    of the full gram: 0 where a covering embedding is an incidence
+    matrix."""
     return 2 * n - sum(map(sum, gram)) - sum(gram[i][i] for i in range(len(gram)))
 
 
@@ -277,21 +281,21 @@ def covering_classes(gram, n):
             if condition_all_coords(e)]
 
 
-def read_classes(gram, n):
-    """The package's zero-slack reading, as images; None at nonzero slack."""
-    found = lattice._covering_class(gram, n)
-    return None if found is None else [e.images for e in found]
+def full_column_norms(images, n):
+    """The squared norms of the full matrix's columns, v_0 on top."""
+    return [sum(x * x for x in col)
+            for col in zip(*LatticeEmbedding(images, n).full_matrix)]
 
 
 @pytest.mark.parametrize("gram, rows", unit_column_grams(28, 40))
 def test_cover_at_zero_slack(gram, rows):
-    """At zero slack the reading is the generating matrix's class alone,
-    and it is the full enumeration's only covering class.  One dimension
-    up the slack is 2: the package reads nothing, and no embedding
-    covers."""
+    """At zero slack the generating incidence matrix's class is the full
+    enumeration's only covering class.  One dimension up the slack is 2,
+    and no embedding covers."""
     n = len(rows[0])
-    assert read_classes(gram, n) == covering_classes(gram, n) == [canonical_matrix(rows)]
-    assert read_classes(gram, n + 1) is None
+    found = covering_classes(gram, n)
+    assert found == [canonical_matrix(rows)]
+    assert claim1_structure(LatticeEmbedding(found[0], n))
     assert covering_classes(gram, n + 1) == []
 
 
@@ -300,28 +304,35 @@ def test_cover_at_zero_slack_with_a_positive_entry():
     which no two rows of a one-+1-one--1 matrix can have: nothing covers."""
     gram = ((2, 1), (1, 2))
     assert slack(gram, 5) == 0
-    assert read_classes(gram, 5) == []
     assert covering_classes(gram, 5) == []
 
 
 @pytest.mark.parametrize("gram, n", random_grams(2026, 40))
 def test_cover_on_random_grams(gram, n):
-    """On the random grams the reading at zero slack is the full
-    enumeration filtered by condition (i).  At positive slack the filter
-    finds nothing, as the column norms cannot reach 2n; at any nonzero
-    slack the package reads nothing."""
+    """The column norms of a covering class are each at least 2 and add up
+    to the full gram's trace, 2n - slack.  So at zero slack there is at
+    most one covering class, an incidence matrix, and at positive slack
+    there is none."""
     want = covering_classes(gram, n)
     s = slack(gram, n)
-    assert read_classes(gram, n) == (want if s == 0 else None)
+    for images in want:
+        norms = full_column_norms(images, n)
+        assert min(norms) >= 2 and sum(norms) == 2 * n - s
+        assert claim1_structure(LatticeEmbedding(images, n)) == (s == 0)
+    if s == 0:
+        assert len(want) <= 1
     if s > 0:
         assert want == []
 
 
 def test_cover_of_the_empty_form():
-    """Rank 0 embeds once into any Z^n, and covers only Z^0."""
+    """Rank 0 embeds once into any Z^n, and covers only Z^0, where
+    ``obstruction`` on the crossing-free unknot reads that one class."""
     assert len(list(reference_enumerate_embeddings((), 2))) == 1
-    assert read_classes((), 2) is None and covering_classes((), 2) == []
-    assert read_classes((), 0) == covering_classes((), 0) == [()]
+    assert covering_classes((), 2) == []
+    assert covering_classes((), 0) == [()]
+    v = obstruction(LinkDiagram((), (), 1))
+    assert (v.embedding.images, v.target_dim) == ((), 0)
 
 
 def test_random_grams_span_every_slack_sign():
@@ -363,8 +374,8 @@ def test_obstruction_is_the_filtered_enumeration(special_rows):
 
 def test_obstruction_refuses_what_is_not_special_alternating():
     """The 17 reduced alternating fixture rows that are not special
-    alternating have nonzero slack on both sides of the mirror, and
-    ``obstruction`` refuses all 34 sides."""
+    alternating have crossings of both signs on both sides of the mirror,
+    and ``obstruction`` refuses all 34 sides."""
     records, errors = load_table(data_path("fixtures.csv"))
     assert not errors
     rows = [reduce_nugatory(rec.diagram) for rec in records]
@@ -375,6 +386,25 @@ def test_obstruction_refuses_what_is_not_special_alternating():
         for side in (d, mirror(d)):
             with pytest.raises(NotSpecialAlternating):
                 obstruction(side)
+
+
+def test_obstruction_builds_one_lattice_of_the_positive_diagram(special_rows, monkeypatch):
+    """On the 116 rows and their mirrors ``obstruction`` builds one Goeritz
+    lattice per call, and the diagram it decides has every crossing
+    positive: a negative diagram is mirrored before its lattice is built."""
+    built = []
+
+    def counted(d, c):
+        built.append(d)
+        return goeritz(d, c)
+
+    monkeypatch.setattr(lattice, "goeritz", counted)
+    for name, d in special_rows:
+        for side in (d, mirror(d)):
+            built.clear()
+            v = obstruction(side)
+            assert built == [v.lattice.coloring.diagram], name
+            assert all(s == 1 for s in v.lattice.coloring.diagram.signs), name
 
 
 SIZE_NODES = 3000
