@@ -1,11 +1,15 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
     python scripts/bench_pairs.py PARENT CHANGE --pairs 10 --seconds 30 --out BENCH.json
+    python scripts/bench_pairs.py PARENT CHANGE --pairs 10 --seconds 30 --out BENCH.json \
+        --seed 7 --workload paper13
 
-PARENT and CHANGE are checkout directories.  For each workload of
-CHANGE's ``BENCHMARK.json``, pair i runs ``perfbench/run.py --workload W
---seed 1 --seconds S --trace 0`` once in each checkout, the parent first
-in odd pairs and the change first in even ones.  The runs are written to
+PARENT and CHANGE are checkout directories.  For each workload named by
+``--workload`` (repeatable; by default every workload of CHANGE's
+``BENCHMARK.json``, and a name the spec does not hold is refused), pair i
+runs ``perfbench/run.py --workload W --seed N --seconds S --trace 0``
+once in each checkout, N from ``--seed`` (default 1), the parent first in
+odd pairs and the change first in even ones.  The runs are written to
 ``--out`` in the layout of ``BENCH_21.json``: per workload, one list of
 runs per side, each run with ``correct``, ``attempted``, ``failed`` and
 every end-to-end metric.  For each workload and metric it then prints
@@ -31,7 +35,6 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-SEED = 1
 
 
 def benchmark_spec(checkout: str) -> dict:
@@ -39,10 +42,10 @@ def benchmark_spec(checkout: str) -> dict:
         return json.load(fh)
 
 
-def run_once(checkout: str, workload: str, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One ``--trace 0`` run in ``checkout``: its verdict and metrics."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -106,21 +109,29 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--out", required=True, help="JSON file for the runs")
+    ap.add_argument("--seed", type=int, default=1, help="seed of every run (default 1)")
+    ap.add_argument("--workload", action="append", dest="workloads", metavar="W",
+                    help="a workload to run (repeatable; default every workload)")
     args = ap.parse_args(argv)
 
     spec = benchmark_spec(args.change)
+    names = [wl["name"] for wl in spec["workloads"]]
+    unknown = [w for w in args.workloads or () if w not in names]
+    if unknown:
+        ap.error(f"unknown workload {', '.join(unknown)}; "
+                 f"BENCHMARK.json has {', '.join(names)}")
     checkouts = {"parent": args.parent, "change": args.change}
     workloads = {}
-    for wl in spec["workloads"]:
+    for name in dict.fromkeys(args.workloads or names):
         runs = {side: [] for side in SIDES}
         for i in range(1, args.pairs + 1):
             for side in (SIDES if i % 2 else SIDES[::-1]):
-                runs[side].append(run_once(checkouts[side], wl["name"], args.seconds))
-            print(f"{wl['name']} pair {i}/{args.pairs} done", file=sys.stderr)
-        workloads[wl["name"]] = runs
+                runs[side].append(run_once(checkouts[side], name, args.seed, args.seconds))
+            print(f"{name} pair {i}/{args.pairs} done", file=sys.stderr)
+        workloads[name] = runs
 
     report = {
-        "command": f"python3 perfbench/run.py --workload <w> --seed {SEED} "
+        "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
         "host": host(),
         "pairs": f"{args.pairs} per workload, alternating which side runs first "

@@ -55,6 +55,7 @@ FACE_PASS = "tests/test_goeritz_reader.py::test_face_pass_reads_the_corner_pair_
 EULER_COUNT = ("tests/test_goeritz_reader.py::"
                "test_euler_count_per_component_is_the_face_index_count")
 PAIRING = "tests/test_lattice.py::TestPairingBruteForce::test_matches_disjoint_pair_search"
+PARALLEL_PAIRS = "tests/test_lattice.py::TestObstruction::test_pairs_name_parallel_crossings"
 KEY_PARTITIONS = "tests/test_diagram.py::TestIsomorphism::test_key_partitions_small_codes_exactly"
 KEY_REBUILDS = "tests/test_diagram.py::TestIsomorphism::test_key_rebuilds_the_diagram"
 
@@ -154,7 +155,8 @@ MUTANTS = [
            "obstruction mirrors the positive diagram instead of the negative "
            "one: every special alternating diagram is refused"),
     Mutant("src/specalt/lattice.py",
-           "(t == a) - (t == b)", "(t == a) + (t == b)",
+           "tuple((t == a) - (t == b) for a, b in lat.edges)",
+           "tuple((t == a) + (t == b) for a, b in lat.edges)",
            MATCH_REFERENCE,
            "an edge column is built as e_a + e_b: the embedding is not the "
            "Tait graph's incidence matrix"),
@@ -201,10 +203,27 @@ MUTANTS = [
            "find_pairing keys the multiplicities by one region, the column's "
            "first nonzero row, instead of by the pair"),
     Mutant("src/specalt/lattice.py",
-           "    if not is_twist_reduced(d, tw):\n        return ()\n",
+           "    return tuple(min(a, b) for a, b, _ in v.pairing.pairs)\n",
            "    return ()\n",
            AGREE_AT_P,
            "clasp_candidates returns nothing: the search at p starts without a hint"),
+    Mutant("src/specalt/lattice.py",
+           "tuple(min(a, b) for a, b, _ in", "tuple(max(a, b) for a, b, _ in",
+           "tests/test_acceptance.py::test_verdicts_match_expected",
+           "the clasp hint takes the later crossing of each pair: the witness "
+           "moves to another clasp of the same twist region"),
+    Mutant("src/specalt/lattice.py",
+           "            eps = 1 if cols[a] == cols[b] else -1\n",
+           "            eps = -1 if cols[a] == cols[b] else 1\n",
+           PARALLEL_PAIRS,
+           "find_pairing's sign is flipped: a pair of equal columns reads "
+           "column_a = -column_b"),
+    Mutant("src/specalt/lattice.py",
+           "    if not is_twist_reduced(d, twist_regions(d)):\n        return ()\n",
+           "",
+           "tests/test_lattice.py::TestClaspCandidates::test_non_twist_reduced_gives_no_hint",
+           "clasp_candidates drops its twist-reduced gate: a diagram where Claim 2 "
+           "does not hold gets a hint"),
     Mutant("src/specalt/unknotting.py",
            "    hints = (clasp_candidates(ob),) if ob.admissible else ()\n",
            "    hints = ()\n",

@@ -3,9 +3,11 @@
 The pipeline: parse an alternating diagram, compute the classical
 signature bound p = (|sigma|+|k-1-eta|)/2 from the Goeritz form by
 Gordon-Litherland, decide by the lattice obstruction (a clasp count on
-the Tait graph, read off the Goeritz form) and a crossing-change search
-whether the bound is attained, and certify or bound the unlinking number;
-the bounds on u also bound the 4-ball crossing number c4.  The Seifert-matrix module ``seifert`` is an
+the white Tait graph: each pair it finds is two crossings between the
+same two white regions, and one crossing of each is the clasp hint) and
+a crossing-change search whether the bound is attained, and certify or
+bound the unlinking number; the bounds on u also bound the 4-ball
+crossing number c4.  The Seifert-matrix module ``seifert`` is an
 independent signature route for checking, not part of the pipeline.  The
 checkers of the paper's intermediate claims (Claim 1's column structure,
 the Euler identity) are test helpers and do not ship here.
@@ -24,8 +26,7 @@ from .invariants import (GoeritzLattice, ClassicalInvariants, goeritz,
                          classical_invariants, DegenerateColoring)
 from .seifert import seifert_matrix
 from .lattice import (LatticeEmbedding, CoordinatePairing, ObstructionVerdict,
-                      MarkedRegionsNotAdjacent, find_pairing, obstruction,
-                      clasp_candidates, canonical_matrix)
+                      find_pairing, obstruction, clasp_candidates)
 from .unknotting import (UnlinkCertificate, SearchOutcome, UnlinkingVerdict,
                          WitnessContradictsObstruction, reidemeister_simplify,
                          certify_unlink, exhaustive_search,

@@ -28,30 +28,26 @@ class DegenerateColoring(DiagramError):
 
 @dataclass(frozen=True)
 class GoeritzLattice:
-    """Positive-definite Goeritz form of an alternating diagram.
-
-    ``gram`` is the pairing on the white regions v_1..v_r after deleting
-    v_0 (the white face with the smallest face index), and ``edges`` the
-    white Tait graph.  ``sigma`` is the signature of the diagram's link,
-    rank - n_plus, and ``coloring`` the checkerboard the form was read from.
+    """Positive-definite Goeritz form of an alternating diagram, held as
+    its white Tait graph: ``edges`` gives each crossing's white regions in
+    face-index order, and the form on v_1..v_r is the graph's Laplacian
+    with region 0 deleted.  ``sigma`` is the signature of the diagram's
+    link, rank - n_plus, and ``coloring`` the checkerboard the form was
+    read from.
     """
 
     rank: int
-    gram: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]    # per crossing, its white corners' rows
     sigma: int
     coloring: Checkerboard
 
 
-def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list, list, list]:
-    """White faces in index order, each crossing's white Tait-graph edge and
-    the unquotiented Goeritz form with incidence signs, from one pass over
-    ``faces``: a face is white when its first corner (c, s) has s even
-    exactly when mu(c) = +1 (face 0 alone on a crossing-free diagram), and
-    crossing c's edge holds the positions of its white corners q_s, q_{s+2}.
-    A crossing between distinct white regions a, b adds mu to g[a][b] and
-    g[b][a] and subtracts it from g[a][a] and g[b][b]; one with both white
-    corners in one region adds nothing."""
+def _tait_graph(d: LinkDiagram, c: Checkerboard) -> tuple[list, list]:
+    """White faces in index order and each crossing's white Tait-graph edge,
+    from one pass over ``faces``: a face is white when its first corner
+    (c, s) has s even exactly when mu(c) = +1 (face 0 alone on a
+    crossing-free diagram), and crossing c's edge holds the positions of
+    its white corners q_s, q_{s+2}."""
     mu = c.incidence
     whites = [] if d.n or not d.faces else [0]
     edges = [[0, 0] for _ in mu]
@@ -60,8 +56,18 @@ def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list, list, list]:
             for cr, s in face:
                 edges[cr][s >> 1] = len(whites)
             whites.append(f)
+    return whites, edges
+
+
+def _goeritz_form(d: LinkDiagram, c: Checkerboard) -> tuple[list, list, list]:
+    """The white faces and edges of ``_tait_graph`` and the unquotiented
+    Goeritz form with incidence signs: a crossing between distinct white
+    regions a, b adds mu to g[a][b] and g[b][a] and subtracts it from
+    g[a][a] and g[b][b]; one with both white corners in one region adds
+    nothing."""
+    whites, edges = _tait_graph(d, c)
     g = [[0] * len(whites) for _ in whites]
-    for (ia, ib), m in zip(edges, mu):
+    for (ia, ib), m in zip(edges, c.incidence):
         if ia != ib:
             g[ia][ib] += m
             g[ib][ia] += m
@@ -78,23 +84,22 @@ def _gl_correction(d: LinkDiagram, c: Checkerboard) -> int:
 
 
 def goeritz(d: LinkDiagram, c: Checkerboard) -> GoeritzLattice:
-    """Goeritz pairing: v_i . v_j = -(crossings between v_i and v_j) off the
-    diagonal, diagonal = crossings around v_i.
+    """Goeritz lattice of the all-(-1) coloring: v_i . v_j = -(crossings
+    between v_i and v_j) off the diagonal, diagonal = crossings around v_i.
 
-    The gram is the reduced Laplacian of the connected, loopless white Tait
+    The form is the reduced Laplacian of the connected, loopless white Tait
     graph, so it is positive definite and its signature is its rank; the
     link signature is that rank minus the number of positive crossings."""
     if not d.is_connected:
         raise SplitDiagram("goeritz needs a non-split diagram")
     if any(mu != -1 for mu in c.incidence):
         raise DegenerateColoring("coloring must have incidence -1 at every crossing")
-    whites, edges, g = _goeritz_form(d, c)
+    whites, edges = _tait_graph(d, c)
     if any(a == b for a, b in edges):
         raise DiagramError("crossing with both white corners in one region; "
                            "diagram is not reduced")
     return GoeritzLattice(
         rank=len(whites) - 1,
-        gram=tuple(tuple(row[1:]) for row in g[1:]),
         edges=tuple(map(tuple, edges)),
         sigma=len(whites) - 1 + _gl_correction(d, c),
         coloring=c,

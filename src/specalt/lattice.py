@@ -10,9 +10,9 @@ admitting p coordinate pairs with equal projections up to sign
 The sigma <= 0 side of a special alternating diagram is its positive
 diagram, where n = rank - sigma is the crossing count: zero slack.  There
 the only covering embedding is the signed incidence matrix of the white
-Tait graph (``GoeritzLattice.edges``), read with no search.  Two of its
-columns are equal up to sign exactly when their crossings join the same
-two white regions, so condition (ii) counts disjoint clasps.
+Tait graph (``GoeritzLattice.edges``), read with no search: column c is
+crossing c.  Two columns are equal up to sign exactly when their crossings
+join the same two white regions, so condition (ii) counts disjoint clasps.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import (LinkDiagram, checkerboard_negative, mirror, twist_regions,
-                      is_twist_reduced, is_special_alternating, _bigon_pairs,
-                      NotAlternating, NotSpecialAlternating, SplitDiagram,
-                      DiagramError)
+                      is_twist_reduced, NotAlternating, NotSpecialAlternating,
+                      SplitDiagram, DiagramError)
 from .invariants import goeritz, unlinking_lower_bound, GoeritzLattice
 
 
@@ -91,15 +90,6 @@ def _sign_normal(col: tuple[int, ...]) -> tuple[int, ...]:
     return col
 
 
-def canonical_matrix(rows) -> tuple[tuple[int, ...], ...]:
-    """Canonical form under signed column permutations: flip each column so
-    its first nonzero entry is positive, then sort columns descending."""
-    if not rows:
-        return ()
-    normed = sorted(map(_sign_normal, zip(*rows)), reverse=True)
-    return tuple(zip(*normed)) if normed else ()
-
-
 def find_pairing(e: LatticeEmbedding, p: int) -> CoordinatePairing | None:
     """Theorem condition (ii): p disjoint column pairs equal up to sign.
 
@@ -129,9 +119,10 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
     Only here is a diagram replaced by its mirror: a negative diagram has
     sigma = rank > 0, so the positive diagram is decided, and the verdict's
     lattice names it.  A diagram with crossings of both signs is not
-    special alternating and raises NotSpecialAlternating.  The embedding
-    has one column e_a - e_b per crossing, its Tait-graph edge (a, b), in
-    Z^n with n = rank - sigma = n_plus: zero slack."""
+    special alternating and raises NotSpecialAlternating.  Column c of the
+    embedding is e_a - e_b for crossing c's Tait-graph edge (a, b), in Z^n
+    with n = rank - sigma = n_plus (zero slack), so a pair (a, b, eps)
+    names two crossings between the same two white regions."""
     if not d.is_connected:
         raise SplitDiagram("obstruction needs a non-split diagram")
     if d.n and not d.is_alternating:
@@ -142,62 +133,23 @@ def obstruction(d: LinkDiagram) -> ObstructionVerdict:
         raise NotSpecialAlternating("obstruction needs a special alternating diagram")
     lat = goeritz(d, checkerboard_negative(d))
     p = unlinking_lower_bound(lat.sigma, 0, d.component_count)[0]
-    cols = [tuple((t == a) - (t == b) for t in range(1, lat.rank + 1))
-            for a, b in lat.edges]
-    emb = LatticeEmbedding(canonical_matrix(tuple(zip(*cols))), d.n)
+    emb = LatticeEmbedding(tuple(tuple((t == a) - (t == b) for a, b in lat.edges)
+                                 for t in range(1, lat.rank + 1)), d.n)
     pairing = find_pairing(emb, p)
     if pairing is None:
         return ObstructionVerdict(False, p, d.n, lat, reason="exhausted")
     return ObstructionVerdict(True, p, d.n, lat, emb, pairing, reason="witness")
 
 
-class MarkedRegionsNotAdjacent(DiagramError):
-    """Marked regions lack the >= 2 crossings Claim 2 guarantees; indicates
-    a convention bug, not a valid state."""
-
-
 def clasp_candidates(v: ObstructionVerdict) -> tuple[int, ...]:
-    """One crossing per disjoint clasp, extracted from an admissible
-    verdict: each paired coordinate marks a white-region pair, and the
-    crossings between a marked pair lie in one twist region.  That is
-    Claim 2, on a twist-reduced diagram; on any other diagram the tuple is
-    empty."""
+    """One crossing of each pair of an admissible verdict, or () on a
+    diagram that is not twist-reduced.  On a twist-reduced diagram the
+    crossings between two white regions lie in one twist region (Claim 2),
+    and a two-strand twist is fixed by its exponent sum, so any two of them
+    form a clasp up to isotopy."""
     if not v.admissible:
         raise DiagramError("clasp extraction needs an admissible verdict")
     d = v.lattice.coloring.diagram
-    if not is_special_alternating(d):
-        raise DiagramError("clasp extraction needs a special alternating diagram")
-    tw = twist_regions(d)
-    if not is_twist_reduced(d, tw):
+    if not is_twist_reduced(d, twist_regions(d)):
         return ()
-    full = v.embedding.full_matrix      # row i: the region lattice.edges numbers i
-    marked: dict[tuple[int, int], int] = {}
-    for (a, b, eps) in v.pairing.pairs:
-        rows_a = [i for i, row in enumerate(full) if row[a] != 0]
-        rows_b = [i for i, row in enumerate(full) if row[b] != 0]
-        if len(rows_a) != 2 or set(rows_a) != set(rows_b):
-            raise MarkedRegionsNotAdjacent(
-                f"columns {a},{b} do not mark a single region pair")
-        key = (rows_a[0], rows_a[1])
-        marked[key] = marked.get(key, 0) + 1
-    bigons = {tuple(sorted(pair)) for pair in _bigon_pairs(d)}
-    chosen: list[int] = []
-    for pair, count in sorted(marked.items()):
-        between = [c for c, edge in enumerate(v.lattice.edges)
-                   if tuple(sorted(edge)) == pair]
-        if len(between) < 2 * count:
-            raise MarkedRegionsNotAdjacent(
-                f"only {len(between)} crossings between marked regions, "
-                f"need {2 * count}")
-        regions = {tw.region_of(c) for c in between}
-        if len(regions) != 1:
-            raise MarkedRegionsNotAdjacent(
-                "marked crossings span several twist regions")
-        chain = [c for c in tw.regions[regions.pop()] if c in between]
-        for t in range(count):
-            c1, c2 = chain[2 * t], chain[2 * t + 1]
-            if tuple(sorted((c1, c2))) not in bigons:
-                raise MarkedRegionsNotAdjacent(
-                    f"selected crossings {c1},{c2} are not clasped")
-            chosen.append(min(c1, c2))
-    return tuple(chosen)
+    return tuple(min(a, b) for a, b, _ in v.pairing.pairs)

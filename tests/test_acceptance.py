@@ -25,7 +25,7 @@ from specalt.diagram import (parse_pd, checkerboard_negative,
 from specalt.invariants import gl_signature, signature_nullity, determinant
 from specalt import seifert
 from specalt.lattice import (obstruction, clasp_candidates, find_pairing,
-                             canonical_matrix, LatticeEmbedding)
+                             LatticeEmbedding)
 from specalt.unknotting import (certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, replay_moves)
 from specalt.moves import apply_move
@@ -33,7 +33,7 @@ from specalt.tables import (load_bundled_fixtures, load_table, analyze_all,
                             bound_consistency_ok, data_path)
 from specalt import families
 
-from paper_claims import claim1_structure, euler_check
+from paper_claims import canonical_matrix, claim1_structure, euler_check
 from test_lattice_kernel import (condition_all_coords, is_positive_definite,
                                  reference_enumerate_embeddings)
 

@@ -1,16 +1,19 @@
 import itertools
 import json
+from collections import Counter
 import os
 import random
 
 import pytest
 
-from specalt.diagram import parse_pd, mirror, checkerboard_negative, DiagramError
+from specalt.diagram import (parse_pd, mirror, checkerboard_negative, is_twist_reduced,
+                             twist_regions, _bigon_pairs, DiagramError)
 from specalt.invariants import goeritz, _goeritz_form
 from specalt.lattice import (LatticeEmbedding, find_pairing, obstruction,
-                             clasp_candidates, canonical_matrix)
+                             clasp_candidates)
 
-from paper_claims import claim1_structure
+from paper_claims import (canonical_matrix, claim1_structure, goeritz_gram,
+                          marked_region_pairs)
 from test_lattice_kernel import (condition_all_coords, filtered_obstruction,
                                  is_positive_definite, naive_solutions,
                                  reference_enumerate_embeddings, verdict_key)
@@ -48,9 +51,10 @@ class TestEnumerate:
 
     def test_gram_revalidates(self, knot_8_15):
         lat = goeritz(knot_8_15, checkerboard_negative(knot_8_15))
-        for emb in itertools.islice(reference_enumerate_embeddings(lat.gram, 12), 5):
+        gram = goeritz_gram(lat)
+        for emb in itertools.islice(reference_enumerate_embeddings(gram, 12), 5):
             assert tuple(tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in emb.images)
-                         for r1 in emb.images) == lat.gram
+                         for r1 in emb.images) == gram
             assert all(sum(col) == 0 for col in zip(*emb.full_matrix))
 
 
@@ -202,9 +206,12 @@ class TestPairingBruteForce:
 
 class TestObstruction:
     def test_trefoil_admissible(self, trefoil):
+        """The embedding is the class of ((1, 1, 1),), and its one pair marks
+        the trefoil's two white regions."""
         v = obstruction(trefoil)
         assert v.admissible
-        assert v.embedding.images == ((1, 1, 1),)
+        assert canonical_matrix(v.embedding.images) == ((1, 1, 1),)
+        assert marked_region_pairs(v.embedding, v.pairing) == Counter({frozenset({0, 1}): 1})
 
     def test_8_15_matches_figure(self, knot_8_15):
         v = obstruction(knot_8_15)
@@ -268,6 +275,34 @@ class TestObstruction:
                 assert claim1_structure(v.embedding), name
                 checked += 1
         assert checked == 28
+
+    def test_pairs_name_parallel_crossings(self, special_rows):
+        """On the 116 rows and their mirrors each pair (a, b, eps) of an
+        admissible verdict names two crossings between the same two white
+        regions, with eps = +1 exactly when their edges agree as ordered
+        pairs.  On a twist-reduced side the two crossings lie in one twist
+        region and share a bigon, so one of them is a clasp hint."""
+        sides = reduced_sides = pairs = 0
+        for name, d in special_rows:
+            for side in (d, mirror(d)):
+                v = obstruction(side)
+                if not v.admissible:
+                    continue
+                edges = v.lattice.edges
+                dd = v.lattice.coloring.diagram
+                tw = twist_regions(dd)
+                reduced = is_twist_reduced(dd, tw)
+                bigons = {frozenset(pair) for pair in _bigon_pairs(dd)}
+                for a, b, eps in v.pairing.pairs:
+                    assert sorted(edges[a]) == sorted(edges[b]), name
+                    assert (eps == 1) == (edges[a] == edges[b]), name
+                    if reduced:
+                        assert tw.region_of(a) == tw.region_of(b), name
+                        assert frozenset((a, b)) in bigons, name
+                    pairs += 1
+                sides += 1
+                reduced_sides += reduced
+        assert (sides, reduced_sides, pairs) == (56, 50, 110)
 
 
 class TestClaspCandidates:

@@ -24,13 +24,13 @@ from specalt import families, lattice
 from specalt.diagram import (LinkDiagram, NotSpecialAlternating, checkerboard_negative,
                              is_special_alternating, mirror, reduce_nugatory)
 from specalt.invariants import goeritz, unlinking_lower_bound
-from specalt.lattice import (LatticeEmbedding, canonical_matrix, find_pairing,
-                             obstruction)
+from specalt.lattice import LatticeEmbedding, find_pairing, obstruction
 from specalt.linalg import symmetric_signature_nullity
 from specalt.tables import data_path, load_table
 
 from conftest import connected_sum
-from paper_claims import claim1_structure
+from paper_claims import (canonical_matrix, claim1_structure, goeritz_gram,
+                          marked_region_pairs)
 
 
 class Stats:
@@ -225,15 +225,20 @@ def special_alternating_rows():
 
 
 def verdict_key(v):
+    """The verdict, its embedding's class under signed column permutations
+    and the white-region pairs its pairing marks, with their counts: the
+    obstruction's columns are crossings in index order, the reference's in
+    canonical order."""
     return (v.admissible, v.reason,
-            v.embedding.images if v.embedding else None,
-            v.pairing.pairs if v.pairing else None)
+            canonical_matrix(v.embedding.images) if v.embedding else None,
+            marked_region_pairs(v.embedding, v.pairing) if v.pairing else None)
 
 
 def test_obstruction_verdicts_match_reference():
     """On the 92 special alternating rows of the fixtures and the named
-    table, ``obstruction`` gives the verdict, embedding and pairing of the
-    reference enumeration filtered by (i) and (ii)."""
+    table, ``obstruction`` gives the verdict, the embedding class and the
+    marked region pairs of the reference enumeration filtered by (i) and
+    (ii)."""
     rows = special_alternating_rows()
     assert len(rows) == 92
     got = {name: verdict_key(obstruction(d)) for name, d in rows}
@@ -343,24 +348,27 @@ def test_random_grams_span_every_slack_sign():
 
 def filtered_obstruction(d):
     """``obstruction`` read off the full enumeration: the σ ≤ 0 side, then
-    the first class that meets conditions (i) and (ii)."""
+    the first class that meets conditions (i) and (ii), as ``verdict_key``
+    reads it (the reference yields canonical representatives)."""
     lat = goeritz(d, checkerboard_negative(d))
     if lat.sigma > 0:
         d = mirror(d)
         lat = goeritz(d, checkerboard_negative(d))
     p = unlinking_lower_bound(lat.sigma, 0, d.component_count)[0]
     stats = Stats()
-    for emb in reference_enumerate_embeddings(lat.gram, lat.rank - lat.sigma, stats):
+    for emb in reference_enumerate_embeddings(goeritz_gram(lat), lat.rank - lat.sigma,
+                                              stats):
         pairing = condition_all_coords(emb) and find_pairing(emb, p)
         if pairing:
-            return (True, "witness", emb.images, pairing.pairs), stats.nodes
+            return ((True, "witness", emb.images, marked_region_pairs(emb, pairing)),
+                    stats.nodes)
     return (False, "exhausted", None, None), stats.nodes
 
 
 def test_obstruction_is_the_filtered_enumeration(special_rows):
     """On the 116 rows and their mirrors, ``obstruction`` gives the verdict,
-    embedding and pairing of the full enumeration filtered by (i) and
-    (ii), and never visits more nodes."""
+    the embedding class and the marked region pairs of the full
+    enumeration filtered by (i) and (ii), and never visits more nodes."""
     fewer = 0
     for name, d in special_rows:
         for side in (d, mirror(d)):

@@ -19,7 +19,7 @@ from specalt.moves import (move_from_json, apply_move, r2plus_sites, r3_sites,
                            apply_r2plus, apply_r3)
 from specalt import families
 
-from paper_claims import euler_check
+from paper_claims import euler_check, goeritz_gram
 
 
 def random_plane_bipartite_graph(rnd, grow_steps):
@@ -91,7 +91,7 @@ class TestRandomMedialPipeline:
             assert sigma == lat.rank - d.n          # positive special identity
             assert euler_check(d, cb)
             # determinant = spanning-tree count is odd iff knot (det parity)
-            assert determinant(d) == abs(det_bareiss(lat.gram))
+            assert determinant(d) == abs(det_bareiss(goeritz_gram(lat)))
 
     def test_determinant_routes_agree_after_changes(self):
         """Also: crossing changes, mirrors, component splits and orientation

@@ -10,6 +10,7 @@ from specalt.tables import (KnotRecord, load_table, analyze, analyze_all,
                             emit_tables, load_expected, diff_tables, TableError,
                             bound_consistency_ok, natural_key, data_path)
 from specalt.cli import main as cli_main
+from specalt.lattice import obstruction
 from specalt.unknotting import decide_minimal_unlinking
 from specalt.diagram import (parse_pd, reduce_nugatory, canonical_key,
                              is_special_alternating, mirror)
@@ -435,6 +436,30 @@ class TestCLI:
         rc = cli_main(["--json", "embed", "3_1"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["admissible"] is True
+
+    def test_embed_columns_are_crossings(self, capsys):
+        """On 8_15 the ``--json`` keys are those of an admissible verdict,
+        column c of ``full_matrix`` is e_a - e_b for crossing c's
+        ``lattice.edges`` entry (a, b), and each pair names two crossings
+        with the same edge.  The text output prints the same rows and
+        pairs."""
+        rc = cli_main(["--json", "embed", "8_15"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert list(out) == ["admissible", "p", "target_dim", "nodes", "dedup",
+                             "reason", "embedding", "pairing"]
+        assert list(out["embedding"]) == ["target_dim", "rows", "full_matrix"]
+        rec = next(r for r in load_table(data_path("fixtures.csv"))[0] if r.name == "8_15")
+        edges = obstruction(reduce_nugatory(rec.diagram)).lattice.edges
+        full = out["embedding"]["full_matrix"]
+        assert [list(col) for col in zip(*full)] == \
+            [[(t == a) - (t == b) for t in range(len(full))] for a, b in edges]
+        assert all(edges[a] == edges[b] for a, b, _ in out["pairing"])
+        rc = cli_main(["embed", "8_15"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0 and lines[0] == "8_15: admissible embedding into Z^8 (p=2)"
+        assert lines[1:-1] == [f"   {row}" for row in full]
+        assert lines[-1] == f"  pairs: {[tuple(pair) for pair in out['pairing']]}"
 
     def test_analyze_named_table_knot(self, capsys):
         """Names missing from the fixtures fall back to the named table,
