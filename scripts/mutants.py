@@ -45,6 +45,7 @@ PARENT_COMPONENTS = "tests/test_walks.py::test_changed_diagrams_keep_the_parent_
 SCREEN_AGREES = ("tests/test_unknotting.py::TestLinkingScreen::"
                  "test_screen_agrees_with_built_children")
 SCREEN_REPEATS = "tests/test_unknotting.py::TestLinkingScreen::test_repeated_index_hint_is_a_set"
+WALK_FILTER = "tests/test_unknotting.py::TestLinkingScreen::test_walk_is_the_filter"
 ONE_LATTICE = ("tests/test_lattice_kernel.py::"
                "test_obstruction_builds_one_lattice_of_the_positive_diagram")
 MATCH_REFERENCE = "tests/test_lattice_kernel.py::test_obstruction_verdicts_match_reference"
@@ -143,6 +144,27 @@ MUTANTS = [
            "negative index wraps (the search checks its hints' range first, so "
            "only a direct call shows it)"),
     Mutant("src/specalt/unknotting.py",
+           "if r > 0 and r > row[2 * i] or", "if r > 0 and r >= row[2 * i] or",
+           WALK_FILTER,
+           "the walk's pair-availability prune is off by one: a prefix whose "
+           "residual the later crossings of its pair exactly fill is dropped"),
+    Mutant("src/specalt/unknotting.py",
+           "or r < 0 and -r > row[2 * i + 1]:", "or r < 0 and -r >= row[2 * i + 1]:",
+           WALK_FILTER,
+           "the walk's pair-availability prune is off by one for a negative "
+           "residual"),
+    Mutant("src/specalt/unknotting.py",
+           "        return need <= k\n", "        return need < k\n",
+           WALK_FILTER,
+           "the walk drops a prefix whose residuals fill the picks left "
+           "exactly: no subset survives, not even a witness at m = Σ|lk|"),
+    Mutant("src/specalt/unknotting.py",
+           "                         - sum(h < subset for h in hints) + 1)\n",
+           "                         + 1)\n",
+           WALK_FILTER,
+           "a witness's subsets_tried counts the hints that precede it in "
+           "lexicographic order twice"),
+    Mutant("src/specalt/unknotting.py",
            "if len(s) == m and len(_crossing_set(d, s)) == m))",
            "if len(s) == m and _crossing_set(d, s)))",
            SCREEN_REPEATS,
@@ -209,7 +231,7 @@ MUTANTS = [
            "clasp_candidates returns nothing: the search at p starts without a hint"),
     Mutant("src/specalt/lattice.py",
            "tuple(min(a, b) for a, b, _ in", "tuple(max(a, b) for a, b, _ in",
-           "tests/test_acceptance.py::test_verdicts_match_expected",
+           f"tests/test_acceptance.py::test_verdicts_match_expected {AGREE_AT_P}",
            "the clasp hint takes the later crossing of each pair: the witness "
            "moves to another clasp of the same twist region"),
     Mutant("src/specalt/lattice.py",

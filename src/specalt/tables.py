@@ -117,10 +117,11 @@ HEADER = ["name", "pd", "signature", "u", "genus"]
 
 @contextmanager
 def _open_csv(path, what: str):
-    """``path`` opened for CSV reading; a file that cannot be opened or
-    is not UTF-8 raises TableError."""
+    """``path`` opened for CSV reading, a leading UTF-8 byte-order mark
+    dropped; a file that cannot be opened or is not UTF-8 raises
+    TableError."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise TableError(f"cannot read {what} {path}: {exc.strerror}") from None
     with fh:

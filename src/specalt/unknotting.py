@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .diagram import (LinkDiagram, DiagramError, NotSpecialAlternating, SplitDiagram,
@@ -190,6 +191,64 @@ def _linking_refutes(d: LinkDiagram, lk: dict[tuple[int, int], int],
     return any(changed.values())
 
 
+def _linking_survivors(d: LinkDiagram, lk: dict[tuple[int, int], int], m: int):
+    """Yield, in lexicographic order, the m-subsets of the link ``d``'s
+    crossings that ``_linking_refutes`` passes, by the walk that
+    ``exhaustive_search`` describes.  The walk carries, per component pair,
+    the residual r = lk − Σ sign(c) over the chosen crossings of that
+    pair; a prefix survives while ``reachable`` holds."""
+    n, signs = d.n, d.signs
+    keys = sorted(lk)
+    slot = {key: i for i, key in enumerate(keys)}
+    pair_of = [None if key is None else slot[key] for key in d.component_pairs]
+    residual = [lk[key] for key in keys]
+    # ahead[c][2i] and ahead[c][2i + 1]: the crossings at c or later of
+    # pair i with sign +1 and with sign -1.
+    ahead = [[0] * (2 * len(keys))]
+    for c in range(n - 1, -1, -1):
+        row = list(ahead[-1])
+        if pair_of[c] is not None:
+            row[2 * pair_of[c] + (signs[c] < 0)] += 1
+        ahead.append(row)
+    ahead.reverse()
+
+    def reachable(start: int, k: int) -> bool:
+        row, need = ahead[start], 0
+        for i, r in enumerate(residual):
+            if r > 0 and r > row[2 * i] or r < 0 and -r > row[2 * i + 1]:
+                return False
+            need += abs(r)
+        return need <= k
+
+    chosen: list[int] = []
+
+    def walk(start: int, k: int):
+        if k == 0:
+            yield tuple(chosen)
+            return
+        for c in range(start, n - k + 1):
+            i = pair_of[c]
+            if i is not None:
+                residual[i] -= signs[c]
+            if reachable(c + 1, k - 1):
+                chosen.append(c)
+                yield from walk(c + 1, k - 1)
+                chosen.pop()
+            if i is not None:
+                residual[i] += signs[c]
+
+    if reachable(0, m):
+        yield from walk(0, m)
+
+
+def _lex_rank(subset: tuple[int, ...], n: int) -> int:
+    """The position, from 0, of the sorted ``subset`` in
+    ``itertools.combinations(range(n), len(subset))``."""
+    m = len(subset)
+    return math.comb(n, m) - 1 - sum(math.comb(n - 1 - c, m - i)
+                                     for i, c in enumerate(subset))
+
+
 def exhaustive_search(d: LinkDiagram, m: int,
                       first_subsets: tuple[tuple[int, ...], ...] = ()) -> SearchOutcome:
     """Try all C(n, m) crossing-change subsets once each; Some on the first
@@ -202,26 +261,45 @@ def exhaustive_search(d: LinkDiagram, m: int,
     raises DiagramError first.
 
     On a link, a subset whose change leaves a non-zero linking number is
-    refuted from the parent's linking numbers and builds no diagram; it
-    still counts in ``subsets_tried``."""
+    refuted from the parent's linking numbers and builds no diagram.  A
+    hint is screened by ``_linking_refutes``.  The other subsets come from
+    a depth-first walk in lexicographic order (``_linking_survivors``)
+    that never visits a refuted one.  After choosing a prefix, each
+    component pair (i, j) has the residual r = lk(i, j) minus the signs of
+    the chosen crossings between i and j, and the walk drops the prefix
+    when some |r| exceeds the later crossings between i and j with the
+    sign of r, or when Σ|r| exceeds the picks left.  So a level with
+    Σ|lk| > m is refuted at the root.  A knot level walks
+    ``itertools.combinations``.
+
+    ``subsets_tried`` counts every subset in stream order up to the
+    witness, refuted ones too, and is computed, not counted: C(n, m)
+    without a witness; at a witness, its place among the hints, or else the
+    number of hints, plus its lexicographic rank, less the hints before it
+    in that order, plus 1."""
     hints = list(dict.fromkeys(tuple(sorted(s)) for s in first_subsets
                                if len(s) == m and len(_crossing_set(d, s)) == m))
     skip = set(hints)
-    rest = (s for s in itertools.combinations(range(d.n), m) if s not in skip)
     lk = linking_matrix(d) if d.component_count > 1 else None
+    if lk is None:
+        screened, rest = hints, itertools.combinations(range(d.n), m)
+    else:
+        screened = [s for s in hints if not _linking_refutes(d, lk, s)]
+        rest = _linking_survivors(d, lk, m)
     unknown: list[tuple[int, ...]] = []
-    tried = 0
-    for subset in itertools.chain(hints, rest):
-        tried += 1
-        if lk is not None and _linking_refutes(d, lk, subset):
-            continue
+    for subset in itertools.chain(screened, (s for s in rest if s not in skip)):
         cert = certify_unlink(change_crossings(d, subset))
         if cert.status == "certified":
+            if subset in skip:
+                tried = hints.index(subset) + 1
+            else:
+                tried = (len(hints) + _lex_rank(subset, d.n)
+                         - sum(h < subset for h in hints) + 1)
             return SearchOutcome("some", (subset,), cert, (), tried)
         if cert.status == "unknown":
             unknown.append(subset)
     status = "inconclusive" if unknown else "all_refuted"
-    return SearchOutcome(status, (), None, tuple(unknown), tried)
+    return SearchOutcome(status, (), None, tuple(unknown), math.comb(d.n, m))
 
 
 def bound_text(lo, hi) -> str:

@@ -396,8 +396,9 @@ def test_certificates_agree_at_p(bundled, fixture_rows, named_rows, paper13_pair
     """The two certificates at p agree on every special alternating row of
     the fixtures, named and paper13 tables: the lattice is admissible
     exactly when the search at p finds a witness.  On a twist-reduced
-    admissible row the clasp hint is the first subset tried, it certifies,
-    and it is the row's witness.  This pins today's answers on these rows,
+    admissible row the clasp hint names the smaller crossing of each pair,
+    it is the first subset tried, it certifies, and it is the row's
+    witness.  This pins today's answers on these rows,
     not a theorem."""
     lists = _lists()
     named = lists["list1_unknown_11a"] + lists["list_unknown_12a"]
@@ -422,6 +423,7 @@ def test_certificates_agree_at_p(bundled, fixture_rows, named_rows, paper13_pair
         if not is_twist_reduced(d, twist_regions(d)):
             continue
         hint = clasp_candidates(ob)
+        assert hint == tuple(min(a, b) for a, b, _ in ob.pairing.pairs), rec.name
         assert exhaustive_search(d, ob.p, (hint,)).subsets_tried == 1, rec.name
         assert row.witness == tuple(sorted(hint)), rec.name
         hinted += 1

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import random
@@ -730,6 +731,21 @@ class TestTablesInputErrors:
         rc = cli_main(["tables", str(small_csv), "--diff", str(exp)])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error:") and "not UTF-8" in err
+
+    def test_byte_order_mark(self, tmp_path, capsys):
+        """A UTF-8 byte-order mark is not part of the first header cell:
+        BOM-prefixed copies of the bundled fixtures and their expected table
+        load as the originals do and diff clean."""
+        copies = {}
+        for name in ("fixtures.csv", "fixtures_expected.csv"):
+            copies[name] = tmp_path / name
+            copies[name].write_bytes(codecs.BOM_UTF8 + Path(data_path(name)).read_bytes())
+        assert load_table(copies["fixtures.csv"]) == load_table(data_path("fixtures.csv"))
+        assert (load_expected(copies["fixtures_expected.csv"])
+                == load_expected(data_path("fixtures_expected.csv")))
+        rc = cli_main(["tables", str(copies["fixtures.csv"]),
+                       "--diff", str(copies["fixtures_expected.csv"])])
+        assert rc == 0 and capsys.readouterr().err.endswith("diff: clean\n")
 
     @pytest.mark.parametrize("col,cell", [("u", "abc"), ("c4", "{3;4"), ("u", "3,4"),
                                           ("sigma", "-2.0"), ("genus", ">=x"),

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import types
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,9 @@ from specalt.tables import KnotRecord, analyze, data_path, load_table
 from specalt.unknotting import (certify_unlink, exhaustive_search,
                                 decide_minimal_unlinking, reidemeister_simplify,
                                 replay_moves)
-from specalt.invariants import determinant, linking_matrix
-from specalt.lattice import obstruction
+from specalt.invariants import (determinant, linking_matrix, signature_nullity,
+                                unlinking_lower_bound)
+from specalt.lattice import clasp_candidates, obstruction
 from specalt import families
 
 from conftest import TREFOIL_PD, connected_sum
@@ -364,11 +366,14 @@ class TestLinkingScreen:
             checked += 1
         assert checked == 11 + 7
 
-    @pytest.mark.parametrize("name, m", [("c_4_1_4", 2), ("c_2_2_2_2_2", 3)])
+    @pytest.mark.parametrize("name, m", [("c_4_1_4", 2), ("c_2_2_2_2_2", 3),
+                                         ("s12_7", 2)])
     def test_children_only_for_survivors(self, bundled, monkeypatch, name, m):
         """The search builds a child for exactly the tried subsets whose
-        child has all-zero linking numbers."""
-        d = reduce_nugatory(next(rec.diagram for rec in bundled if rec.name == name))
+        child has all-zero linking numbers.  s12_7 has Σ|lk| = 6 > p = 2:
+        the walk refutes its level at the root, builds no child and still
+        counts all C(n, p) subsets."""
+        d = dict(link_rows(bundled))[name]
         built = []
 
         def recording(parent, subset):
@@ -380,7 +385,65 @@ class TestLinkingScreen:
         tried = list(itertools.combinations(range(d.n), m))[:out.subsets_tried]
         survivors = [s for s in tried
                      if not any(linking_matrix(change_crossings(d, s)).values())]
-        assert built == survivors and 0 < len(built) < len(tried)
+        assert built == survivors
+        if name == "s12_7":
+            assert sum(map(abs, linking_matrix(d).values())) == 6
+            assert out.status == "all_refuted" and out.subsets_tried == comb(d.n, m)
+            assert built == []
+        else:
+            assert 0 < len(built) < len(tried)
+
+    def test_walk_is_the_filter(self, bundled):
+        """On every link row, for each m from 0 to min(n, p + 2), the walk
+        yields exactly the m-subsets the per-subset screen passes, in
+        lexicographic order, and the search gives what the per-subset loop
+        below gives: outcome, certificate and ``subsets_tried``.  The search
+        runs unhinted, with the clasp hint at p where the row has one, and
+        with the first m-subset as a hint, so a witness found after a hint
+        that precedes it in lexicographic order is counted too."""
+
+        def reference(d, m, first_subsets):
+            hints = list(dict.fromkeys(tuple(sorted(s)) for s in first_subsets
+                                       if len(s) == m and len(set(s)) == m))
+            skip = set(hints)
+            rest = (s for s in itertools.combinations(range(d.n), m) if s not in skip)
+            unknown, tried = [], 0
+            for subset in itertools.chain(hints, rest):
+                tried += 1
+                if screen_refutes(d, subset):
+                    continue
+                cert = certify_unlink(change_crossings(d, subset))
+                if cert.status == "certified":
+                    return unknotting.SearchOutcome("some", (subset,), cert, (), tried)
+                if cert.status == "unknown":
+                    unknown.append(subset)
+            status = "inconclusive" if unknown else "all_refuted"
+            return unknotting.SearchOutcome(status, (), None, tuple(unknown), tried)
+
+        levels = hint_before_witness = 0
+        for name, d in link_rows(bundled):
+            sigma, eta = signature_nullity(d)
+            p = unlinking_lower_bound(sigma, eta, d.component_count)[0]
+            clasp = ()
+            if d.is_connected and is_special_alternating(d):
+                ob = obstruction(d)
+                d = ob.lattice.coloring.diagram
+                clasp = (clasp_candidates(ob),) if ob.admissible else ()
+            lk = linking_matrix(d)
+            for m in range(min(d.n, p + 2) + 1):
+                passed = [s for s in itertools.combinations(range(d.n), m)
+                          if not screen_refutes(d, s)]
+                assert list(unknotting._linking_survivors(d, lk, m)) == passed, (name, m)
+                first = (tuple(range(m)),)
+                for hints in dict.fromkeys(((), clasp if m == p else (), first)):
+                    want = reference(d, m, hints)
+                    got = exhaustive_search(d, m, hints)
+                    assert got.to_json() == want.to_json(), (name, m, hints)
+                    assert got.certificate == want.certificate, (name, m, hints)
+                    hint_before_witness += (hints == first and got.status == "some"
+                                            and got.witnesses != first)
+                levels += 1
+        assert (levels, hint_before_witness) == (164, 37)
 
     @pytest.mark.parametrize("hint", [(-1, 0), (6, 0)])
     def test_out_of_range_hint_raises(self, hint):
